@@ -67,6 +67,36 @@ struct CcMetrics {
 
 }  // namespace
 
+void CacheStats::Accumulate(const CacheStats& s) {
+  copy_reads += s.copy_reads;
+  copy_read_hits += s.copy_read_hits;
+  copy_read_bytes += s.copy_read_bytes;
+  fault_irps += s.fault_irps;
+  fault_bytes += s.fault_bytes;
+  readahead_irps += s.readahead_irps;
+  readahead_bytes += s.readahead_bytes;
+  copy_writes += s.copy_writes;
+  copy_write_bytes += s.copy_write_bytes;
+  rmw_faults += s.rmw_faults;
+  lazy_write_irps += s.lazy_write_irps;
+  lazy_write_bytes += s.lazy_write_bytes;
+  lazy_scans += s.lazy_scans;
+  write_throttles += s.write_throttles;
+  flush_ops += s.flush_ops;
+  flush_bytes += s.flush_bytes;
+  seteof_on_close += s.seteof_on_close;
+  maps_created += s.maps_created;
+  maps_resurrected += s.maps_resurrected;
+  teardowns += s.teardowns;
+  purge_calls += s.purge_calls;
+  purges_with_dirty += s.purges_with_dirty;
+  dirty_pages_discarded += s.dirty_pages_discarded;
+  temporary_pages_skipped += s.temporary_pages_skipped;
+  paging_retries += s.paging_retries;
+  paging_read_failures += s.paging_read_failures;
+  paging_write_failures += s.paging_write_failures;
+}
+
 CacheManager::CacheManager(Engine& engine, IoManager& io, CacheConfig config, uint64_t rng_seed)
     : engine_(engine), io_(io), config_(config), rng_(rng_seed),
       pages_(config.capacity_pages) {}

@@ -101,6 +101,9 @@ struct CacheStats {
   uint64_t paging_retries = 0;
   uint64_t paging_read_failures = 0;
   uint64_t paging_write_failures = 0;  // The affected pages are discarded, counted, never silent.
+
+  // Field-wise sum, for fleet and replay totals across systems.
+  void Accumulate(const CacheStats& s);
 };
 
 // Per-node shared caching state (NT: SharedCacheMap). Owned by CacheManager.

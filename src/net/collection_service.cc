@@ -43,9 +43,9 @@ void SetNoDelay(int fd) {
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-std::string SegmentPath(const std::string& dir, uint32_t agent_id) {
-  return dir + "/sys_" + std::to_string(agent_id) + ".ntspool";
-}
+// Session segments flush every frame, so the durable watermark tracks the
+// ack watermark exactly: an acked frame is never lost to a server crash.
+constexpr size_t kSessionFlushBytes = 0;
 
 // Ingest counters (DESIGN.md §8/§11), per shard plus service-wide.
 struct NetMetrics {
@@ -401,9 +401,7 @@ void CollectionService::AcceptLoop() {
 }
 
 CollectionService::Session* CollectionService::FindOrCreateSession(Shard* shard,
-                                                                   uint32_t agent_id,
-                                                                   bool* restored) {
-  *restored = false;
+                                                                   uint32_t agent_id) {
   auto it = shard->sessions.find(agent_id);
   if (it != shard->sessions.end()) {
     return it->second.get();
@@ -411,28 +409,16 @@ CollectionService::Session* CollectionService::FindOrCreateSession(Shard* shard,
   auto session = std::make_unique<Session>();
   session->agent_id = agent_id;
   if (!options_.spool_dir.empty()) {
-    const std::string path = SegmentPath(options_.spool_dir, agent_id);
-    const SpoolReadResult r = SpoolReader::Read(path);
-    if (r.header_valid && r.system_id == agent_id &&
-        r.config_fingerprint == options_.config_fingerprint && r.frames_valid > 0) {
-      // Rebuild the session from the segment's valid prefix: replaying the
-      // recovered frames through a fresh CollectionServer in delivery order
-      // re-derives the live counters exactly, and the count of data frames
+    const std::string path = options_.spool_dir + "/" + SpoolSegmentName(agent_id);
+    SpoolReadResult r = SpoolReader::Read(path);
+    if (r.frames_valid > 0 &&
+        SpoolReplaySegment(&r, agent_id, options_.config_fingerprint, &session->server)) {
+      // Rebuilt from the segment's valid prefix; the count of data frames
       // in the prefix IS the resume watermark (one spool frame per data
       // frame; a seal, if present, is not a data frame).
-      for (const SpoolReadResult::Shipment& s : r.shipments) {
-        session->server.DeliverShipment(s.header, s.records);
-      }
-      for (const std::vector<TraceRecord>& loose : r.loose) {
-        session->server.DeliverRecords(loose);
-      }
-      for (const NameRecord& n : r.names) {
-        session->server.DeliverName(n);
-      }
       session->expected_seq = r.frames_valid - (r.sealed ? 1 : 0);
       session->durable_seq = session->expected_seq;
       session->restored = true;
-      *restored = true;
       ++shard->local.sessions_restored;
       NetMetrics::Get().sessions_restored.Inc();
       if (r.sealed) {
@@ -452,12 +438,11 @@ CollectionService::Session* CollectionService::FindOrCreateSession(Shard* shard,
           }
         }
         session->spool.OpenAppend(path, agent_id, options_.config_fingerprint);
-        session->spool.set_flush_threshold(options_.config.flush_bytes);
       }
     } else {
       session->spool.Open(path, agent_id, options_.config_fingerprint);
-      session->spool.set_flush_threshold(options_.config.flush_bytes);
     }
+    session->spool.set_flush_threshold(kSessionFlushBytes);
   }
   Session* raw = session.get();
   shard->sessions.emplace(agent_id, std::move(session));
@@ -646,10 +631,9 @@ void CollectionService::HandleFrame(Shard* shard, Connection* conn, const SpoolF
     }
     case NetFrameType::kHello: {
       // Re-hello on an established connection: answer idempotently.
-      bool restored = false;
       NetHello hello;
       if (DecodeHello(view.payload, view.payload_size, &hello)) {
-        Session* s = FindOrCreateSession(shard, hello.agent_id, &restored);
+        Session* s = FindOrCreateSession(shard, hello.agent_id);
         conn->agent_id = hello.agent_id;
         NetHelloAck ack;
         ack.resume_seq = s->expected_seq;
@@ -689,15 +673,6 @@ void CollectionService::QueueAck(Shard* shard, Connection* conn, Session* s) {
     ack.status = static_cast<uint8_t>(NetStatus::kOk);
   }
   EncodeAckFrame(&conn->out, ack);
-}
-
-void CollectionService::CloseConnection(Shard* shard, size_t index) {
-  Connection& c = shard->conns[index];
-  if (c.fd >= 0) {
-    close(c.fd);
-    c.fd = -1;
-  }
-  (void)shard;
 }
 
 void CollectionService::ShardLoop(Shard* shard) {
@@ -805,8 +780,7 @@ void CollectionService::ShardLoop(Shard* shard) {
         conn.fd = in.fd;
         conn.agent_id = in.hello.agent_id;
         conn.last_activity_us = NowMicros();
-        bool restored = false;
-        Session* s = FindOrCreateSession(shard, in.hello.agent_id, &restored);
+        Session* s = FindOrCreateSession(shard, in.hello.agent_id);
         NetHelloAck ack;
         ack.resume_seq = s->expected_seq;
         ack.credit = static_cast<uint32_t>(options_.config.window);

@@ -74,9 +74,9 @@ class CollectionService {
   struct Options {
     NetCollectionConfig config;
     // Segment directory for server-side durable spooling; empty disables
-    // it (and with it, crash recovery). Segment files use the same
-    // "sys_<agent>.ntspool" naming as the fleet's in-process durable path,
-    // so a sealed net segment is resumable by either layer.
+    // it (and with it, crash recovery). Segment files are named by
+    // SpoolSegmentName, like the fleet's in-process durable path, so a
+    // sealed net segment is resumable by either layer.
     std::string spool_dir;
     uint64_t config_fingerprint = 0;
   };
@@ -127,9 +127,8 @@ class CollectionService {
   void HandleFrame(Shard* shard, Connection* conn, const SpoolFrameView& view);
   void DeliverInOrder(Shard* shard, Session* session, uint16_t inner_type, const uint8_t* inner,
                       size_t inner_size);
-  Session* FindOrCreateSession(Shard* shard, uint32_t agent_id, bool* restored);
+  Session* FindOrCreateSession(Shard* shard, uint32_t agent_id);
   void QueueAck(Shard* shard, Connection* conn, Session* session);
-  void CloseConnection(Shard* shard, size_t index);
   void TearDown(bool abandon_spools);
 
   Options options_;

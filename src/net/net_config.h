@@ -65,13 +65,6 @@ struct NetCollectionConfig {
   // the same port and sessions are rebuilt from their segments.
   uint64_t crash_after_frames = 0;
   int max_crashes = 1;
-
-  // Spool flush granularity for server-side session segments, same meaning
-  // as DurabilityConfig::flush_bytes. 0 flushes every frame, which makes
-  // the durable watermark track the ack watermark exactly (acked bytes are
-  // never lost to a crash); larger values let acked-but-unflushed frames
-  // die with the server, exercising client-side retention.
-  size_t flush_bytes = 0;
 };
 
 }  // namespace ntrace

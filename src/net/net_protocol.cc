@@ -4,45 +4,20 @@
 
 namespace ntrace {
 
-namespace {
-
-template <typename T>
-void Put(std::vector<uint8_t>* out, T value) {
-  for (size_t i = 0; i < sizeof(T); ++i) {
-    out->push_back(static_cast<uint8_t>(static_cast<uint64_t>(value) >> (8 * i)));
-  }
-}
-
-template <typename T>
-bool Get(const uint8_t* data, size_t size, size_t* pos, T* out) {
-  if (size - *pos < sizeof(T)) {
-    return false;
-  }
-  uint64_t v = 0;
-  for (size_t i = 0; i < sizeof(T); ++i) {
-    v |= static_cast<uint64_t>(data[*pos + i]) << (8 * i);
-  }
-  *pos += sizeof(T);
-  *out = static_cast<T>(v);
-  return true;
-}
-
-}  // namespace
-
 void EncodeHelloFrame(std::vector<uint8_t>* out, const NetHello& hello) {
   std::vector<uint8_t> p;
-  Put(&p, hello.protocol_version);
-  Put(&p, hello.agent_id);
-  Put(&p, hello.config_fingerprint);
+  PutScalar(&p, hello.protocol_version);
+  PutScalar(&p, hello.agent_id);
+  PutScalar(&p, hello.config_fingerprint);
   SpoolAppendFrame(out, static_cast<uint16_t>(NetFrameType::kHello), p.data(), p.size(), nullptr,
                    0);
 }
 
 void EncodeHelloAckFrame(std::vector<uint8_t>* out, const NetHelloAck& ack) {
   std::vector<uint8_t> p;
-  Put(&p, ack.resume_seq);
-  Put(&p, ack.credit);
-  Put(&p, ack.status);
+  PutScalar(&p, ack.resume_seq);
+  PutScalar(&p, ack.credit);
+  PutScalar(&p, ack.status);
   SpoolAppendFrame(out, static_cast<uint16_t>(NetFrameType::kHelloAck), p.data(), p.size(),
                    nullptr, 0);
 }
@@ -59,41 +34,42 @@ void EncodeDataFrame(std::vector<uint8_t>* out, const NetDataHead& head, const v
 
 void EncodeAckFrame(std::vector<uint8_t>* out, const NetAck& ack) {
   std::vector<uint8_t> p;
-  Put(&p, ack.agent_id);
-  Put(&p, ack.ack_seq);
-  Put(&p, ack.durable_seq);
-  Put(&p, ack.credit);
-  Put(&p, ack.status);
+  PutScalar(&p, ack.agent_id);
+  PutScalar(&p, ack.ack_seq);
+  PutScalar(&p, ack.durable_seq);
+  PutScalar(&p, ack.credit);
+  PutScalar(&p, ack.status);
   SpoolAppendFrame(out, static_cast<uint16_t>(NetFrameType::kAck), p.data(), p.size(), nullptr,
                    0);
 }
 
 void EncodeByeFrame(std::vector<uint8_t>* out, const NetBye& bye) {
   std::vector<uint8_t> p;
-  Put(&p, bye.frames_sent);
+  PutScalar(&p, bye.frames_sent);
   SpoolAppendFrame(out, static_cast<uint16_t>(NetFrameType::kBye), p.data(), p.size(), nullptr,
                    0);
 }
 
 void EncodeByeAckFrame(std::vector<uint8_t>* out, const NetByeAck& ack) {
   std::vector<uint8_t> p;
-  Put(&p, ack.records_collected);
+  PutScalar(&p, ack.records_collected);
   SpoolAppendFrame(out, static_cast<uint16_t>(NetFrameType::kByeAck), p.data(), p.size(), nullptr,
                    0);
 }
 
 bool DecodeHello(const uint8_t* payload, size_t size, NetHello* hello) {
   size_t pos = 0;
-  return Get(payload, size, &pos, &hello->protocol_version) &&
+  return GetScalar(payload, size, &pos, &hello->protocol_version) &&
          hello->protocol_version == kNetProtocolVersion &&
-         Get(payload, size, &pos, &hello->agent_id) &&
-         Get(payload, size, &pos, &hello->config_fingerprint);
+         GetScalar(payload, size, &pos, &hello->agent_id) &&
+         GetScalar(payload, size, &pos, &hello->config_fingerprint);
 }
 
 bool DecodeHelloAck(const uint8_t* payload, size_t size, NetHelloAck* ack) {
   size_t pos = 0;
-  return Get(payload, size, &pos, &ack->resume_seq) && Get(payload, size, &pos, &ack->credit) &&
-         Get(payload, size, &pos, &ack->status);
+  return GetScalar(payload, size, &pos, &ack->resume_seq) &&
+         GetScalar(payload, size, &pos, &ack->credit) &&
+         GetScalar(payload, size, &pos, &ack->status);
 }
 
 bool DecodeDataHead(const uint8_t* payload, size_t size, NetDataHead* head,
@@ -111,19 +87,21 @@ bool DecodeDataHead(const uint8_t* payload, size_t size, NetDataHead* head,
 
 bool DecodeAck(const uint8_t* payload, size_t size, NetAck* ack) {
   size_t pos = 0;
-  return Get(payload, size, &pos, &ack->agent_id) && Get(payload, size, &pos, &ack->ack_seq) &&
-         Get(payload, size, &pos, &ack->durable_seq) && Get(payload, size, &pos, &ack->credit) &&
-         Get(payload, size, &pos, &ack->status);
+  return GetScalar(payload, size, &pos, &ack->agent_id) &&
+         GetScalar(payload, size, &pos, &ack->ack_seq) &&
+         GetScalar(payload, size, &pos, &ack->durable_seq) &&
+         GetScalar(payload, size, &pos, &ack->credit) &&
+         GetScalar(payload, size, &pos, &ack->status);
 }
 
 bool DecodeBye(const uint8_t* payload, size_t size, NetBye* bye) {
   size_t pos = 0;
-  return Get(payload, size, &pos, &bye->frames_sent);
+  return GetScalar(payload, size, &pos, &bye->frames_sent);
 }
 
 bool DecodeByeAck(const uint8_t* payload, size_t size, NetByeAck* ack) {
   size_t pos = 0;
-  return Get(payload, size, &pos, &ack->records_collected);
+  return GetScalar(payload, size, &pos, &ack->records_collected);
 }
 
 void NetFrameAssembler::Append(const uint8_t* data, size_t size) {

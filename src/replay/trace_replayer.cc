@@ -12,36 +12,6 @@ namespace ntrace {
 
 namespace {
 
-void AddCacheStats(CacheStats& total, const CacheStats& s) {
-  total.copy_reads += s.copy_reads;
-  total.copy_read_hits += s.copy_read_hits;
-  total.copy_read_bytes += s.copy_read_bytes;
-  total.fault_irps += s.fault_irps;
-  total.fault_bytes += s.fault_bytes;
-  total.readahead_irps += s.readahead_irps;
-  total.readahead_bytes += s.readahead_bytes;
-  total.copy_writes += s.copy_writes;
-  total.copy_write_bytes += s.copy_write_bytes;
-  total.rmw_faults += s.rmw_faults;
-  total.lazy_write_irps += s.lazy_write_irps;
-  total.lazy_write_bytes += s.lazy_write_bytes;
-  total.lazy_scans += s.lazy_scans;
-  total.write_throttles += s.write_throttles;
-  total.flush_ops += s.flush_ops;
-  total.flush_bytes += s.flush_bytes;
-  total.seteof_on_close += s.seteof_on_close;
-  total.maps_created += s.maps_created;
-  total.maps_resurrected += s.maps_resurrected;
-  total.teardowns += s.teardowns;
-  total.purge_calls += s.purge_calls;
-  total.purges_with_dirty += s.purges_with_dirty;
-  total.dirty_pages_discarded += s.dirty_pages_discarded;
-  total.temporary_pages_skipped += s.temporary_pages_skipped;
-  total.paging_retries += s.paging_retries;
-  total.paging_read_failures += s.paging_read_failures;
-  total.paging_write_failures += s.paging_write_failures;
-}
-
 int ResolveThreads(int requested, int systems) {
   if (requested <= 0) {
     const unsigned hw = std::thread::hardware_concurrency();
@@ -215,7 +185,7 @@ FleetReplayResult TraceReplayer::Replay(const TraceSet& recorded, const ReplayOp
     out.trace.names.insert(out.trace.names.end(), r.names.begin(), r.names.end());
     r.names.clear();
     out.divergence.Accumulate(r.divergence);
-    AddCacheStats(out.cache, r.cache);
+    out.cache.Accumulate(r.cache);
     out.fastio_read_attempts += r.fastio_read_attempts;
     out.fastio_read_hits += r.fastio_read_hits;
     out.fastio_write_attempts += r.fastio_write_attempts;

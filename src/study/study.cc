@@ -8,6 +8,10 @@ Study::Study(StudyConfig config) : config_(std::move(config)) {}
 
 void Study::Run() {
   assert(!result_.has_value() && "Run() called twice");
+  // A columnar fleet leaves FleetResult::trace without records, and every
+  // row analysis below would silently compute over nothing.
+  assert(config_.fleet.columnar_dir.empty() &&
+         "Study needs the row trace: run it without fleet.columnar_dir");
   result_ = RunFleet(config_.fleet);
 }
 
@@ -54,25 +58,14 @@ const IntegrityReport& Study::integrity() const {
 
 const TraceScan& Study::Scan() {
   if (!scan_.has_value()) {
-    assert(result_.has_value());
-    // Columnar fleet runs stream the disk-backed store one extent at a
-    // time; row runs transpose in 64K-record chunks. Either way the batch
-    // kernels do the work and the results are byte-identical.
-    scan_ = result_->columnar_mode ? TraceScan::Run(result_->columnar)
-                                  : TraceScan::Run(trace());
+    scan_ = TraceScan::Run(trace());
     // Loss-aware coverage (DESIGN.md §16): what the collection pipeline
     // knows never reached the server is invisible to the scan, so every
     // figure below is a share of a known fraction of the emitted records.
-    // Store-level salvage loss (columnar mode) and pipeline loss overlap
-    // only when a salvaged store is re-scanned after collection loss; take
-    // the larger figure rather than double-charge.
+    // (A row scan knows no loss of its own; a store scan would.)
     const SystemIntegrity t = integrity().Totals();
-    const uint64_t pipeline_lost = t.records_overflow_dropped + t.records_shed +
-                                   t.records_lost + t.records_unresolved +
-                                   t.records_lost_to_corruption;
-    if (pipeline_lost > scan_->records_lost_known) {
-      scan_->records_lost_known = pipeline_lost;
-    }
+    scan_->records_lost_known = t.records_overflow_dropped + t.records_shed + t.records_lost +
+                                t.records_unresolved + t.records_lost_to_corruption;
   }
   return *scan_;
 }

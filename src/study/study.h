@@ -43,7 +43,8 @@ struct StudyConfig {
   // Fleet shape and execution. `fleet.threads` selects the worker pool for
   // the simulation phase (1 = sequential, 0 = hardware concurrency); every
   // accessor below sees bit-identical data regardless of the value, so
-  // thread count is purely a wall-clock knob.
+  // thread count is purely a wall-clock knob. `fleet.columnar_dir` must stay
+  // empty: the analyses read the row trace, and Run() asserts on it.
   FleetConfig fleet;
 };
 

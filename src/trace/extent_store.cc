@@ -46,28 +46,6 @@ struct ExtentMetrics {
   }
 };
 
-template <typename T>
-void PutScalar(std::vector<uint8_t>* out, T value) {
-  static_assert(std::is_integral_v<T>);
-  for (size_t i = 0; i < sizeof(T); ++i) {
-    out->push_back(static_cast<uint8_t>(static_cast<uint64_t>(value) >> (8 * i)));
-  }
-}
-
-template <typename T>
-bool GetScalar(const uint8_t* data, size_t size, size_t* pos, T* out) {
-  if (size - *pos < sizeof(T)) {
-    return false;
-  }
-  uint64_t v = 0;
-  for (size_t i = 0; i < sizeof(T); ++i) {
-    v |= static_cast<uint64_t>(data[*pos + i]) << (8 * i);
-  }
-  *pos += sizeof(T);
-  *out = static_cast<T>(v);
-  return true;
-}
-
 // --- Varint / zigzag primitives (the delta and RLE codecs) ------------------
 
 inline size_t VarintLen(uint64_t v) {

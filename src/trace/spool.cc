@@ -10,6 +10,7 @@
 
 #include "src/base/crc32c.h"
 #include "src/metrics/metrics.h"
+#include "src/trace/collection_server.h"
 
 namespace ntrace {
 namespace {
@@ -46,41 +47,6 @@ struct SpoolMetrics {
     return m;
   }
 };
-
-// Little-endian scalar append; the on-disk format is explicitly LE so the
-// golden-file test pins identical bytes on every supported platform.
-template <typename T>
-void PutScalar(std::vector<uint8_t>* out, T value) {
-  static_assert(std::is_integral_v<T>);
-  for (size_t i = 0; i < sizeof(T); ++i) {
-    out->push_back(static_cast<uint8_t>(static_cast<uint64_t>(value) >> (8 * i)));
-  }
-}
-
-// Bounds-checked little-endian scalar read used by the salvage path: any
-// short read returns false and the caller treats the frame as damaged.
-template <typename T>
-bool GetScalar(const uint8_t* data, size_t size, size_t* pos, T* out) {
-  if (size - *pos < sizeof(T)) {
-    return false;
-  }
-  uint64_t v = 0;
-  for (size_t i = 0; i < sizeof(T); ++i) {
-    v |= static_cast<uint64_t>(data[*pos + i]) << (8 * i);
-  }
-  *pos += sizeof(T);
-  *out = static_cast<T>(v);
-  return true;
-}
-
-bool GetBytes(const uint8_t* data, size_t size, size_t* pos, void* out, size_t n) {
-  if (size - *pos < n) {
-    return false;
-  }
-  std::memcpy(out, data + *pos, n);
-  *pos += n;
-  return true;
-}
 
 bool GetRecords(const uint8_t* data, size_t size, size_t* pos, uint64_t count,
                 std::vector<TraceRecord>* out) {
@@ -130,10 +96,8 @@ void SpoolAppendFrame(std::vector<uint8_t>* out, uint16_t type, const void* head
   out->resize(at + kSpoolFrameHeaderSize);
   SpoolFillFrameHeader(out->data() + at, type, static_cast<uint32_t>(head_size + tail_size),
                        Crc32cExtend(Crc32cExtend(0, head, head_size), tail, tail_size));
-  const uint8_t* head_bytes = static_cast<const uint8_t*>(head);
-  const uint8_t* tail_bytes = static_cast<const uint8_t*>(tail);
-  out->insert(out->end(), head_bytes, head_bytes + head_size);
-  out->insert(out->end(), tail_bytes, tail_bytes + tail_size);
+  PutBytes(out, head, head_size);
+  PutBytes(out, tail, tail_size);
 }
 
 SpoolFrameStatus SpoolParseFrame(const uint8_t* data, size_t size, SpoolFrameView* view,
@@ -628,6 +592,28 @@ SpoolReadResult SpoolReader::Read(const std::string& path) {
   metrics.records_recovered.Inc(result.records_recovered);
   metrics.bytes_discarded.Inc(result.bytes_discarded);
   return result;
+}
+
+std::string SpoolSegmentName(uint32_t system_id) {
+  return "sys_" + std::to_string(system_id) + ".ntspool";
+}
+
+bool SpoolReplaySegment(SpoolReadResult* segment, uint32_t system_id, uint64_t config_fingerprint,
+                        CollectionServer* server) {
+  if (!segment->header_valid || segment->system_id != system_id ||
+      segment->config_fingerprint != config_fingerprint) {
+    return false;
+  }
+  for (SpoolReadResult::Shipment& s : segment->shipments) {
+    server->DeliverShipment(s.header, std::move(s.records));
+  }
+  for (std::vector<TraceRecord>& loose : segment->loose) {
+    server->DeliverRecords(std::move(loose));
+  }
+  for (NameRecord& n : segment->names) {
+    server->DeliverName(std::move(n));
+  }
+  return true;
 }
 
 }  // namespace ntrace

@@ -32,13 +32,17 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/trace/trace_buffer.h"
 #include "src/trace/trace_record.h"
 
 namespace ntrace {
+
+class CollectionServer;
 
 // Format constants, shared by writer, reader and the golden-format test.
 inline constexpr uint64_t kSpoolMagic = 0x314C4F4F5053544EULL;  // "NTSPOOL1" LE.
@@ -68,6 +72,51 @@ enum class SpoolFrameType : uint16_t {
 // These helpers are the single implementation both layers use, so a frame
 // captured off the wire is bit-compatible with a frame read from disk.
 // ---------------------------------------------------------------------------
+
+// Little-endian scalar codec of every byte format in the tree (spool and
+// wire frames, extent store, the fleet's completion blob): the formats are
+// explicitly LE so the golden-byte tests pin identical bytes on every
+// platform.
+template <typename T>
+void PutScalar(std::vector<uint8_t>* out, T value) {
+  static_assert(std::is_integral_v<T>);
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    out->push_back(static_cast<uint8_t>(static_cast<uint64_t>(value) >> (8 * i)));
+  }
+}
+
+// Bounds-checked read: a short buffer returns false (callers treat it as
+// damage) and leaves *pos unchanged.
+template <typename T>
+bool GetScalar(const uint8_t* data, size_t size, size_t* pos, T* out) {
+  static_assert(std::is_integral_v<T>);
+  if (size - *pos < sizeof(T)) {
+    return false;
+  }
+  uint64_t v = 0;
+  for (size_t i = 0; i < sizeof(T); ++i) {
+    v |= static_cast<uint64_t>(data[*pos + i]) << (8 * i);
+  }
+  *pos += sizeof(T);
+  *out = static_cast<T>(v);
+  return true;
+}
+
+// Raw byte spans (strings, record arrays, host-layout structs), read with
+// the same bounds check.
+inline void PutBytes(std::vector<uint8_t>* out, const void* data, size_t n) {
+  const uint8_t* bytes = static_cast<const uint8_t*>(data);
+  out->insert(out->end(), bytes, bytes + n);
+}
+
+inline bool GetBytes(const uint8_t* data, size_t size, size_t* pos, void* out, size_t n) {
+  if (size - *pos < n) {
+    return false;
+  }
+  std::memcpy(out, data + *pos, n);
+  *pos += n;
+  return true;
+}
 
 // Fills one frame header in place. `header` must point at
 // kSpoolFrameHeaderSize writable bytes; `payload_crc` covers the payload
@@ -269,6 +318,21 @@ class SpoolReader {
   // arbitrary bytes.
   static SpoolReadResult Read(const std::string& path);
 };
+
+// Basename of a system's segment in a spool directory. The fleet's
+// in-process path and the network service share it, so a sealed segment
+// is resumable by either.
+std::string SpoolSegmentName(uint32_t system_id);
+
+// The one way a segment turns back into collection state. If `segment`
+// has a valid header naming `system_id` under `config_fingerprint`, moves
+// its recovered deliveries into `server` -- shipments, then header-less
+// record batches, then names, each in file order, the live delivery order
+// -- so dedup, gap and out-of-order bookkeeping re-derive the live
+// counters exactly, and returns true. Otherwise returns false and leaves
+// `server` untouched.
+bool SpoolReplaySegment(SpoolReadResult* segment, uint32_t system_id, uint64_t config_fingerprint,
+                        CollectionServer* server);
 
 }  // namespace ntrace
 

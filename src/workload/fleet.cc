@@ -8,7 +8,9 @@
 #include <cstring>
 #include <filesystem>
 #include <iterator>
+#include <memory>
 #include <mutex>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -74,7 +76,8 @@ struct FleetMetrics {
           r.GetCounter("ntrace_fleet_systems_salvaged_total",
                        "Systems restored from damaged spool segments (salvage mode)"),
           r.GetCounter("ntrace_fleet_systems_failed_total",
-                       "Systems dropped after exhausting crash restarts"),
+                       "Systems dropped from the merged output (restarts exhausted, "
+                       "agent, session or spill lost)"),
       };
     }();
     return m;
@@ -93,68 +96,39 @@ int64_t NowMicros() {
       .count();
 }
 
+uint64_t SumOverSystems(const std::vector<SystemRunStats>& systems,
+                        uint64_t SystemRunStats::*field) {
+  uint64_t n = 0;
+  for (const SystemRunStats& s : systems) {
+    n += s.*field;
+  }
+  return n;
+}
+
 }  // namespace
 
 CacheStats FleetResult::TotalCache() const {
   CacheStats total;
   for (const SystemRunStats& s : systems) {
-    total.copy_reads += s.cache.copy_reads;
-    total.copy_read_hits += s.cache.copy_read_hits;
-    total.copy_read_bytes += s.cache.copy_read_bytes;
-    total.fault_irps += s.cache.fault_irps;
-    total.fault_bytes += s.cache.fault_bytes;
-    total.readahead_irps += s.cache.readahead_irps;
-    total.readahead_bytes += s.cache.readahead_bytes;
-    total.copy_writes += s.cache.copy_writes;
-    total.copy_write_bytes += s.cache.copy_write_bytes;
-    total.rmw_faults += s.cache.rmw_faults;
-    total.lazy_write_irps += s.cache.lazy_write_irps;
-    total.lazy_write_bytes += s.cache.lazy_write_bytes;
-    total.lazy_scans += s.cache.lazy_scans;
-    total.flush_ops += s.cache.flush_ops;
-    total.flush_bytes += s.cache.flush_bytes;
-    total.seteof_on_close += s.cache.seteof_on_close;
-    total.maps_created += s.cache.maps_created;
-    total.maps_resurrected += s.cache.maps_resurrected;
-    total.teardowns += s.cache.teardowns;
-    total.purge_calls += s.cache.purge_calls;
-    total.purges_with_dirty += s.cache.purges_with_dirty;
-    total.dirty_pages_discarded += s.cache.dirty_pages_discarded;
-    total.temporary_pages_skipped += s.cache.temporary_pages_skipped;
+    total.Accumulate(s.cache);
   }
   return total;
 }
 
 uint64_t FleetResult::TotalFastIoReadAttempts() const {
-  uint64_t n = 0;
-  for (const auto& s : systems) {
-    n += s.fastio_read_attempts;
-  }
-  return n;
+  return SumOverSystems(systems, &SystemRunStats::fastio_read_attempts);
 }
 
 uint64_t FleetResult::TotalFastIoReadHits() const {
-  uint64_t n = 0;
-  for (const auto& s : systems) {
-    n += s.fastio_read_hits;
-  }
-  return n;
+  return SumOverSystems(systems, &SystemRunStats::fastio_read_hits);
 }
 
 uint64_t FleetResult::TotalFastIoWriteAttempts() const {
-  uint64_t n = 0;
-  for (const auto& s : systems) {
-    n += s.fastio_write_attempts;
-  }
-  return n;
+  return SumOverSystems(systems, &SystemRunStats::fastio_write_attempts);
 }
 
 uint64_t FleetResult::TotalFastIoWriteHits() const {
-  uint64_t n = 0;
-  for (const auto& s : systems) {
-    n += s.fastio_write_hits;
-  }
-  return n;
+  return SumOverSystems(systems, &SystemRunStats::fastio_write_hits);
 }
 
 namespace {
@@ -271,47 +245,9 @@ uint64_t FleetConfigFingerprint(const FleetConfig& c) {
 // ---------------------------------------------------------------------------
 
 constexpr uint32_t kCompletionVersion = 1;
-
-template <typename T>
-void PutScalar(std::vector<uint8_t>* out, T value) {
-  static_assert(std::is_integral_v<T>);
-  for (size_t i = 0; i < sizeof(T); ++i) {
-    out->push_back(static_cast<uint8_t>(static_cast<uint64_t>(value) >> (8 * i)));
-  }
-}
-
-template <typename T>
-bool GetScalar(const std::vector<uint8_t>& in, size_t* pos, T* out) {
-  if (in.size() - *pos < sizeof(T)) {
-    return false;
-  }
-  uint64_t v = 0;
-  for (size_t i = 0; i < sizeof(T); ++i) {
-    v |= static_cast<uint64_t>(in[*pos + i]) << (8 * i);
-  }
-  *pos += sizeof(T);
-  *out = static_cast<T>(v);
-  return true;
-}
-
-template <typename T>
-void PutPod(std::vector<uint8_t>* out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const size_t at = out->size();
-  out->resize(at + sizeof(T));
-  std::memcpy(out->data() + at, &value, sizeof(T));
-}
-
-template <typename T>
-bool GetPod(const std::vector<uint8_t>& in, size_t* pos, T* out) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (in.size() - *pos < sizeof(T)) {
-    return false;
-  }
-  std::memcpy(out, in.data() + *pos, sizeof(T));
-  *pos += sizeof(T);
-  return true;
-}
+// The stats structs travel as raw host-layout bytes.
+static_assert(std::is_trivially_copyable_v<CacheStats> && std::is_trivially_copyable_v<VmStats> &&
+              std::is_trivially_copyable_v<FsStats>);
 
 std::vector<uint8_t> EncodeCompletion(
     const SystemRunStats& s, const std::vector<std::pair<uint32_t, std::string>>& names) {
@@ -319,10 +255,10 @@ std::vector<uint8_t> EncodeCompletion(
   PutScalar<uint32_t>(&out, kCompletionVersion);
   PutScalar<uint32_t>(&out, s.system_id);
   PutScalar<uint32_t>(&out, static_cast<uint32_t>(s.category));
-  PutPod(&out, s.cache);
-  PutPod(&out, s.vm);
-  PutPod(&out, s.local_fs);
-  PutPod(&out, s.remote_fs);
+  PutBytes(&out, &s.cache, sizeof(s.cache));
+  PutBytes(&out, &s.vm, sizeof(s.vm));
+  PutBytes(&out, &s.local_fs, sizeof(s.local_fs));
+  PutBytes(&out, &s.remote_fs, sizeof(s.remote_fs));
   for (uint64_t v : {s.fastio_read_attempts, s.fastio_read_hits, s.fastio_write_attempts,
                      s.fastio_write_hits, s.irp_count, s.trace_records, s.trace_drops,
                      s.sessions_run, s.trace_emitted, s.trace_shed, s.trace_lost,
@@ -340,24 +276,28 @@ std::vector<uint8_t> EncodeCompletion(
   for (const auto& [pid, name] : names) {
     PutScalar<uint32_t>(&out, pid);
     PutScalar<uint32_t>(&out, static_cast<uint32_t>(name.size()));
-    out.insert(out.end(), name.begin(), name.end());
+    PutBytes(&out, name.data(), name.size());
   }
   return out;
 }
 
 bool DecodeCompletion(const std::vector<uint8_t>& in, SystemRunStats* s,
                       std::vector<std::pair<uint32_t, std::string>>* names) {
+  const uint8_t* data = in.data();
+  const size_t size = in.size();
   size_t pos = 0;
   uint32_t version = 0, system_id = 0, category = 0;
-  if (!GetScalar(in, &pos, &version) || version != kCompletionVersion ||
-      !GetScalar(in, &pos, &system_id) || !GetScalar(in, &pos, &category) ||
+  if (!GetScalar(data, size, &pos, &version) || version != kCompletionVersion ||
+      !GetScalar(data, size, &pos, &system_id) || !GetScalar(data, size, &pos, &category) ||
       category >= static_cast<uint32_t>(kNumUsageCategories)) {
     return false;
   }
   s->system_id = system_id;
   s->category = static_cast<UsageCategory>(category);
-  if (!GetPod(in, &pos, &s->cache) || !GetPod(in, &pos, &s->vm) ||
-      !GetPod(in, &pos, &s->local_fs) || !GetPod(in, &pos, &s->remote_fs)) {
+  if (!GetBytes(data, size, &pos, &s->cache, sizeof(s->cache)) ||
+      !GetBytes(data, size, &pos, &s->vm, sizeof(s->vm)) ||
+      !GetBytes(data, size, &pos, &s->local_fs, sizeof(s->local_fs)) ||
+      !GetBytes(data, size, &pos, &s->remote_fs, sizeof(s->remote_fs))) {
     return false;
   }
   for (uint64_t* v : {&s->fastio_read_attempts, &s->fastio_read_hits, &s->fastio_write_attempts,
@@ -366,35 +306,36 @@ bool DecodeCompletion(const std::vector<uint8_t>& in, SystemRunStats* s,
                       &s->trace_unresolved, &s->shipments_sent, &s->shipment_attempts,
                       &s->shipment_failures, &s->shipments_abandoned, &s->peak_retry_backlog,
                       &s->disk_read_errors, &s->disk_write_errors, &s->paging_retries}) {
-    if (!GetScalar(in, &pos, v)) {
+    if (!GetScalar(data, size, &pos, v)) {
       return false;
     }
   }
   uint32_t abandoned = 0;
-  if (!GetScalar(in, &pos, &abandoned) || abandoned > in.size()) {
+  if (!GetScalar(data, size, &pos, &abandoned) || abandoned > size) {
     return false;
   }
   s->abandoned_shipments.clear();
   s->abandoned_shipments.reserve(abandoned);
   for (uint32_t i = 0; i < abandoned; ++i) {
     uint64_t sequence = 0, count = 0;
-    if (!GetScalar(in, &pos, &sequence) || !GetScalar(in, &pos, &count)) {
+    if (!GetScalar(data, size, &pos, &sequence) || !GetScalar(data, size, &pos, &count)) {
       return false;
     }
     s->abandoned_shipments.emplace_back(sequence, count);
   }
   uint32_t name_count = 0;
-  if (!GetScalar(in, &pos, &name_count) || name_count > in.size()) {
+  if (!GetScalar(data, size, &pos, &name_count) || name_count > size) {
     return false;
   }
   names->clear();
   names->reserve(name_count);
   for (uint32_t i = 0; i < name_count; ++i) {
     uint32_t pid = 0, len = 0;
-    if (!GetScalar(in, &pos, &pid) || !GetScalar(in, &pos, &len) || in.size() - pos < len) {
+    if (!GetScalar(data, size, &pos, &pid) || !GetScalar(data, size, &pos, &len) ||
+        size - pos < len) {
       return false;
     }
-    names->emplace_back(pid, std::string(reinterpret_cast<const char*>(in.data() + pos), len));
+    names->emplace_back(pid, std::string(reinterpret_cast<const char*>(data + pos), len));
     pos += len;
   }
   return true;
@@ -403,6 +344,21 @@ bool DecodeCompletion(const std::vector<uint8_t>& in, SystemRunStats* s,
 // ---------------------------------------------------------------------------
 // Worker/shard plumbing.
 // ---------------------------------------------------------------------------
+
+// Records per extent in the per-system columnar spills. The k-way merge
+// buffers one extent per input, so this bounds merge memory (~320 KB of
+// columns per input); the merged store uses kDefaultExtentRecords.
+constexpr uint32_t kSpillExtentRecords = 4096;
+
+// A shard's one lifecycle. Whatever produces a system -- live simulation, a
+// sealed segment, the loopback service -- hands the shard to CompleteShard,
+// and the merge takes only completed shards.
+enum class ShardState : uint8_t {
+  kPending,   // Not produced yet: the simulate stage runs it.
+  kShipped,   // Net mode: stream sealed at the service, records not yet taken.
+  kComplete,  // Sorted (and, columnar, spilled): goes to the merge.
+  kFailed,    // Given up and counted in systems_failed: absent from the output.
+};
 
 // Everything one worker produces for one system. Workers never touch
 // shared mutable state on the hot path: each system traces into its own
@@ -416,39 +372,31 @@ struct SystemShard {
   // merged process map sees the same insertion sequence as a sequential
   // run (the map serializes in insertion-dependent order).
   std::vector<std::pair<uint32_t, std::string>> process_names;
-  // Set when the shard holds a finished system (live, resumed or salvaged);
-  // a shard left incomplete (restarts exhausted) is skipped by the merge.
-  bool completed = false;
+  ShardState state = ShardState::kPending;
   uint64_t records_salvaged = 0;
   uint64_t records_lost_to_corruption = 0;
   // Columnar mode: the shard's sorted records were written to this extent
   // segment and the row vector freed (names stay resident).
   std::string spill_path;
-  uint64_t spilled_records = 0;
-  bool spilled = false;
 };
 
-// Columnar mode: spills a completed shard's time-sorted records to its
-// per-system extent segment and frees the row vector. Workers call this the
-// moment a system finishes, so record memory never accumulates across
-// systems. On a write failure the rows are kept and the merge phase retries
-// once before giving the system up.
-void SpillShardColumnar(SystemShard* shard, uint32_t system_id, const std::string& dir,
-                        uint32_t extent_records, uint64_t fingerprint) {
+// Columnar mode: spills a shard's time-sorted records to its per-system
+// extent segment and frees the row vector. On a write failure the rows are
+// kept and false is returned.
+bool SpillShardColumnar(SystemShard* shard, const std::string& dir, uint64_t fingerprint) {
   TraceSet& collected = shard->server.Finish();  // Idempotent; sorted.
   ExtentStoreWriter writer;
-  const std::string path = dir + "/sys" + std::to_string(system_id) + ".ntx";
-  if (!writer.Open(path, extent_records, fingerprint) ||
+  const std::string path = dir + "/sys" + std::to_string(shard->stats.system_id) + ".ntx";
+  if (!writer.Open(path, kSpillExtentRecords, fingerprint) ||
       !writer.AppendRecords(collected.records.data(), collected.records.size()) ||
       !writer.Seal()) {
-    return;
+    return false;
   }
   writer.Close();
   shard->spill_path = path;
-  shard->spilled_records = collected.records.size();
-  shard->spilled = true;
   collected.records.clear();
   collected.records.shrink_to_fit();
+  return true;
 }
 
 // Thrown by SpoolingSink when an armed crash plan fires; caught by the
@@ -539,30 +487,20 @@ class Watchdog {
         deadline_us_(static_cast<int64_t>(deadline_s * 1e6)),
         cancellations_(cancellations) {
     if (deadline_us_ > 0) {
-      thread_ = std::thread([this] { Loop(); });
+      thread_ = std::jthread([this](std::stop_token stop) { Loop(stop); });
     }
   }
-  ~Watchdog() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    if (thread_.joinable()) {
-      thread_.join();
-    }
-  }
+  Watchdog(const Watchdog&) = delete;
+  Watchdog& operator=(const Watchdog&) = delete;
 
  private:
-  void Loop() {
+  void Loop(std::stop_token stop) {
     const auto poll = std::chrono::microseconds(
         std::clamp<int64_t>(deadline_us_ / 8, int64_t{1000}, int64_t{250000}));
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!stop_) {
-      cv_.wait_for(lock, poll, [this] { return stop_; });
-      if (stop_) {
-        break;
-      }
+    std::mutex mu;
+    std::condition_variable_any wake;  // Woken early only by the stop request.
+    std::unique_lock<std::mutex> lock(mu);
+    while (!wake.wait_for(lock, stop, poll, [&stop] { return stop.stop_requested(); })) {
       const int64_t now = NowMicros();
       for (WorkerHeartbeat& h : *hearts_) {
         if (h.active.load(std::memory_order_acquire) &&
@@ -579,15 +517,8 @@ class Watchdog {
   std::vector<WorkerHeartbeat>* hearts_;
   int64_t deadline_us_;
   std::atomic<uint64_t>* cancellations_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
+  std::jthread thread_;  // Declared last: stopped and joined before the members it reads go.
 };
-
-std::string SegmentFileName(uint32_t system_id) {
-  return "sys_" + std::to_string(system_id) + ".ntspool";
-}
 
 // Post-crash segment damage. A plain worker crash leaves the segment exactly
 // as the writer's final flush left it (a clean frame boundary); the torn
@@ -621,17 +552,33 @@ void ApplyCrashDamage(const std::string& path, const CrashPlan& plan) {
   }
 }
 
-// Supervisor-shared state for one RunFleet invocation.
+// Supervisor-shared state for one RunFleet invocation: the systems and
+// their shards in system-id order, plus what the stages count.
 struct FleetRunContext {
-  const FleetConfig* config = nullptr;
-  bool durable = false;
-  std::string dir;
-  uint64_t fingerprint = 0;
+  explicit FleetRunContext(const FleetConfig& c)
+      : config(c),
+        fingerprint(FleetConfigFingerprint(c)),
+        options(FleetSystemOptions(c)),
+        shards(options.size()) {
+    if (!config.columnar_dir.empty()) {
+      std::error_code ec;
+      std::filesystem::create_directories(config.columnar_dir, ec);
+    }
+  }
+
+  std::string SegmentPath(uint32_t system_id) const {
+    return config.durability.spool_dir + "/" + SpoolSegmentName(system_id);
+  }
+
+  const FleetConfig& config;
+  const uint64_t fingerprint;
+  const std::vector<SystemOptions> options;
+  std::vector<SystemShard> shards;
   // Completed-system checkpoint log, appended under the lock (the segment
-  // files themselves are per-worker and need no locking).
+  // files themselves are per-worker and need no locking). A writer that is
+  // not open refuses appends.
   std::mutex manifest_mu;
   SpoolWriter manifest;
-  bool manifest_ok = false;
 
   std::atomic<uint64_t> systems_simulated{0};
   std::atomic<uint64_t> systems_resumed{0};
@@ -642,12 +589,60 @@ struct FleetRunContext {
   std::atomic<uint64_t> watchdog_cancellations{0};
   std::atomic<uint64_t> segments_sealed{0};
   std::atomic<uint64_t> partial_records_salvageable{0};
-  // Net-mode transport accounting (agent side; the service keeps its own).
-  std::atomic<uint64_t> net_frames_sent{0};
-  std::atomic<uint64_t> net_reconnects{0};
-  std::atomic<uint64_t> net_faults{0};
-  std::atomic<uint64_t> net_agent_failures{0};
 };
+
+// The loopback collection tier of one run (DESIGN.md §11). With crash
+// injection armed, a supervisor thread brings the service back up on the
+// same port after each injected crash, and the agents' session layer
+// resumes from the durable watermark.
+struct LoopbackTransport {
+  explicit LoopbackTransport(CollectionService::Options options) : service(std::move(options)) {}
+
+  CollectionService service;
+  // Agent-side accounting (the service keeps its own).
+  std::atomic<uint64_t> frames_sent{0};
+  std::atomic<uint64_t> reconnects{0};
+  std::atomic<uint64_t> faults{0};
+  std::atomic<uint64_t> agent_failures{0};
+  std::atomic<uint64_t> restarts{0};  // By the supervisor.
+  std::jthread supervisor;            // Declared last: it uses the members above.
+};
+
+// Gives a system up: its shard stays out of the merge, and the run says so.
+void FailShard(FleetRunContext* ctx, SystemShard* shard) {
+  shard->state = ShardState::kFailed;
+  ctx->systems_failed.fetch_add(1, std::memory_order_relaxed);
+  FleetMetrics::Get().systems_failed.Inc();
+}
+
+// The completion step every finished shard passes before the merge, live,
+// resumed or taken from the loopback service: sort it and, in columnar
+// mode, spill it at once, so record memory never accumulates across
+// systems. A failed spill is retried once before the system is given up.
+void CompleteShard(FleetRunContext* ctx, SystemShard* shard) {
+  shard->server.Finish();  // Idempotent; live shards were sorted on their worker.
+  const std::string& dir = ctx->config.columnar_dir;
+  if (!dir.empty() && !SpillShardColumnar(shard, dir, ctx->fingerprint) &&
+      !SpillShardColumnar(shard, dir, ctx->fingerprint)) {
+    FailShard(ctx, shard);
+    return;
+  }
+  shard->state = ShardState::kComplete;
+}
+
+// Counts a segment sealed by this run and logs it in the checkpoint
+// manifest: a separate file, so a later salvage of a damaged seal still
+// knows what the live run collected.
+void LogSealedSegment(FleetRunContext* ctx, uint32_t system_id, uint64_t collected) {
+  ctx->segments_sealed.fetch_add(1, std::memory_order_relaxed);
+  FleetMetrics::Get().segments_sealed.Inc();
+  SpoolManifestEntry entry;
+  entry.system_id = system_id;
+  entry.records_collected = collected;
+  entry.segment_file = SpoolSegmentName(system_id);
+  std::lock_guard<std::mutex> lock(ctx->manifest_mu);
+  ctx->manifest.AppendManifestEntry(entry);
+}
 
 void SimulateSystem(const SystemOptions& options, SystemShard* shard, TraceSink& sink,
                     bool reserve = true) {
@@ -685,38 +680,33 @@ void SimulateSystem(const SystemOptions& options, SystemShard* shard, TraceSink&
 // injected crash, damage + salvage-scan the partial segment, and restart
 // from scratch (the pre-drawn seed makes a restart reproduce the identical
 // stream, so "resume" for a live system is simply "re-run"). On success the
-// segment is sealed and logged in the checkpoint manifest.
-void RunSystemWithRecovery(const SystemOptions& options, SystemShard* shard,
+// segment is sealed and logged in the checkpoint manifest; false means the
+// restarts ran out.
+bool RunSystemWithRecovery(const SystemOptions& options, SystemShard* shard,
                            FleetRunContext* ctx, WorkerHeartbeat* heart) {
-  const CrashPlan& crash = ctx->config->fault_config.crash;
+  const CrashPlan& crash = ctx->config.fault_config.crash;
   const bool victim = crash.enabled() && crash.system_id == options.system_id;
-  const std::string segment =
-      ctx->durable ? ctx->dir + "/" + SegmentFileName(options.system_id) : std::string();
-  const int max_restarts = std::max(ctx->config->durability.max_restarts, 0);
+  const bool durable = ctx->config.durability.enabled();
+  const std::string segment = durable ? ctx->SegmentPath(options.system_id) : std::string();
+  const int max_restarts = std::max(ctx->config.durability.max_restarts, 0);
   FleetMetrics& metrics = FleetMetrics::Get();
   for (int attempt = 1;; ++attempt) {
     SystemShard fresh;
     SpoolWriter writer;
-    if (ctx->durable) {
+    if (durable) {
       // A spool that cannot be opened degrades the system to non-durable
       // rather than failing the run.
-      writer.set_flush_threshold(ctx->config->durability.flush_bytes);
       writer.Open(segment, options.system_id, ctx->fingerprint);
     }
     const bool armed = victim && (crash.at_attempt == 0 || attempt == crash.at_attempt);
-    if (heart != nullptr) {
-      heart->cancel.store(false, std::memory_order_release);
-      heart->last_progress_us.store(NowMicros(), std::memory_order_release);
-      heart->active.store(true, std::memory_order_release);
-    }
+    heart->cancel.store(false, std::memory_order_release);
+    heart->last_progress_us.store(NowMicros(), std::memory_order_release);
+    heart->active.store(true, std::memory_order_release);
     SpoolingSink sink(fresh.server, writer.ok() ? &writer : nullptr, armed ? &crash : nullptr,
                       heart);
     try {
       SimulateSystem(options, &fresh, sink);
-      if (heart != nullptr) {
-        heart->active.store(false, std::memory_order_release);
-      }
-      fresh.completed = true;
+      heart->active.store(false, std::memory_order_release);
       if (writer.ok()) {
         const uint64_t collected = fresh.server.set().records.size();
         const std::vector<uint8_t> blob = EncodeCompletion(fresh.stats, fresh.process_names);
@@ -725,29 +715,18 @@ void RunSystemWithRecovery(const SystemOptions& options, SystemShard* shard,
         const bool sealed = writer.ok();
         writer.Close();
         if (sealed) {
-          ctx->segments_sealed.fetch_add(1, std::memory_order_relaxed);
-          metrics.segments_sealed.Inc();
-          std::lock_guard<std::mutex> lock(ctx->manifest_mu);
-          if (ctx->manifest_ok) {
-            SpoolManifestEntry entry;
-            entry.system_id = options.system_id;
-            entry.records_collected = collected;
-            entry.segment_file = SegmentFileName(options.system_id);
-            ctx->manifest.AppendManifestEntry(entry);
-          }
+          LogSealedSegment(ctx, options.system_id, collected);
         }
       }
       *shard = std::move(fresh);
       ctx->systems_simulated.fetch_add(1, std::memory_order_relaxed);
-      return;
+      return true;
     } catch (const WorkerCrashSignal&) {
-      if (heart != nullptr) {
-        heart->active.store(false, std::memory_order_release);
-      }
+      heart->active.store(false, std::memory_order_release);
       ctx->worker_crashes.fetch_add(1, std::memory_order_relaxed);
       metrics.worker_crashes.Inc();
       writer.Close();
-      if (ctx->durable) {
+      if (durable) {
         ApplyCrashDamage(segment, crash);
         // Salvage-scan what the crash left behind: the supervisor records
         // how much a salvage-only recovery would have kept, and the scan
@@ -757,9 +736,7 @@ void RunSystemWithRecovery(const SystemOptions& options, SystemShard* shard,
                                                    std::memory_order_relaxed);
       }
       if (attempt > max_restarts) {
-        ctx->systems_failed.fetch_add(1, std::memory_order_relaxed);
-        metrics.systems_failed.Inc();
-        return;
+        return false;
       }
       ctx->worker_restarts.fetch_add(1, std::memory_order_relaxed);
       metrics.worker_restarts.Inc();
@@ -768,46 +745,26 @@ void RunSystemWithRecovery(const SystemOptions& options, SystemShard* shard,
 }
 
 // Attempts to restore one system from its spool segment instead of
-// simulating it. The recovered shipment frames are replayed through a fresh
-// CollectionServer in file order -- the same delivery order the live run
-// used -- so dedup, sequence-gap and out-of-order bookkeeping re-derive
-// exactly the live counters, and Finish() re-sorts to the identical stream.
+// simulating it. SpoolReplaySegment re-delivers the recovered frames in the
+// live run's delivery order, so dedup, sequence-gap and out-of-order
+// bookkeeping re-derive exactly the live counters, and the sort in
+// CompleteShard reproduces the identical stream.
 bool TryRestoreShard(const SystemOptions& options, SystemShard* shard, FleetRunContext* ctx,
                      const std::unordered_map<uint32_t, uint64_t>& manifest_collected) {
-  SpoolReadResult r = SpoolReader::Read(ctx->dir + "/" + SegmentFileName(options.system_id));
-  if (!r.header_valid || r.system_id != options.system_id ||
-      r.config_fingerprint != ctx->fingerprint) {
-    return false;
-  }
-  const bool salvage_mode = ctx->config->durability.salvage;
+  SpoolReadResult r = SpoolReader::Read(ctx->SegmentPath(options.system_id));
   // The completion blob is written after the last shipment, so its presence
   // proves the whole delivery stream was recovered; without it the segment
-  // is a partial, usable only under salvage.
+  // is a partial, usable only under salvage, and only if it holds records.
   SystemRunStats stats;
   std::vector<std::pair<uint32_t, std::string>> process_names;
   const bool have_stats =
       !r.completion.empty() && DecodeCompletion(r.completion, &stats, &process_names) &&
       stats.system_id == options.system_id;
-  if (!have_stats && !salvage_mode) {
+  if ((!have_stats && (!ctx->config.durability.salvage || r.records_recovered == 0)) ||
+      !SpoolReplaySegment(&r, options.system_id, ctx->fingerprint, &shard->server)) {
     return false;
   }
-  if (!have_stats && r.records_recovered == 0) {
-    // Nothing usable on disk; re-simulate.
-    return false;
-  }
-
-  SystemShard fresh;
-  for (auto& s : r.shipments) {
-    fresh.server.DeliverShipment(s.header, std::move(s.records));
-  }
-  for (auto& loose : r.loose) {
-    fresh.server.DeliverRecords(std::move(loose));
-  }
-  for (auto& n : r.names) {
-    fresh.server.DeliverName(std::move(n));
-  }
-  fresh.server.Finish();
-  const uint64_t collected = fresh.server.set().records.size();
+  const uint64_t collected = shard->server.set().records.size();
 
   // What did the original run collect? The seal is authoritative; for a
   // damaged segment the checkpoint manifest (a separate file, so an
@@ -825,22 +782,20 @@ bool TryRestoreShard(const SystemOptions& options, SystemShard* shard, FleetRunC
   const uint64_t lost = live_collected > collected ? live_collected - collected : 0;
 
   if (have_stats) {
-    fresh.stats = std::move(stats);
-    fresh.process_names = std::move(process_names);
+    shard->stats = std::move(stats);
+    shard->process_names = std::move(process_names);
   } else {
     // Crashed partial accepted under salvage: the agent-side counters died
     // with the worker. Synthesize the minimal stats that keep the integrity
     // identity exact -- everything we cannot prove delivered is charged to
     // corruption, never silently dropped.
-    fresh.stats.system_id = options.system_id;
-    fresh.stats.category = options.category;
-    fresh.stats.trace_records = collected + lost;
-    fresh.stats.trace_emitted = collected + lost;
+    shard->stats.system_id = options.system_id;
+    shard->stats.category = options.category;
+    shard->stats.trace_records = collected + lost;
+    shard->stats.trace_emitted = collected + lost;
   }
-  fresh.completed = true;
-  fresh.records_salvaged = collected;
-  fresh.records_lost_to_corruption = lost;
-  *shard = std::move(fresh);
+  shard->records_salvaged = collected;
+  shard->records_lost_to_corruption = lost;
 
   FleetMetrics& metrics = FleetMetrics::Get();
   if (r.sealed && r.frames_damaged == 0 && lost == 0) {
@@ -854,68 +809,319 @@ bool TryRestoreShard(const SystemOptions& options, SystemShard* shard, FleetRunC
 }
 
 // Runs one system with its deliveries streamed to the loopback collection
-// service instead of an in-process shard (DESIGN.md §11). The shard's own
-// CollectionServer stays empty; after the service stops, the session's
-// server is swapped in. Worker-side crash plans and the watchdog do not
-// apply here -- the failure domain under test is the transport and the
-// service, and the session layer (retained frames + resume on reconnect)
-// is the recovery mechanism, not a re-run.
-void RunSystemOverNet(const SystemOptions& options, SystemShard* shard, FleetRunContext* ctx,
-                      CollectionService* service) {
-  SystemShard fresh;
-  NetAgentClient client(ctx->config->net, service->port(), options.system_id, ctx->fingerprint);
+// service instead of an in-process shard (DESIGN.md §11); the shard's own
+// CollectionServer stays empty until the drain stage swaps the session's
+// in. Worker-side crash plans and the watchdog do not apply here -- the
+// failure domain under test is the transport and the service, and the
+// session layer (retained frames + resume on reconnect) is the recovery
+// mechanism, not a re-run. Returns whether the whole stream was shipped.
+bool RunSystemOverNet(const SystemOptions& options, SystemShard* shard, FleetRunContext* ctx,
+                      LoopbackTransport* net) {
+  NetAgentClient client(ctx->config.net, net->service.port(), options.system_id,
+                        ctx->fingerprint);
   NetSink sink(&client);
-  SimulateSystem(options, &fresh, sink, /*reserve=*/false);
+  SimulateSystem(options, shard, sink, /*reserve=*/false);
   // The completion blob rides the stream as the final data frame, so the
   // sealed server-side segment carries everything the fleet's checkpoint
   // pass needs to resume this system without re-simulating it.
-  const std::vector<uint8_t> blob = EncodeCompletion(fresh.stats, fresh.process_names);
+  const std::vector<uint8_t> blob = EncodeCompletion(shard->stats, shard->process_names);
   uint64_t collected = 0;
   const bool shipped = !client.failed() && sink.SendCompletion(blob.data(), blob.size()) &&
                        client.FinishStream(&collected);
-  fresh.completed = shipped;
 
-  ctx->net_frames_sent.fetch_add(client.frames_sent(), std::memory_order_relaxed);
-  ctx->net_reconnects.fetch_add(client.reconnects(), std::memory_order_relaxed);
-  uint64_t faults = 0;
+  net->frames_sent.fetch_add(client.frames_sent(), std::memory_order_relaxed);
+  net->reconnects.fetch_add(client.reconnects(), std::memory_order_relaxed);
   for (int k = 1; k <= kNumTransportFaultKinds; ++k) {
-    faults += client.faults().injected(static_cast<TransportFaultKind>(k));
+    net->faults.fetch_add(client.faults().injected(static_cast<TransportFaultKind>(k)),
+                          std::memory_order_relaxed);
   }
-  ctx->net_faults.fetch_add(faults, std::memory_order_relaxed);
-
-  FleetMetrics& metrics = FleetMetrics::Get();
-  if (shipped) {
-    ctx->systems_simulated.fetch_add(1, std::memory_order_relaxed);
-    if (ctx->durable) {
-      // The service sealed the segment; log the checkpoint like the
-      // in-process durable path does.
-      ctx->segments_sealed.fetch_add(1, std::memory_order_relaxed);
-      metrics.segments_sealed.Inc();
-      std::lock_guard<std::mutex> lock(ctx->manifest_mu);
-      if (ctx->manifest_ok) {
-        SpoolManifestEntry entry;
-        entry.system_id = options.system_id;
-        entry.records_collected = collected;
-        entry.segment_file = SegmentFileName(options.system_id);
-        ctx->manifest.AppendManifestEntry(entry);
-      }
-    }
-  } else {
-    ctx->net_agent_failures.fetch_add(1, std::memory_order_relaxed);
-    ctx->systems_failed.fetch_add(1, std::memory_order_relaxed);
-    metrics.systems_failed.Inc();
+  if (!shipped) {
+    net->agent_failures.fetch_add(1, std::memory_order_relaxed);
+    return false;
   }
-  *shard = std::move(fresh);
+  ctx->systems_simulated.fetch_add(1, std::memory_order_relaxed);
+  if (ctx->config.durability.enabled()) {
+    LogSealedSegment(ctx, options.system_id, collected);  // The service sealed it.
+  }
+  return true;
 }
 
 int ResolveThreads(int requested, int systems) {
   if (requested <= 0) {
-    requested = static_cast<int>(std::thread::hardware_concurrency());
-    if (requested <= 0) {
-      requested = 1;
+    requested = static_cast<int>(std::thread::hardware_concurrency());  // 0 if unknown.
+  }
+  return std::clamp(requested, 1, std::max(systems, 1));
+}
+
+// Stage 1 (durable runs): with `resume`, restore every system whose segment
+// an earlier invocation left usable; then open the checkpoint manifest for
+// this run's appends.
+void ResumeFromSegments(FleetRunContext* ctx) {
+  const DurabilityConfig& durability = ctx->config.durability;
+  if (!durability.enabled()) {
+    return;
+  }
+  std::error_code ec;
+  std::filesystem::create_directories(durability.spool_dir, ec);
+  const std::string manifest_path = durability.spool_dir + "/manifest.ntspool";
+  if (durability.resume) {
+    // Loss accounting for damaged segments needs the record counts the
+    // manifest logged, so it is read before being reopened for append.
+    std::unordered_map<uint32_t, uint64_t> manifest_collected;
+    const SpoolReadResult m = SpoolReader::Read(manifest_path);
+    if (m.header_valid && m.config_fingerprint == ctx->fingerprint) {
+      for (const SpoolManifestEntry& e : m.manifest) {
+        manifest_collected[e.system_id] = e.records_collected;  // Keep-last.
+      }
+    }
+    for (size_t i = 0; i < ctx->shards.size(); ++i) {
+      if (TryRestoreShard(ctx->options[i], &ctx->shards[i], ctx, manifest_collected)) {
+        CompleteShard(ctx, &ctx->shards[i]);
+      }
     }
   }
-  return std::min(std::max(requested, 1), std::max(systems, 1));
+  ctx->manifest.OpenAppend(manifest_path, 0, ctx->fingerprint);
+}
+
+// Stage 2 (net runs): stand the loopback service up before any worker
+// starts. A service that cannot bind degrades the run to the in-process
+// path rather than failing it.
+std::unique_ptr<LoopbackTransport> StartTransport(const FleetRunContext& ctx) {
+  const NetCollectionConfig& net_config = ctx.config.net;
+  if (!net_config.enabled) {
+    return nullptr;
+  }
+  CollectionService::Options options;
+  options.config = net_config;
+  options.spool_dir = ctx.config.durability.spool_dir;  // Server-side spool iff durable.
+  options.config_fingerprint = ctx.fingerprint;
+  auto net = std::make_unique<LoopbackTransport>(std::move(options));
+  if (!net->service.Start()) {
+    return nullptr;
+  }
+  if (net_config.crash_after_frames > 0) {
+    LoopbackTransport* t = net.get();
+    t->supervisor = std::jthread([t](std::stop_token stop) {
+      while (!stop.stop_requested()) {
+        if (t->service.crashed() && t->service.Restart()) {
+          t->restarts.fetch_add(1, std::memory_order_relaxed);
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  }
+  return net;
+}
+
+// Stage 3: simulate every system no earlier stage produced, on the worker
+// pool (one worker is the sequential path). In-process shards complete on
+// their worker; net shards wait in the service for the drain stage.
+void SimulateRemaining(FleetRunContext* ctx, LoopbackTransport* net) {
+  const FleetConfig& config = ctx->config;
+  const int total = static_cast<int>(ctx->shards.size());
+  std::vector<WorkerHeartbeat> hearts(static_cast<size_t>(ResolveThreads(config.threads, total)));
+  // The watchdog only matters when workers can actually wedge: durability
+  // runs (long, unattended) and armed crash plans (the hang kind blocks
+  // until cancelled).
+  const bool watch = config.durability.watchdog_deadline_s > 0 &&
+                     (config.durability.enabled() || config.fault_config.crash.enabled());
+  Watchdog watchdog(&hearts, watch ? config.durability.watchdog_deadline_s : 0.0,
+                    &ctx->watchdog_cancellations);
+  std::atomic<int> next{0};
+  auto worker = [&](WorkerHeartbeat* heart) {
+    for (int i = next.fetch_add(1); i < total; i = next.fetch_add(1)) {
+      SystemShard& shard = ctx->shards[static_cast<size_t>(i)];
+      const SystemOptions& options = ctx->options[static_cast<size_t>(i)];
+      if (shard.state != ShardState::kPending) {
+        continue;  // Resumed from its segment.
+      }
+      if (net != nullptr) {
+        if (RunSystemOverNet(options, &shard, ctx, net)) {
+          shard.state = ShardState::kShipped;
+        } else {
+          FailShard(ctx, &shard);
+        }
+      } else if (RunSystemWithRecovery(options, &shard, ctx, heart)) {
+        CompleteShard(ctx, &shard);
+      } else {
+        FailShard(ctx, &shard);
+      }
+    }
+  };
+  std::vector<std::jthread> pool;  // Joined on return, before the watchdog and hearts go.
+  for (WorkerHeartbeat& heart : hearts) {
+    pool.emplace_back(worker, &heart);
+  }
+}
+
+// Stage 4 (net runs): stop the service and complete every shipped shard
+// with the records its session collected.
+void DrainTransport(FleetRunContext* ctx, LoopbackTransport* net, FleetNetStats* out) {
+  net->supervisor = std::jthread();  // Stops and joins the crash supervisor, if any.
+  net->service.Stop();  // Graceful drain; sessions survive for TakeSession.
+  for (size_t i = 0; i < ctx->shards.size(); ++i) {
+    SystemShard& shard = ctx->shards[i];
+    if (shard.state != ShardState::kShipped) {
+      continue;
+    }
+    const uint32_t id = ctx->options[i].system_id;
+    NetSessionResult session;
+    if (net->service.TakeSession(id, &session)) {
+      shard.server = std::move(session.server);
+    } else {
+      // No live session: the agent finished (seal + bye-ack) and then a
+      // later crash cleared the session table without the agent ever
+      // reconnecting. The sealed segment has the whole stream; without a
+      // spool the system's data died with the service.
+      SpoolReadResult r = ctx->config.durability.enabled() ? SpoolReader::Read(ctx->SegmentPath(id))
+                                                           : SpoolReadResult();
+      CollectionServer server;
+      if (!r.sealed || !SpoolReplaySegment(&r, id, ctx->fingerprint, &server)) {
+        FailShard(ctx, &shard);
+        continue;
+      }
+      shard.server = std::move(server);
+    }
+    CompleteShard(ctx, &shard);
+  }
+  const NetServiceStats s = net->service.stats();
+  out->used = true;
+  out->frames_sent = net->frames_sent.load();
+  out->frames_delivered = s.frames_delivered;
+  out->records_delivered = s.records_delivered;
+  out->duplicate_frames = s.duplicate_frames;
+  out->out_of_order_frames = s.out_of_order_frames;
+  out->frames_dropped = s.frames_dropped;
+  out->busy_signals = s.busy_signals;
+  out->shed_signals = s.shed_signals;
+  out->evictions = s.evictions;
+  out->connections_accepted = s.connections_accepted;
+  out->agent_reconnects = net->reconnects.load();
+  out->agent_faults_injected = net->faults.load();
+  out->sessions_restored = s.sessions_restored;
+  out->server_crashes = s.crashes;
+  out->server_restarts = net->restarts.load();
+  out->agent_failures = net->agent_failures.load();
+}
+
+// Columnar merge: a streaming k-way extent merge in system-id order gives
+// the record order MergeSortedRuns gives the same shards, in O(inputs x
+// spill extent + one output extent) memory. The merged store is
+// self-contained (name and process tables ride at its tail in the same
+// insertion order).
+void MergeExtents(const FleetRunContext& ctx, const std::vector<std::string>& inputs,
+                  std::vector<std::pair<uint32_t, std::string>> proc_insertions,
+                  FleetResult* result) {
+  const std::string merged_path = ctx.config.columnar_dir + "/merged.ntx";
+  ExtentStoreWriter merged;
+  merged.Open(merged_path, kDefaultExtentRecords, ctx.fingerprint);
+  const ExtentMergeResult mr = MergeExtentStreams(inputs, &merged);
+  for (const NameRecord& n : result->trace.names) {
+    merged.AddName(n);
+  }
+  for (const auto& [pid, name] : proc_insertions) {
+    merged.AddProcessName(pid, name);
+  }
+  const bool merged_ok = merged.Seal();
+  merged.Close();
+  for (const std::string& p : inputs) {
+    std::remove(p.c_str());  // Spill segments are dead once merged.
+  }
+  result->columnar.names = result->trace.names;
+  result->columnar.process_names = std::move(proc_insertions);
+  ExtentReadStats stats;
+  stats.file_opened = merged_ok;
+  stats.header_valid = merged_ok;
+  stats.version = kExtentStoreVersion;
+  stats.extent_capacity = kDefaultExtentRecords;
+  stats.config_fingerprint = ctx.fingerprint;
+  stats.sealed = merged_ok;
+  stats.extents_recovered = merged.extents_written();
+  stats.records_recovered = mr.records;
+  stats.records_lost_known = mr.records_lost_known;
+  result->columnar.set_spill(merged_path, mr.records, stats);
+  result->columnar_mode = true;
+  result->records_on_disk = mr.records;
+}
+
+// Stage 5: merge the completed shards in system-id order -- stats, process
+// names, the integrity report (agent-side counters reconciled against each
+// shard server's sequence bookkeeping, faults included), then the
+// time-sorted trace streams, k-way, into rows or (columnar mode) into
+// <columnar_dir>/merged.ntx.
+void MergeShards(FleetRunContext* ctx, FleetResult* result) {
+  const auto merge_start = std::chrono::steady_clock::now();
+  const bool columnar = !ctx->config.columnar_dir.empty();
+  std::vector<std::vector<TraceRecord>> sorted_runs;
+  std::vector<std::string> extent_inputs;
+  // Columnar mode: (pid, name) pairs in the exact sequence the row-mode map
+  // would have emplaced them, so a consumer replaying these emplaces
+  // rebuilds an identical process map.
+  std::vector<std::pair<uint32_t, std::string>> proc_insertions;
+  sorted_runs.reserve(columnar ? 0 : ctx->shards.size());
+  for (SystemShard& shard : ctx->shards) {
+    if (shard.state != ShardState::kComplete) {
+      continue;  // A failed system is absent from the output.
+    }
+    for (auto& [pid, name] : shard.process_names) {
+      const auto [it, inserted] = result->trace.process_names.emplace(pid, std::move(name));
+      if (columnar && inserted) {
+        proc_insertions.emplace_back(pid, it->second);
+      }
+    }
+    const SystemRunStats& s = shard.stats;
+    SystemIntegrity row;
+    row.system_id = s.system_id;
+    row.records_emitted = s.trace_emitted;
+    row.records_overflow_dropped = s.trace_drops;
+    row.records_shed = s.trace_shed;
+    row.records_lost = s.trace_lost;
+    row.records_unresolved = s.trace_unresolved;
+    row.shipments_sent = s.shipments_sent;
+    row.shipment_attempts = s.shipment_attempts;
+    row.shipment_failures = s.shipment_failures;
+    row.shipments_abandoned = s.shipments_abandoned;
+    row.peak_retry_backlog = s.peak_retry_backlog;
+    shard.server.FillIntegrity(&row);
+    // An abandoned shipment whose payload did arrive (only the final
+    // acknowledgement was lost) is counted by both sides; it is collected,
+    // not lost.
+    if (const CollectionServer::StreamState* stream = shard.server.StreamOf(s.system_id)) {
+      for (const auto& [sequence, count] : s.abandoned_shipments) {
+        if (stream->Received(sequence)) {
+          row.records_lost -= count;
+        }
+      }
+    }
+    row.records_salvaged = shard.records_salvaged;
+    row.records_lost_to_corruption = shard.records_lost_to_corruption;
+    result->integrity.systems.push_back(row);
+    result->recovery.records_salvaged += shard.records_salvaged;
+    result->recovery.records_lost_to_corruption += shard.records_lost_to_corruption;
+
+    TraceSet& collected = shard.server.Finish();  // Already sorted by CompleteShard.
+    if (columnar) {
+      extent_inputs.push_back(shard.spill_path);  // Records already on disk.
+    } else {
+      sorted_runs.push_back(std::move(collected.records));
+    }
+    result->trace.names.insert(result->trace.names.end(),
+                               std::make_move_iterator(collected.names.begin()),
+                               std::make_move_iterator(collected.names.end()));
+    result->systems.push_back(std::move(shard.stats));
+  }
+  if (columnar) {
+    MergeExtents(*ctx, extent_inputs, std::move(proc_insertions), result);
+  } else {
+    result->trace.MergeSortedRuns(std::move(sorted_runs));
+  }
+  // Build the lookup index while still single-threaded so concurrent
+  // analyses never race on the lazy build.
+  result->trace.EnsureNameIndex();
+  const int64_t merge_us = ElapsedMicros(merge_start);
+  FleetMetrics& metrics = FleetMetrics::Get();
+  metrics.merge_wall_us_sum.Inc(static_cast<uint64_t>(merge_us));
+  metrics.last_merge_wall_us.Set(merge_us);
 }
 
 }  // namespace
@@ -962,349 +1168,29 @@ FleetResult RunFleet(const FleetConfig& config) {
   // carry only this run's delta.
   const MetricsSnapshot metrics_before = MetricsRegistry::Global().Snapshot();
   FleetMetrics::Get().runs.Inc();
-  std::vector<SystemOptions> all_options = FleetSystemOptions(config);
-
-  const int total = static_cast<int>(all_options.size());
-  std::vector<SystemShard> shards(static_cast<size_t>(total));
-
-  FleetRunContext ctx;
-  ctx.config = &config;
-  ctx.durable = config.durability.enabled();
-  ctx.fingerprint = FleetConfigFingerprint(config);
-  const bool columnar = !config.columnar_dir.empty();
-  const uint32_t spill_extent =
-      config.spill_extent_records > 0 ? config.spill_extent_records : 4096u;
-  if (columnar) {
-    std::error_code ec;
-    std::filesystem::create_directories(config.columnar_dir, ec);
-  }
-  // Spill hook shared by every completion path (live, resumed, net-replayed).
-  const auto spill_if_columnar = [&](SystemShard* shard, uint32_t system_id) {
-    if (columnar && shard->completed && !shard->spilled) {
-      SpillShardColumnar(shard, system_id, config.columnar_dir, spill_extent, ctx.fingerprint);
-    }
-  };
-  std::vector<char> restored(static_cast<size_t>(total), 0);
-  if (ctx.durable) {
-    ctx.dir = config.durability.spool_dir;
-    std::error_code ec;
-    std::filesystem::create_directories(ctx.dir, ec);
-    const std::string manifest_path = ctx.dir + "/manifest.ntspool";
-    // Read the checkpoint manifest before reopening it for append: resume
-    // needs its completed-system log, and loss accounting for damaged
-    // segments needs its record counts.
-    std::unordered_map<uint32_t, uint64_t> manifest_collected;
-    if (config.durability.resume) {
-      const SpoolReadResult m = SpoolReader::Read(manifest_path);
-      if (m.header_valid && m.config_fingerprint == ctx.fingerprint) {
-        for (const SpoolManifestEntry& e : m.manifest) {
-          manifest_collected[e.system_id] = e.records_collected;  // Keep-last.
-        }
-      }
-    }
-    ctx.manifest_ok = ctx.manifest.OpenAppend(manifest_path, 0, ctx.fingerprint);
-    if (config.durability.resume) {
-      for (int i = 0; i < total; ++i) {
-        if (TryRestoreShard(all_options[static_cast<size_t>(i)], &shards[static_cast<size_t>(i)],
-                            &ctx, manifest_collected)) {
-          restored[static_cast<size_t>(i)] = 1;
-          spill_if_columnar(&shards[static_cast<size_t>(i)],
-                            all_options[static_cast<size_t>(i)].system_id);
-        }
-      }
-    }
-  }
-
-  // Networked collection: stand the loopback service up before any worker
-  // starts. A service that cannot bind degrades the run to the in-process
-  // path rather than failing it.
-  std::unique_ptr<CollectionService> service;
-  std::thread net_supervisor;
-  std::atomic<bool> net_supervisor_stop{false};
-  std::atomic<uint64_t> net_server_restarts{0};
-  bool net_mode = config.net.enabled;
-  if (net_mode) {
-    CollectionService::Options nopt;
-    nopt.config = config.net;
-    nopt.spool_dir = ctx.durable ? ctx.dir : std::string();
-    nopt.config_fingerprint = ctx.fingerprint;
-    service = std::make_unique<CollectionService>(std::move(nopt));
-    net_mode = service->Start();
-    if (net_mode && config.net.crash_after_frames > 0) {
-      // Crash supervisor: the injected crash takes the whole service down
-      // mid-stream; this thread brings it back up on the same port, and the
-      // agents' session layer resumes from the durable watermark.
-      net_supervisor = std::thread([&] {
-        while (!net_supervisor_stop.load(std::memory_order_acquire)) {
-          if (service->crashed()) {
-            if (service->Restart()) {
-              net_server_restarts.fetch_add(1, std::memory_order_relaxed);
-            }
-          }
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-      });
-    }
-  }
-
-  const int threads = ResolveThreads(config.threads, total);
-  {
-    std::vector<WorkerHeartbeat> hearts(static_cast<size_t>(threads));
-    // The watchdog only matters when workers can actually wedge: durability
-    // runs (long, unattended) and armed crash plans (the hang kind blocks
-    // until cancelled).
-    const bool watch = config.durability.watchdog_deadline_s > 0 &&
-                       (ctx.durable || config.fault_config.crash.enabled());
-    Watchdog watchdog(&hearts, watch ? config.durability.watchdog_deadline_s : 0.0,
-                      &ctx.watchdog_cancellations);
-    auto run_one = [&](int i, WorkerHeartbeat* heart) {
-      if (net_mode) {
-        RunSystemOverNet(all_options[static_cast<size_t>(i)], &shards[static_cast<size_t>(i)],
-                         &ctx, service.get());
-        // Net shards receive their records from the service after the pool
-        // joins; the post-session pass spills them.
-      } else {
-        RunSystemWithRecovery(all_options[static_cast<size_t>(i)],
-                              &shards[static_cast<size_t>(i)], &ctx, heart);
-        spill_if_columnar(&shards[static_cast<size_t>(i)],
-                          all_options[static_cast<size_t>(i)].system_id);
-      }
-    };
-    if (threads <= 1) {
-      for (int i = 0; i < total; ++i) {
-        if (!restored[static_cast<size_t>(i)]) {
-          run_one(i, &hearts[0]);
-        }
-      }
-    } else {
-      std::atomic<int> next{0};
-      auto worker = [&](int slot) {
-        for (int i = next.fetch_add(1); i < total; i = next.fetch_add(1)) {
-          if (!restored[static_cast<size_t>(i)]) {
-            run_one(i, &hearts[static_cast<size_t>(slot)]);
-          }
-        }
-      };
-      std::vector<std::thread> pool;
-      pool.reserve(static_cast<size_t>(threads));
-      for (int t = 0; t < threads; ++t) {
-        pool.emplace_back(worker, t);
-      }
-      for (std::thread& t : pool) {
-        t.join();
-      }
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(ctx.manifest_mu);
-    ctx.manifest.Close();
-  }
-
+  FleetRunContext ctx(config);
+  ResumeFromSegments(&ctx);
+  const std::unique_ptr<LoopbackTransport> net = StartTransport(ctx);
+  SimulateRemaining(&ctx, net.get());
   FleetResult result;
-  if (net_mode) {
-    net_supervisor_stop.store(true, std::memory_order_release);
-    if (net_supervisor.joinable()) {
-      net_supervisor.join();
-    }
-    service->Stop();
-    for (int i = 0; i < total; ++i) {
-      SystemShard& shard = shards[static_cast<size_t>(i)];
-      if (restored[static_cast<size_t>(i)] || !shard.completed) {
-        continue;
-      }
-      const uint32_t id = all_options[static_cast<size_t>(i)].system_id;
-      NetSessionResult sess;
-      if (service->TakeSession(id, &sess)) {
-        shard.server = std::move(sess.server);
-        continue;
-      }
-      // No live session: the agent finished (seal + bye-ack) and then a
-      // later crash cleared the session table without the agent ever
-      // reconnecting. The sealed segment has the whole stream; replay it.
-      bool replayed = false;
-      if (ctx.durable) {
-        SpoolReadResult r = SpoolReader::Read(ctx.dir + "/" + SegmentFileName(id));
-        if (r.header_valid && r.system_id == id && r.config_fingerprint == ctx.fingerprint &&
-            r.sealed) {
-          CollectionServer server;
-          for (auto& s : r.shipments) {
-            server.DeliverShipment(s.header, std::move(s.records));
-          }
-          for (auto& loose : r.loose) {
-            server.DeliverRecords(std::move(loose));
-          }
-          for (auto& n : r.names) {
-            server.DeliverName(std::move(n));
-          }
-          server.Finish();
-          shard.server = std::move(server);
-          replayed = true;
-        }
-      }
-      if (!replayed) {
-        // Nothing recoverable (non-durable crash after this agent sealed):
-        // the system's data died with the service.
-        shard.completed = false;
-        ctx.systems_failed.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    if (columnar) {
-      for (int i = 0; i < total; ++i) {
-        spill_if_columnar(&shards[static_cast<size_t>(i)],
-                          all_options[static_cast<size_t>(i)].system_id);
-      }
-    }
-    const NetServiceStats sstats = service->stats();
-    result.net.used = true;
-    result.net.frames_sent = ctx.net_frames_sent.load();
-    result.net.frames_delivered = sstats.frames_delivered;
-    result.net.records_delivered = sstats.records_delivered;
-    result.net.duplicate_frames = sstats.duplicate_frames;
-    result.net.out_of_order_frames = sstats.out_of_order_frames;
-    result.net.frames_dropped = sstats.frames_dropped;
-    result.net.busy_signals = sstats.busy_signals;
-    result.net.shed_signals = sstats.shed_signals;
-    result.net.evictions = sstats.evictions;
-    result.net.connections_accepted = sstats.connections_accepted;
-    result.net.agent_reconnects = ctx.net_reconnects.load();
-    result.net.agent_faults_injected = ctx.net_faults.load();
-    result.net.sessions_restored = sstats.sessions_restored;
-    result.net.server_crashes = sstats.crashes;
-    result.net.server_restarts = net_server_restarts.load();
-    result.net.agent_failures = ctx.net_agent_failures.load();
+  if (net != nullptr) {
+    DrainTransport(&ctx, net.get(), &result.net);
   }
+  MergeShards(&ctx, &result);
 
-  // Merge shards in system-id order: stats, process names, the integrity
-  // report (agent-side counters reconciled against each shard server's
-  // sequence bookkeeping, faults included), then the trace streams.
-  const auto merge_start = std::chrono::steady_clock::now();
-  std::vector<std::vector<TraceRecord>> sorted_runs;
-  std::vector<std::string> extent_inputs;
-  // Columnar mode: (pid, name) pairs in the exact sequence the row-mode map
-  // would have emplaced them, so a consumer replaying these emplaces
-  // rebuilds an identical process map.
-  std::vector<std::pair<uint32_t, std::string>> proc_insertions;
-  sorted_runs.reserve(columnar ? 0 : shards.size());
-  for (SystemShard& shard : shards) {
-    if (!shard.completed) {
-      continue;  // Crash restarts exhausted; the system is absent.
-    }
-    if (columnar && !shard.spilled) {
-      // Worker-side spill failed (disk trouble); one sequential retry.
-      SpillShardColumnar(&shard, shard.stats.system_id, config.columnar_dir, spill_extent,
-                         ctx.fingerprint);
-      if (!shard.spilled) {
-        // Unspillable: the system's records cannot reach the merged store.
-        result.recovery.systems_failed += 1;
-        continue;
-      }
-    }
-    const SystemRunStats& s = shard.stats;
-    for (auto& [pid, name] : shard.process_names) {
-      const auto [it, inserted] = result.trace.process_names.emplace(pid, std::move(name));
-      if (columnar && inserted) {
-        proc_insertions.emplace_back(pid, it->second);
-      }
-    }
-
-    SystemIntegrity row;
-    row.system_id = s.system_id;
-    row.records_emitted = s.trace_emitted;
-    row.records_overflow_dropped = s.trace_drops;
-    row.records_shed = s.trace_shed;
-    row.records_lost = s.trace_lost;
-    row.records_unresolved = s.trace_unresolved;
-    row.shipments_sent = s.shipments_sent;
-    row.shipment_attempts = s.shipment_attempts;
-    row.shipment_failures = s.shipment_failures;
-    row.shipments_abandoned = s.shipments_abandoned;
-    row.peak_retry_backlog = s.peak_retry_backlog;
-    shard.server.FillIntegrity(&row);
-    // An abandoned shipment whose payload did arrive (only the final
-    // acknowledgement was lost) is counted by both sides; it is collected,
-    // not lost.
-    if (const CollectionServer::StreamState* stream = shard.server.StreamOf(s.system_id)) {
-      for (const auto& [sequence, count] : s.abandoned_shipments) {
-        if (stream->Received(sequence)) {
-          row.records_lost -= count;
-        }
-      }
-    }
-    row.records_salvaged = shard.records_salvaged;
-    row.records_lost_to_corruption = shard.records_lost_to_corruption;
-    result.integrity.systems.push_back(row);
-    result.recovery.records_salvaged += shard.records_salvaged;
-    result.recovery.records_lost_to_corruption += shard.records_lost_to_corruption;
-
-    TraceSet& collected = shard.server.Finish();  // Already sorted by the worker.
-    if (columnar) {
-      extent_inputs.push_back(shard.spill_path);  // Records already on disk.
-    } else {
-      sorted_runs.push_back(std::move(collected.records));
-    }
-    result.trace.names.insert(result.trace.names.end(),
-                              std::make_move_iterator(collected.names.begin()),
-                              std::make_move_iterator(collected.names.end()));
-    result.systems.push_back(std::move(shard.stats));
-  }
-  if (columnar) {
-    // Streaming k-way extent merge, system-id order: identical record order
-    // to MergeSortedRuns over the same shards, O(inputs x spill extent +
-    // one output extent) memory. The merged store is self-contained (name
-    // and process tables ride at its tail in the same insertion order).
-    const std::string merged_path = config.columnar_dir + "/merged.ntx";
-    ExtentStoreWriter merged;
-    merged.Open(merged_path, kDefaultExtentRecords, ctx.fingerprint);
-    const ExtentMergeResult mr = MergeExtentStreams(extent_inputs, &merged);
-    for (const NameRecord& n : result.trace.names) {
-      merged.AddName(n);
-    }
-    for (const auto& [pid, name] : proc_insertions) {
-      merged.AddProcessName(pid, name);
-    }
-    const bool merged_ok = merged.Seal();
-    merged.Close();
-    for (const std::string& p : extent_inputs) {
-      std::remove(p.c_str());  // Spill segments are dead once merged.
-    }
-    result.columnar.names = result.trace.names;
-    result.columnar.process_names = std::move(proc_insertions);
-    ExtentReadStats stats;
-    stats.file_opened = merged_ok;
-    stats.header_valid = merged_ok;
-    stats.version = kExtentStoreVersion;
-    stats.extent_capacity = kDefaultExtentRecords;
-    stats.config_fingerprint = ctx.fingerprint;
-    stats.sealed = merged_ok;
-    stats.extents_recovered = merged.extents_written();
-    stats.records_recovered = mr.records;
-    stats.records_lost_known = mr.records_lost_known;
-    result.columnar.set_spill(merged_path, mr.records, stats);
-    result.columnar_mode = true;
-    result.records_on_disk = mr.records;
-  } else {
-    result.trace.MergeSortedRuns(std::move(sorted_runs));
-  }
-  // Build the lookup index while still single-threaded so concurrent
-  // analyses never race on the lazy build.
-  result.trace.EnsureNameIndex();
-  const int64_t merge_us = ElapsedMicros(merge_start);
-  FleetMetrics& metrics = FleetMetrics::Get();
-  metrics.merge_wall_us_sum.Inc(static_cast<uint64_t>(merge_us));
-  metrics.last_merge_wall_us.Set(merge_us);
-
-  result.recovery.systems_simulated = ctx.systems_simulated.load();
-  result.recovery.systems_resumed = ctx.systems_resumed.load();
-  result.recovery.systems_salvaged = ctx.systems_salvaged.load();
-  result.recovery.systems_failed = ctx.systems_failed.load();
-  result.recovery.worker_crashes = ctx.worker_crashes.load();
-  result.recovery.worker_restarts = ctx.worker_restarts.load();
-  result.recovery.watchdog_cancellations = ctx.watchdog_cancellations.load();
+  FleetRecoveryStats& recovery = result.recovery;
+  recovery.systems_simulated = ctx.systems_simulated.load();
+  recovery.systems_resumed = ctx.systems_resumed.load();
+  recovery.systems_salvaged = ctx.systems_salvaged.load();
+  recovery.systems_failed = ctx.systems_failed.load();
+  recovery.worker_crashes = ctx.worker_crashes.load();
+  recovery.worker_restarts = ctx.worker_restarts.load();
+  recovery.watchdog_cancellations = ctx.watchdog_cancellations.load();
   // A resumed system's segment was sealed by the invocation that completed
   // it; the field reports seals on disk at the end of the run, not seal
   // writes performed by this one (the metric counter keeps that meaning).
-  result.recovery.segments_sealed = ctx.segments_sealed.load() + ctx.systems_resumed.load();
-  result.recovery.partial_records_salvageable = ctx.partial_records_salvageable.load();
+  recovery.segments_sealed = ctx.segments_sealed.load() + ctx.systems_resumed.load();
+  recovery.partial_records_salvageable = ctx.partial_records_salvageable.load();
 
   result.metrics = MetricsRegistry::Global().Snapshot().DeltaFrom(metrics_before);
   return result;

@@ -51,12 +51,6 @@ struct DurabilityConfig {
   // A worker that delivers nothing for this long (wall clock) is cancelled
   // by the watchdog and treated as crashed. <= 0 disables the watchdog.
   double watchdog_deadline_s = 30.0;
-  // Spool flush granularity: ordinary frames batch in the stdio buffer
-  // until this many bytes accumulate (checkpoint frames always flush).
-  // 0 flushes every frame -- maximum durability, an order of magnitude
-  // more flush syscalls. Excluded from the config fingerprint: like
-  // `threads`, it cannot change the output.
-  size_t flush_bytes = 1u << 20;
 
   bool enabled() const { return !spool_dir.empty(); }
 };
@@ -155,13 +149,9 @@ struct FleetConfig {
   // merged store; FleetResult::trace keeps names, process map and
   // integrity, but no record rows. Like `threads`, this knob never changes
   // analysis output -- TraceScan over the columnar store is byte-identical
-  // to the row path -- only where the records live.
+  // to the row path -- only where the records live. Study rejects it: its
+  // row analyses need FleetResult::trace.records.
   std::string columnar_dir;
-  // Records per extent in the per-system spill segments (the k-way merge
-  // buffers one extent per input, so smaller extents bound merge memory).
-  // 0 = default (4096, ~320 KB of columns per input). The merged store
-  // always uses kDefaultExtentRecords.
-  uint32_t spill_extent_records = 0;
 
   // Worker threads simulating systems concurrently: 1 = sequential
   // (default), 0 = hardware concurrency, N = pool of N (capped at the

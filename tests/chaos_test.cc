@@ -7,6 +7,7 @@
 // minimal single-family reproduction.
 
 #include "src/fault/chaos.h"
+#include "tests/test_util.h"
 
 #include <gtest/gtest.h>
 
@@ -37,7 +38,7 @@ TEST(ChaosCampaign, HealthyTreeHoldsInvariantsAcrossFamilies) {
   config.seed = 0xC4A0C4A0ULL;
   config.trials = 8;
   config.determinism_every = 4;  // Trials 0 and 4 re-run at swapped threads.
-  config.work_dir = testing::TempDir() + "/chaos_campaign_test";
+  config.work_dir = ScratchPath("chaos_campaign_test");
 
   const ChaosCampaignResult result = RunChaosCampaign(config);
   EXPECT_TRUE(result.ok()) << result.first_failure.plan.Describe();
@@ -71,7 +72,7 @@ TEST(ChaosCampaign, SabotageShrinksToMinimalSingleFamilyPlan) {
   config.trials = victim + 1;
   config.determinism_every = 0;
   config.sabotage_crash_kind = kind;
-  config.work_dir = testing::TempDir() + "/chaos_shrink_test";
+  config.work_dir = ScratchPath("chaos_shrink_test");
 
   const ChaosCampaignResult result = RunChaosCampaign(config);
   ASSERT_TRUE(result.failed);

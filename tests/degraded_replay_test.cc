@@ -20,6 +20,7 @@
 #include "src/replay/trace_replayer.h"
 #include "src/trace/extent_store.h"
 #include "src/workload/fleet.h"
+#include "tests/test_util.h"
 
 namespace ntrace {
 namespace {
@@ -221,8 +222,7 @@ TEST(DegradedReplay, MidStreamGapRecoversOrphanedSessions) {
 TEST(DegradedReplay, CrashSalvagedFleetReplaysWithExactAccounting) {
   for (CrashKind kind : {CrashKind::kWorkerCrash, CrashKind::kTornWrite, CrashKind::kBitFlip}) {
     FleetConfig config = SmallConfig();
-    config.durability.spool_dir = testing::TempDir() + "/degraded_spool_" +
-                                  std::string(CrashKindName(kind));
+    config.durability.spool_dir = ScratchPath("degraded_spool_") + std::string(CrashKindName(kind));
     config.durability.salvage = true;
     config.durability.max_restarts = 1;
     config.fault_config.crash.kind = kind;
@@ -257,7 +257,7 @@ TEST(DegradedReplay, CrashSalvagedFleetReplaysWithExactAccounting) {
 // salvage accounting auto-derived from its read stats.
 TEST(DegradedReplay, StoreTruncationSweepReplaysMonotonically) {
   const FleetResult fleet = RunFleet(SmallConfig());
-  const std::string store_path = testing::TempDir() + "/degraded_store.ntx";
+  const std::string store_path = ScratchPath("degraded_store.ntx");
   {
     ExtentStoreWriter writer;
     ASSERT_TRUE(writer.Open(store_path, 1024, /*config_fingerprint=*/0));
@@ -274,7 +274,7 @@ TEST(DegradedReplay, StoreTruncationSweepReplaysMonotonically) {
   ASSERT_GT(bytes.size(), static_cast<size_t>(kExtentStoreHeaderSize) + 1);
 
   const TraceReplayer replayer(SmallConfig());
-  const std::string cut_path = testing::TempDir() + "/degraded_store_cut.ntx";
+  const std::string cut_path = ScratchPath("degraded_store_cut.ntx");
   uint64_t prev_records = 0;
   for (double frac : {0.25, 0.55, 0.8, 1.0}) {
     const size_t len =

@@ -27,6 +27,7 @@
 #include "src/base/crc32c.h"
 #include "src/base/rng.h"
 #include "src/trace/spool.h"
+#include "tests/test_util.h"
 
 namespace ntrace {
 namespace {
@@ -87,8 +88,6 @@ void WriteFileBytes(const std::string& path, const std::vector<uint8_t>& bytes) 
   std::fclose(f);
 }
 
-std::string TempPath(const std::string& name) { return testing::TempDir() + "/" + name; }
-
 void ExpectRecordsEqual(const std::vector<TraceRecord>& got,
                         const std::vector<TraceRecord>& want) {
   ASSERT_EQ(got.size(), want.size());
@@ -114,7 +113,7 @@ std::vector<TraceRecord> RecoveredRows(const std::string& path, ExtentReadStats*
 }
 
 TEST(ExtentStore, RoundTripRowsNamesAndProcesses) {
-  const std::string path = TempPath("extent_roundtrip.ntx");
+  const std::string path = ScratchPath("extent_roundtrip.ntx");
   const std::vector<TraceRecord> records = MakeRecords(7, 0, 1000);
 
   ExtentStoreWriter writer;
@@ -184,7 +183,7 @@ TEST(ExtentStore, FromRowsToRowsIsExact) {
 // layout (CRC-32C itself is pinned by crc32c_test's RFC vectors). If this
 // test breaks, the format changed -- bump kExtentStoreVersion.
 TEST(ExtentStore, GoldenV1Format) {
-  const std::string path = TempPath("extent_golden.ntx");
+  const std::string path = ScratchPath("extent_golden.ntx");
   ExtentStoreWriter writer;
   // compress=false pins the uncompressed baseline (raw/const columns only);
   // GoldenCompressedEncodings below pins each compressed codec's bytes.
@@ -347,7 +346,7 @@ TEST(ExtentStore, GoldenV1Format) {
 // bit layouts, so a codec change (or a heuristic change that flips a
 // winner) breaks this test and demands a version bump.
 TEST(ExtentStore, GoldenCompressedEncodings) {
-  const std::string path = TempPath("extent_golden_compressed.ntx");
+  const std::string path = ScratchPath("extent_golden_compressed.ntx");
   ExtentStoreWriter writer;
   ASSERT_TRUE(writer.Open(path, 64, 0x1122334455667788ULL));
   for (uint64_t i = 0; i < 16; ++i) {
@@ -515,8 +514,8 @@ TEST(ExtentStore, GoldenCompressedEncodings) {
 // identical rows (and the compressed file must actually be smaller).
 TEST(ExtentStore, CompressedRawRoundTripParity) {
   const std::vector<TraceRecord> records = MakeRecords(7, 0, 3000);
-  const std::string cpath = TempPath("extent_parity_c.ntx");
-  const std::string rpath = TempPath("extent_parity_r.ntx");
+  const std::string cpath = ScratchPath("extent_parity_c.ntx");
+  const std::string rpath = ScratchPath("extent_parity_r.ntx");
   auto write_store = [&](const std::string& path, bool compress) {
     ExtentStoreWriter writer;
     ASSERT_TRUE(writer.Open(path, 256, 0xBEEF, compress));
@@ -595,9 +594,9 @@ GoldenStore BuildStore(const std::string& path) {
 }
 
 TEST(ExtentSalvage, TruncationSweepRecoversExactPrefix) {
-  const std::string build_path = TempPath("extent_sweep_src.ntx");
+  const std::string build_path = ScratchPath("extent_sweep_src.ntx");
   const GoldenStore g = BuildStore(build_path);
-  const std::string path = TempPath("extent_sweep.ntx");
+  const std::string path = ScratchPath("extent_sweep.ntx");
 
   for (size_t len = 0; len <= g.bytes.size(); ++len) {
     WriteFileBytes(path, std::vector<uint8_t>(g.bytes.begin(), g.bytes.begin() + len));
@@ -641,9 +640,9 @@ TEST(ExtentSalvage, TruncationSweepRecoversExactPrefix) {
 }
 
 TEST(ExtentSalvage, BitFlipFuzzNeverCrashesAndYieldsOnlyPrefixes) {
-  const std::string build_path = TempPath("extent_fuzz_src.ntx");
+  const std::string build_path = ScratchPath("extent_fuzz_src.ntx");
   const GoldenStore g = BuildStore(build_path);
-  const std::string path = TempPath("extent_fuzz.ntx");
+  const std::string path = ScratchPath("extent_fuzz.ntx");
   Rng rng(0x5EED5EED);
 
   for (int iter = 0; iter < 200; ++iter) {
@@ -680,7 +679,7 @@ TEST(ExtentSalvage, BitFlipFuzzNeverCrashesAndYieldsOnlyPrefixes) {
 }
 
 TEST(ExtentSalvage, DamagedExtentUnderIntactHeaderCountsKnownLoss) {
-  const std::string path = TempPath("extent_known_loss.ntx");
+  const std::string path = ScratchPath("extent_known_loss.ntx");
   const GoldenStore g = BuildStore(path);
 
   // Corrupt one payload byte of the second extent frame (frames 0 and 1 are
@@ -707,12 +706,12 @@ TEST(ExtentSalvage, DamagedExtentUnderIntactHeaderCountsKnownLoss) {
 TEST(ExtentSalvage, MissingAndEmptyFiles) {
   ExtentReadStats stats;
   std::vector<TraceRecord> rows =
-      RecoveredRows(TempPath("extent_never_written.ntx"), &stats);
+      RecoveredRows(ScratchPath("extent_never_written.ntx"), &stats);
   EXPECT_FALSE(stats.file_opened);
   EXPECT_FALSE(stats.header_valid);
   EXPECT_TRUE(rows.empty());
 
-  const std::string path = TempPath("extent_empty.ntx");
+  const std::string path = ScratchPath("extent_empty.ntx");
   WriteFileBytes(path, {});
   rows = RecoveredRows(path, &stats);
   EXPECT_TRUE(stats.file_opened);
@@ -742,7 +741,7 @@ TEST(ExtentMerge, MatchesMergeSortedRuns) {
       r.complete_ticks = t;
       runs[k].push_back(r);
     }
-    const std::string path = TempPath("extent_merge_in_" + std::to_string(k) + ".ntx");
+    const std::string path = ScratchPath("extent_merge_in_" + std::to_string(k) + ".ntx");
     ExtentStoreWriter writer;
     ASSERT_TRUE(writer.Open(path, 16, 0xBEEF));  // Small extents: many refills.
     ASSERT_TRUE(writer.AppendRecords(runs[k].data(), runs[k].size()));
@@ -751,7 +750,7 @@ TEST(ExtentMerge, MatchesMergeSortedRuns) {
     inputs.push_back(path);
   }
 
-  const std::string out_path = TempPath("extent_merge_out.ntx");
+  const std::string out_path = ScratchPath("extent_merge_out.ntx");
   ExtentStoreWriter out;
   ASSERT_TRUE(out.Open(out_path, 64, 0xBEEF));
   const ExtentMergeResult merged = MergeExtentStreams(inputs, &out);
@@ -792,12 +791,12 @@ TEST(ExtentMerge, MixedCompressionInputsMergeExactly) {
     ASSERT_TRUE(writer.Seal());
     writer.Close();
   };
-  const std::string a_path = TempPath("extent_merge_mixed_a.ntx");
-  const std::string b_path = TempPath("extent_merge_mixed_b.ntx");
+  const std::string a_path = ScratchPath("extent_merge_mixed_a.ntx");
+  const std::string b_path = ScratchPath("extent_merge_mixed_b.ntx");
   write_store(a_path, a, true);
   write_store(b_path, b, false);
 
-  const std::string out_path = TempPath("extent_merge_mixed_out.ntx");
+  const std::string out_path = ScratchPath("extent_merge_mixed_out.ntx");
   ExtentStoreWriter out;
   ASSERT_TRUE(out.Open(out_path, 64, 0xBEEF));
   const ExtentMergeResult merged = MergeExtentStreams({a_path, b_path}, &out);
@@ -833,8 +832,8 @@ TEST(ExtentMerge, DamagedInputDegradesToItsPrefix) {
     ASSERT_TRUE(writer.Seal());
     writer.Close();
   };
-  const std::string clean_path = TempPath("extent_merge_clean.ntx");
-  const std::string torn_path = TempPath("extent_merge_torn.ntx");
+  const std::string clean_path = ScratchPath("extent_merge_clean.ntx");
+  const std::string torn_path = ScratchPath("extent_merge_torn.ntx");
   write_store(clean_path, clean);
   write_store(torn_path, torn);
 
@@ -851,7 +850,7 @@ TEST(ExtentMerge, DamagedInputDegradesToItsPrefix) {
   bytes.resize(pos + 7);  // A torn slice of the third extent frame.
   WriteFileBytes(torn_path, bytes);
 
-  const std::string out_path = TempPath("extent_merge_degraded.ntx");
+  const std::string out_path = ScratchPath("extent_merge_degraded.ntx");
   ExtentStoreWriter out;
   ASSERT_TRUE(out.Open(out_path, 64, 0xBEEF));
   const ExtentMergeResult merged = MergeExtentStreams({clean_path, torn_path}, &out);

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "src/workload/fleet.h"
+#include "tests/test_util.h"
 
 namespace ntrace {
 namespace {
@@ -47,7 +48,7 @@ FleetConfig FaultyConfig() {
 // bytes: the strongest equality we can ask for, since it is the format a
 // published collection ships in.
 std::vector<unsigned char> SerializedBytes(const TraceSet& trace, const std::string& tag) {
-  const std::string path = testing::TempDir() + "/fleet_determinism_" + tag + ".nttrace";
+  const std::string path = ScratchPath("fleet_determinism_") + tag + ".nttrace";
   EXPECT_TRUE(trace.SaveTo(path));
   std::vector<unsigned char> bytes;
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -165,7 +166,7 @@ TEST(FleetDeterminism, DurableRunBitIdenticalToNonDurable) {
     FleetConfig durable = SmallConfig();
     durable.threads = threads;
     durable.durability.spool_dir =
-        testing::TempDir() + "/fleet_determinism_spool_t" + std::to_string(threads);
+        ScratchPath("fleet_determinism_spool_t") + std::to_string(threads);
     std::filesystem::remove_all(durable.durability.spool_dir);
     const FleetResult result = RunFleet(durable);
     EXPECT_TRUE(SerializedBytes(result.trace, "durable_t" + std::to_string(threads)) ==

@@ -19,6 +19,7 @@
 
 #include "src/trace/spool.h"
 #include "src/workload/fleet.h"
+#include "tests/test_util.h"
 
 namespace ntrace {
 namespace {
@@ -38,13 +39,13 @@ FleetConfig BaseConfig() {
 }
 
 std::string FreshDir(const std::string& tag) {
-  const std::string dir = testing::TempDir() + "/fleet_recovery_" + tag;
+  const std::string dir = ScratchPath("fleet_recovery_") + tag;
   std::filesystem::remove_all(dir);
   return dir;
 }
 
 std::vector<unsigned char> SerializedBytes(const TraceSet& trace, const std::string& tag) {
-  const std::string path = testing::TempDir() + "/fleet_recovery_" + tag + ".nttrace";
+  const std::string path = ScratchPath("fleet_recovery_") + tag + ".nttrace";
   EXPECT_TRUE(trace.SaveTo(path));
   std::vector<unsigned char> bytes;
   std::FILE* f = std::fopen(path.c_str(), "rb");

@@ -21,6 +21,7 @@
 #include "src/trace/extent_store.h"
 #include "src/trace/spool.h"
 #include "src/workload/fleet.h"
+#include "tests/test_util.h"
 
 namespace ntrace {
 namespace {
@@ -81,7 +82,7 @@ size_t FirstFrameEnd(const std::vector<uint8_t>& bytes) {
 // damaged extent held, and every consumer downstream must report that same
 // loss figure.
 TEST(LossReconciliation, DamagedStoreLossAgreesAcrossLayers) {
-  const std::string path = testing::TempDir() + "/loss_reconcile.ntx";
+  const std::string path = ScratchPath("loss_reconcile.ntx");
   std::vector<TraceRecord> records;
   for (uint64_t i = 0; i < 3000; ++i) {
     records.push_back(MakeRecord(7, i));
@@ -145,7 +146,7 @@ TEST(LossReconciliation, DamagedStoreLossAgreesAcrossLayers) {
 
 // A clean store reconciles to zero everywhere and prints no annotation.
 TEST(LossReconciliation, CleanStoreHasFullCoverageAndNoNote) {
-  const std::string path = testing::TempDir() + "/loss_reconcile_clean.ntx";
+  const std::string path = ScratchPath("loss_reconcile_clean.ntx");
   std::vector<TraceRecord> records;
   for (uint64_t i = 0; i < 1000; ++i) {
     records.push_back(MakeRecord(3, i));
@@ -182,7 +183,7 @@ TEST(LossReconciliation, LossyFleetStudyScanCarriesPipelineLoss) {
   config.fleet.seed = 7;
   config.fleet.activity_scale = 0.3;
   config.fleet.content_scale = 0.05;
-  config.fleet.durability.spool_dir = testing::TempDir() + "/loss_reconcile_spool";
+  config.fleet.durability.spool_dir = ScratchPath("loss_reconcile_spool");
   config.fleet.durability.salvage = true;
   config.fleet.durability.max_restarts = 1;
   config.fleet.fault_config.crash.kind = CrashKind::kTornWrite;

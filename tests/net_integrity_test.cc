@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/workload/fleet.h"
+#include "tests/test_util.h"
 
 namespace ntrace {
 namespace {
@@ -49,7 +50,7 @@ NetCollectionConfig FastNet() {
 }
 
 std::vector<unsigned char> SerializedBytes(const TraceSet& trace, const std::string& tag) {
-  const std::string path = testing::TempDir() + "/net_integrity_" + tag + ".nttrace";
+  const std::string path = ScratchPath("net_integrity_") + tag + ".nttrace";
   EXPECT_TRUE(trace.SaveTo(path));
   std::vector<unsigned char> bytes;
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -236,7 +237,7 @@ TEST(NetIntegrity, BackpressureUnderTinyWindowMatchesInProcess) {
 }
 
 TEST(NetIntegrity, MidStreamServerCrashRecoversExactly) {
-  const std::string dir = testing::TempDir() + "/net_crash_spool";
+  const std::string dir = ScratchPath("net_crash_spool");
   const Reference& reference = InProcessReference();
   ASSERT_FALSE(reference.bytes.empty());
 
@@ -247,11 +248,9 @@ TEST(NetIntegrity, MidStreamServerCrashRecoversExactly) {
     config.durability.spool_dir = dir;
     config.durability.resume = false;  // Simulate live; the spool is the
                                        // server's crash-recovery log.
-    config.durability.flush_bytes = 0;
     config.net = FastNet();
     config.net.crash_after_frames = 40;
     config.net.max_crashes = 2;
-    config.net.flush_bytes = 0;
 
     const FleetResult result = RunFleet(config);
     ASSERT_TRUE(result.net.used) << "threads=" << threads;

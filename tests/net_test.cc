@@ -26,6 +26,7 @@
 #include "src/trace/integrity.h"
 #include "src/trace/trace_buffer.h"
 #include "src/trace/trace_record.h"
+#include "tests/test_util.h"
 
 namespace ntrace {
 namespace {
@@ -458,14 +459,13 @@ TEST(NetClient, ReorderEveryFrameTriggersBackpressureYetDeliversInOrder) {
 }
 
 TEST(NetClient, ServerKillAndRestartResumesFromDurableSpool) {
-  const std::string dir = testing::TempDir() + "/net_restart_spool";
+  const std::string dir = ScratchPath("net_restart_spool");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
   CollectionService::Options options;
   options.config = FastRetryConfig();
   options.config.shards = 1;
-  options.config.flush_bytes = 0;  // Every delivered frame is durable.
   options.spool_dir = dir;
   options.config_fingerprint = 0x99;
   CollectionService service(std::move(options));
@@ -479,8 +479,8 @@ TEST(NetClient, ServerKillAndRestartResumesFromDurableSpool) {
     sink.DeliverShipment({6, s, 1, 5}, MakeRecords(6, (s - 1) * 5, 5));
   }
 
-  // Wait until all 8 frames are delivered (and, with flush_bytes=0,
-  // durable) before pulling the plug -- the point here is the restore
+  // Wait until all 8 frames are delivered (and, as session segments flush
+  // every frame, durable) before pulling the plug -- the point here is the restore
   // path, not the kill/transmit race (the fault sweep covers that).
   for (int spins = 0; spins < 4000 && service.frames_delivered_total() < 8; ++spins) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));

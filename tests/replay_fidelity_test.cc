@@ -15,6 +15,7 @@
 #include "src/replay/trace_replayer.h"
 #include "src/trace/extent_store.h"
 #include "src/workload/fleet.h"
+#include "tests/test_util.h"
 
 namespace ntrace {
 namespace {
@@ -181,8 +182,8 @@ TEST(ReplayFidelity, ReplayOutputSerializesIdentically) {
   const FleetResult fleet = RunFleet(SmallConfig());
   TraceReplayer replayer(SmallConfig());
   const FleetReplayResult replay = replayer.Replay(fleet.trace, ReplayOptions{}, 1);
-  const std::string original = testing::TempDir() + "/replay_fidelity_original.nttrace";
-  const std::string regenerated = testing::TempDir() + "/replay_fidelity_regen.nttrace";
+  const std::string original = ScratchPath("replay_fidelity_original.nttrace");
+  const std::string regenerated = ScratchPath("replay_fidelity_regen.nttrace");
   ASSERT_TRUE(fleet.trace.SaveTo(original));
   ASSERT_TRUE(replay.trace.SaveTo(regenerated));
   TraceSet a;

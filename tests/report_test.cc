@@ -104,7 +104,7 @@ TEST(TraceSetRobustness, TruncatedFileRejected) {
   sys.io->WriteNext(*fo, 5000);
   sys.io->CloseHandle(*fo);
   TraceSet& set = sys.FinishTrace();
-  const std::string path = "/tmp/ntrace_truncated_test.bin";
+  const std::string path = ScratchPath("ntrace_truncated_test.bin");
   ASSERT_TRUE(set.SaveTo(path));
   // Truncate the file to half: load must fail, not crash.
   std::FILE* f = std::fopen(path.c_str(), "rb");

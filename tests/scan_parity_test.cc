@@ -23,6 +23,7 @@
 #include "src/base/rng.h"
 #include "src/trace/extent_store.h"
 #include "src/workload/fleet.h"
+#include "tests/test_util.h"
 
 namespace ntrace {
 namespace {
@@ -153,11 +154,10 @@ TEST(ScanParity, ColumnarFleetModeMatchesRowModeAcrossThreads) {
     for (const int threads : {1, 2, 8}) {
       FleetConfig config = faulty ? FaultyConfig(7) : SmallConfig(7);
       config.threads = threads;
-      const std::string dir = testing::TempDir() + "/scan_parity_columnar_" +
+      const std::string dir = ScratchPath("scan_parity_columnar_") +
                               (faulty ? "f" : "c") + std::to_string(threads);
       std::filesystem::remove_all(dir);
       config.columnar_dir = dir;
-      config.spill_extent_records = 512;  // Small extents: many merge refills.
 
       const FleetResult result = RunFleet(config);
       ASSERT_TRUE(result.columnar_mode) << "threads=" << threads;
@@ -197,10 +197,8 @@ TEST(ScanParity, CompressedStoreScanMatchesUncompressedStore) {
       ASSERT_TRUE(writer.Seal());
       writer.Close();
     };
-    const std::string cpath =
-        testing::TempDir() + "/scan_parity_store_c" + (faulty ? "_f" : "") + ".ntx";
-    const std::string rpath =
-        testing::TempDir() + "/scan_parity_store_r" + (faulty ? "_f" : "") + ".ntx";
+    const std::string cpath = ScratchPath("scan_parity_store_c") + (faulty ? "_f" : "") + ".ntx";
+    const std::string rpath = ScratchPath("scan_parity_store_r") + (faulty ? "_f" : "") + ".ntx";
     write_store(cpath, true);
     write_store(rpath, false);
     EXPECT_LT(std::filesystem::file_size(cpath), std::filesystem::file_size(rpath));

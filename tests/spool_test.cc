@@ -18,6 +18,7 @@
 
 #include "src/base/crc32c.h"
 #include "src/base/rng.h"
+#include "tests/test_util.h"
 
 namespace ntrace {
 namespace {
@@ -68,10 +69,8 @@ void WriteFileBytes(const std::string& path, const std::vector<uint8_t>& bytes) 
   std::fclose(f);
 }
 
-std::string TempPath(const std::string& name) { return testing::TempDir() + "/" + name; }
-
 TEST(Spool, RoundTripSealedSegment) {
-  const std::string path = TempPath("spool_roundtrip.ntspool");
+  const std::string path = ScratchPath("spool_roundtrip.ntspool");
   SpoolWriter writer;
   ASSERT_TRUE(writer.Open(path, 7, 0xFEEDFACE12345678ULL));
 
@@ -122,7 +121,7 @@ TEST(Spool, RoundTripSealedSegment) {
 }
 
 TEST(Spool, ManifestRoundTripAndAppend) {
-  const std::string path = TempPath("spool_manifest.ntspool");
+  const std::string path = ScratchPath("spool_manifest.ntspool");
   std::remove(path.c_str());
   {
     SpoolWriter writer;
@@ -168,7 +167,7 @@ TEST(Spool, ManifestRoundTripAndAppend) {
 // documented layout (with CRC-32C itself pinned by crc32c_test's RFC
 // vectors). If this test breaks, the format changed -- bump kSpoolVersion.
 TEST(Spool, GoldenV1Format) {
-  const std::string path = TempPath("spool_golden.ntspool");
+  const std::string path = ScratchPath("spool_golden.ntspool");
   SpoolWriter writer;
   ASSERT_TRUE(writer.Open(path, 0x0A0B0C0D, 0x1122334455667788ULL));
   ShipmentHeader h{0x0A0B0C0D, 9, 1, 2};
@@ -290,9 +289,9 @@ GoldenSegment BuildSegment(const std::string& path) {
 }
 
 TEST(SpoolSalvage, TruncationSweepRecoversExactPrefix) {
-  const std::string build_path = TempPath("spool_sweep_src.ntspool");
+  const std::string build_path = ScratchPath("spool_sweep_src.ntspool");
   const GoldenSegment g = BuildSegment(build_path);
-  const std::string path = TempPath("spool_sweep.ntspool");
+  const std::string path = ScratchPath("spool_sweep.ntspool");
 
   for (size_t len = 0; len <= g.bytes.size(); ++len) {
     WriteFileBytes(path, std::vector<uint8_t>(g.bytes.begin(), g.bytes.begin() + len));
@@ -326,9 +325,9 @@ TEST(SpoolSalvage, TruncationSweepRecoversExactPrefix) {
 }
 
 TEST(SpoolSalvage, BitFlipFuzzNeverCrashesAndYieldsOnlyPrefixes) {
-  const std::string build_path = TempPath("spool_fuzz_src.ntspool");
+  const std::string build_path = ScratchPath("spool_fuzz_src.ntspool");
   const GoldenSegment g = BuildSegment(build_path);
-  const std::string path = TempPath("spool_fuzz.ntspool");
+  const std::string path = ScratchPath("spool_fuzz.ntspool");
   Rng rng(0x5EED5EED);
 
   for (int iter = 0; iter < 200; ++iter) {
@@ -368,7 +367,7 @@ TEST(SpoolSalvage, BitFlipFuzzNeverCrashesAndYieldsOnlyPrefixes) {
 }
 
 TEST(SpoolSalvage, DamagedPayloadUnderIntactHeaderCountsKnownLoss) {
-  const std::string path = TempPath("spool_known_loss.ntspool");
+  const std::string path = ScratchPath("spool_known_loss.ntspool");
   SpoolWriter writer;
   ASSERT_TRUE(writer.Open(path, 4, 0x11));
   ShipmentHeader h1{4, 1, 1, 2};
@@ -396,7 +395,7 @@ TEST(SpoolSalvage, DamagedPayloadUnderIntactHeaderCountsKnownLoss) {
 }
 
 TEST(SpoolSalvage, GarbageAfterSealIsDiscarded) {
-  const std::string path = TempPath("spool_tail.ntspool");
+  const std::string path = ScratchPath("spool_tail.ntspool");
   SpoolWriter writer;
   ASSERT_TRUE(writer.Open(path, 2, 0x22));
   ShipmentHeader h{2, 1, 1, 3};
@@ -426,7 +425,7 @@ TEST(SpoolSalvage, GarbageAfterSealIsDiscarded) {
 // available-bytes comparison would misroute the middle case into the
 // untrusted-length path, losing the records_lost_known count.
 TEST(SpoolSalvage, PayloadEndingExactlyAtEofClassifiesByCrc) {
-  const std::string base = TempPath("spool_eof_edge_base.ntspool");
+  const std::string base = ScratchPath("spool_eof_edge_base.ntspool");
   SpoolWriter writer;
   ASSERT_TRUE(writer.Open(base, 9, 0x33));
   ShipmentHeader h1{9, 1, 1, 2};
@@ -458,7 +457,7 @@ TEST(SpoolSalvage, PayloadEndingExactlyAtEofClassifiesByCrc) {
                          payload.size()));
     bytes.insert(bytes.end(), header, header + kSpoolFrameHeaderSize);
     bytes.insert(bytes.end(), body.begin(), body.end() - static_cast<ptrdiff_t>(truncate_by));
-    const std::string path = TempPath("spool_eof_edge.ntspool");
+    const std::string path = ScratchPath("spool_eof_edge.ntspool");
     WriteFileBytes(path, bytes);
     const SpoolReadResult r = SpoolReader::Read(path);
     std::remove(path.c_str());
@@ -495,11 +494,11 @@ TEST(SpoolSalvage, PayloadEndingExactlyAtEofClassifiesByCrc) {
 }
 
 TEST(SpoolSalvage, MissingAndEmptyFiles) {
-  const SpoolReadResult missing = SpoolReader::Read(TempPath("spool_never_written.ntspool"));
+  const SpoolReadResult missing = SpoolReader::Read(ScratchPath("spool_never_written.ntspool"));
   EXPECT_FALSE(missing.file_opened);
   EXPECT_FALSE(missing.header_valid);
 
-  const std::string path = TempPath("spool_empty.ntspool");
+  const std::string path = ScratchPath("spool_empty.ntspool");
   WriteFileBytes(path, {});
   const SpoolReadResult empty = SpoolReader::Read(path);
   EXPECT_TRUE(empty.file_opened);

@@ -15,6 +15,7 @@
 #include "src/stats/descriptive.h"
 #include "src/stats/distributions.h"
 #include "src/stats/tails.h"
+#include "tests/test_util.h"
 
 namespace ntrace {
 namespace {
@@ -392,7 +393,7 @@ TEST(WeightedCdf, FinalizeCoalescesAndMatchesReference) {
 
 TEST(WeightedCdf, SpillModeFinalizeIsByteIdentical) {
   Rng rng(0xD0D0CACA);
-  const std::string path = testing::TempDir() + "/cdf_spill_test";
+  const std::string path = ScratchPath("cdf_spill_test");
   // Several full chunks plus a resident tail; values repeat across chunks
   // so the external merge actually coalesces across run boundaries.
   std::vector<std::pair<double, double>> samples;

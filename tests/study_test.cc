@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/study/study.h"
+#include "tests/test_util.h"
 
 namespace ntrace {
 namespace {
@@ -123,6 +124,15 @@ TEST_F(StudyTest, SnapshotsSupportSection5) {
     EXPECT_GT(c.fullness, 0.2);
     EXPECT_LT(c.fullness, 0.95);
   }
+}
+
+// A columnar fleet leaves FleetResult::trace without records, so every row
+// analysis would silently compute over nothing: Run() must refuse it.
+TEST(StudyDeathTest, RunRejectsColumnarFleet) {
+  StudyConfig config = SmallStudy();
+  config.fleet.columnar_dir = ScratchPath("study_columnar");
+  Study study(config);
+  EXPECT_DEATH(study.Run(), "columnar_dir");
 }
 
 }  // namespace

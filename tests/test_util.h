@@ -1,9 +1,12 @@
-// Shared fixture pieces for tests: a single simulated system with one local
-// volume, cache manager, VM manager and trace filter, wired exactly like the
-// study fleet wires its machines.
+// Shared fixture pieces for tests: a per-process scratch path, and a single
+// simulated system with one local volume, cache manager, VM manager and
+// trace filter, wired exactly like the study fleet wires its machines.
 
 #ifndef TESTS_TEST_UTIL_H_
 #define TESTS_TEST_UTIL_H_
+
+#include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <memory>
 #include <string>
@@ -17,6 +20,14 @@
 #include "src/trace/trace_agent.h"
 
 namespace ntrace {
+
+// A file or directory path under testing::TempDir() that no other test
+// process uses. gtest_discover_tests runs every TEST in its own process and
+// `ctest -j` runs those side by side (the same TEST twice, for reruns such
+// as scan_parity_test_no_simd), so a fixed scratch name races.
+inline std::string ScratchPath(const std::string& name) {
+  return testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
+}
 
 // One traced machine with a "C:" volume. Members are public on purpose:
 // tests poke at every layer.

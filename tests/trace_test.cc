@@ -331,7 +331,7 @@ TEST(TraceSetIo, SaveLoadRoundTrip) {
   sys.io->CloseHandle(*fo);
   TraceSet& set = sys.FinishTrace();
 
-  const std::string path = "/tmp/ntrace_roundtrip_test.bin";
+  const std::string path = ScratchPath("ntrace_roundtrip_test.bin");
   ASSERT_TRUE(set.SaveTo(path));
   TraceSet loaded;
   ASSERT_TRUE(TraceSet::LoadFrom(path, &loaded));
@@ -347,7 +347,7 @@ TEST(TraceSetIo, SaveLoadRoundTrip) {
 }
 
 TEST(TraceSetIo, LoadRejectsGarbage) {
-  const std::string path = "/tmp/ntrace_garbage_test.bin";
+  const std::string path = ScratchPath("ntrace_garbage_test.bin");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   std::fputs("this is not a trace", f);
   std::fclose(f);
