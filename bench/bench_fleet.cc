@@ -376,7 +376,7 @@ int main() {
   // peak memory stops scaling with total record count. The leg's contract:
   // every record lands on disk (records_on_disk equals the in-memory run's
   // record count) and the batch scan over the merged extent stream is
-  // byte-identical to the row oracle over the in-memory merge.
+  // byte-identical to the row sweep over the in-memory merge.
   uint64_t records_on_disk = 0;
   bool columnar_identical = false;
   double columnar_seconds = 0;
@@ -394,7 +394,7 @@ int main() {
     columnar_seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
                            .count();
     records_on_disk = col_result.records_on_disk;
-    const uint64_t row_scan = ScanFingerprint(TraceScan::RunRows(row_result.trace));
+    const uint64_t row_scan = ScanFingerprint(TraceScan::Run(row_result.trace));
     const uint64_t col_scan = ScanFingerprint(TraceScan::Run(col_result.columnar));
     columnar_identical = col_result.columnar_mode && col_scan == row_scan &&
                          records_on_disk == row_result.trace.records.size();

@@ -1,17 +1,14 @@
-// Analysis-phase scan benchmark: the perf harness for the columnar batch
-// kernels (DESIGN.md §12).
+// Analysis-phase scan benchmark: the perf harness for the trace scans
+// (DESIGN.md §12).
 //
-// Builds the standard study trace once, then times three ways of computing
-// the same TraceScan over it:
+// Builds the standard study trace once, then times the one scan each trace
+// form has, computing the same TraceScan:
 //
-//   row      -- TraceScan::RunRows, the original record-at-a-time sweep
-//               over the row-major TraceSet (kept as the test oracle);
-//   batch    -- TraceScan::Run(TraceSet), rows transposed into column
-//               batches on the fly and fed to the SIMD kernels (what every
-//               analyzer gets when the fleet ran in row mode);
-//   columnar -- TraceScan::Run(ColumnarTraceSet), the kernels consuming
-//               resident column extents directly (what Study::Scan() uses
-//               after an out-of-core fleet run);
+//   row      -- TraceScan::Run(TraceSet), the record-at-a-time sweep over
+//               the row-major TraceSet (what every analyzer gets when the
+//               fleet ran in row mode);
+//   columnar -- TraceScan::Run(ColumnarTraceSet), the batch accumulator
+//               over resident column extents;
 //   disk     -- TraceScan::Run over a disk-backed compressed extent store,
 //               decode fused into the scan pass with column projection
 //               (the out-of-core rescan path; also reports the on-disk
@@ -19,9 +16,8 @@
 //
 // Every variant must produce a byte-identical TraceScan (ScanFingerprint);
 // the headline figure is the columnar ns/record at threads=1 and its
-// speedup over the row oracle, tracked in BENCH_scan.json against the
-// advisory floor in PERF_FLOOR.json ("scan": 300 ns/record, "speedup_vs_row"
-// >= 4).
+// speedup over the row sweep, tracked in BENCH_scan.json against the
+// advisory floor in PERF_FLOOR.json ("scan": 300 ns/record).
 //
 // Knobs (on top of the standard bench_common scale knobs):
 //   NTRACE_BENCH_REPS    timed repetitions per variant, best-of (default 3)
@@ -39,9 +35,9 @@
 #include "bench/bench_common.h"
 #include "src/trace/extent_store.h"
 
-// Track heap allocations during the timed scans: the batch path is supposed
-// to allocate O(columns) per chunk, not O(records), and a regression there
-// shows up here long before it shows up in wall clock.
+// Track heap allocations during the timed scans: the columnar scan is
+// supposed to allocate O(columns) per chunk, not O(records), and a
+// regression there shows up here long before it shows up in wall clock.
 NTRACE_DEFINE_ALLOC_HOOK()
 
 namespace ntrace {
@@ -143,8 +139,7 @@ int main() {
       compressed_bytes > 0 ? static_cast<double>(raw_bytes) / static_cast<double>(compressed_bytes)
                            : 0.0;
 
-  const ScanSample row = TimeScan(reps, [&] { return TraceScan::RunRows(trace); });
-  const ScanSample batch = TimeScan(reps, [&] { return TraceScan::Run(trace); });
+  const ScanSample row = TimeScan(reps, [&] { return TraceScan::Run(trace); });
   const ScanSample col = TimeScan(reps, [&] { return TraceScan::Run(columnar); });
   // FromFile (header + tail tables + counting prescan) is one-time setup:
   // ForEachBatch re-opens and re-streams the extent frames on every scan,
@@ -153,8 +148,7 @@ int main() {
   const ScanSample disk = TimeScan(reps, [&] { return TraceScan::Run(from_disk); });
   std::remove(cpath.c_str());
 
-  const bool all_identical = batch.fingerprint == row.fingerprint &&
-                             col.fingerprint == row.fingerprint &&
+  const bool all_identical = col.fingerprint == row.fingerprint &&
                              disk.fingerprint == row.fingerprint;
   const double speedup_vs_row = col.seconds > 0 ? row.seconds / col.seconds : 0.0;
   const uint64_t peak_rss = PeakRssBytes();
@@ -164,7 +158,7 @@ int main() {
   const struct {
     const char* name;
     const ScanSample* s;
-  } rows[] = {{"row", &row}, {"batch", &batch}, {"columnar", &col}, {"disk", &disk}};
+  } rows[] = {{"row", &row}, {"columnar", &col}, {"disk", &disk}};
   for (const auto& v : rows) {
     std::printf("%10s %10.4f %12.1f %14.0f %12llu %10s\n", v.name, v.s->seconds,
                 NsPerRecord(v.s->seconds, records),
@@ -172,7 +166,7 @@ int main() {
                 static_cast<unsigned long long>(v.s->alloc_count),
                 v.s->fingerprint == row.fingerprint ? "yes" : "NO");
   }
-  std::printf("columnar speedup vs row oracle: %.2fx (budget >= 4x, <= 300 ns/record)\n",
+  std::printf("columnar speedup vs row sweep: %.2fx (budget <= 300 ns/record)\n",
               speedup_vs_row);
   std::printf("compressed store: %.1f MB (%.2fx vs %.1f MB raw), disk scan %.1f ns/record\n",
               static_cast<double>(compressed_bytes) / (1024.0 * 1024.0), compression_ratio,
@@ -197,7 +191,6 @@ int main() {
   std::fprintf(f, "  \"records\": %llu,\n", static_cast<unsigned long long>(records));
   std::fprintf(f, "  \"all_identical\": %s,\n", all_identical ? "true" : "false");
   std::fprintf(f, "  \"row_ns_per_record\": %.1f,\n", NsPerRecord(row.seconds, records));
-  std::fprintf(f, "  \"batch_ns_per_record\": %.1f,\n", NsPerRecord(batch.seconds, records));
   std::fprintf(f, "  \"columnar_ns_per_record\": %.1f,\n", NsPerRecord(col.seconds, records));
   std::fprintf(f, "  \"speedup_vs_row\": %.3f,\n", speedup_vs_row);
   std::fprintf(f, "  \"disk_ns_per_record\": %.1f,\n", NsPerRecord(disk.seconds, records));

@@ -37,8 +37,11 @@ void Run() {
       rows.push_back({std::string("  ") + kPatternNames[p], FormatF(kPaperAccesses[u][p], 0),
                       FormatF(cell.accesses_pct, 1), FormatF(kPaperBytes[u][p], 0),
                       FormatF(cell.bytes_pct, 1),
-                      "[" + FormatF(cell.accesses_min, 0) + ".." +
-                          FormatF(cell.accesses_max, 0) + "]"});
+                      std::string("[")
+                          .append(FormatF(cell.accesses_min, 0))
+                          .append("..")
+                          .append(FormatF(cell.accesses_max, 0))
+                          .append("]")});
     }
   }
   std::printf("%s", RenderTable({"row", "paper acc%", "meas acc%", "paper byte%", "meas byte%",

@@ -2,14 +2,15 @@
 //
 // This is the 30-second tour of the library: configure a fleet, run it,
 // pull out a handful of the paper's headline numbers, and save the trace
-// for offline analysis.
+// (an NTCOLX01 extent store) for offline analysis.
 //
-//   $ ./quickstart [output.nttrace]
+//   $ ./quickstart [output.ntx]
 
 #include <cstdio>
 
 #include "src/base/format.h"
 #include "src/study/study.h"
+#include "src/trace/extent_store.h"
 
 int main(int argc, char** argv) {
   using namespace ntrace;
@@ -58,12 +59,13 @@ int main(int argc, char** argv) {
               sessions.data_open_p75_ms);
 
   // Persist the collection for later runs of the analyzers.
-  const char* path = argc > 1 ? argv[1] : "quickstart.nttrace";
+  const char* path = argc > 1 ? argv[1] : "quickstart.ntx";
   if (study.trace().SaveTo(path)) {
     std::printf("\ntrace saved to %s\n", path);
-    TraceSet reloaded;
-    if (TraceSet::LoadFrom(path, &reloaded)) {
-      std::printf("reload check: %zu records\n", reloaded.records.size());
+    const ColumnarTraceSet reloaded = ColumnarTraceSet::FromFile(path);
+    if (reloaded.read_stats().sealed) {
+      std::printf("reload check: %llu records\n",
+                  static_cast<unsigned long long>(reloaded.record_count()));
     }
   }
   return 0;

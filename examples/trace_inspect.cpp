@@ -1,14 +1,16 @@
-// Offline trace inspection: load a saved .nttrace collection and summarize
-// it -- the "data collection available for public inspection" workflow the
-// paper wanted to enable. Pairs with quickstart (which writes the file).
+// Offline trace inspection: load a saved .ntx collection (an NTCOLX01
+// extent store) and summarize it -- the "data collection available for
+// public inspection" workflow the paper wanted to enable. Pairs with
+// quickstart (which writes the file).
 //
-//   $ ./quickstart run.nttrace && ./trace_inspect run.nttrace
+//   $ ./quickstart run.ntx && ./trace_inspect run.ntx
 
 #include <cstdio>
 #include <map>
 
 #include "src/base/format.h"
 #include "src/stats/tails.h"
+#include "src/trace/extent_store.h"
 #include "src/trace/trace_set.h"
 #include "src/tracedb/instance_table.h"
 #include "src/workload/fleet.h"
@@ -20,10 +22,15 @@ int main(int argc, char** argv) {
   std::string source;
   if (argc > 1) {
     source = argv[1];
-    if (!TraceSet::LoadFrom(source, &trace)) {
+    const ColumnarTraceSet store = ColumnarTraceSet::FromFile(source);
+    if (!store.read_stats().header_valid) {
       std::fprintf(stderr, "cannot load %s\n", source.c_str());
       return 1;
     }
+    if (!store.read_stats().sealed) {
+      std::printf("note: %s is not sealed; reading its intact prefix\n", source.c_str());
+    }
+    trace = store.ToRows();
   } else {
     // No file given: synthesize a small one so the example is runnable
     // stand-alone.
@@ -43,6 +50,9 @@ int main(int argc, char** argv) {
 
   std::printf("trace %s: %zu records, %zu name records, %zu systems\n", source.c_str(),
               trace.records.size(), trace.names.size(), trace.SystemIds().size());
+  if (trace.records.empty()) {
+    return 0;
+  }
 
   // Event mix.
   std::map<uint16_t, uint64_t> by_event;

@@ -5,7 +5,6 @@
 
 #include "src/base/rng.h"
 #include "src/stats/distributions.h"
-#include "src/tracedb/instance_table.h"
 
 namespace ntrace {
 namespace {
@@ -130,8 +129,8 @@ TailDiagnostics BurstinessAnalyzer::Diagnose(std::string quantity, std::vector<d
   return diag;
 }
 
-std::vector<TailDiagnostics> BurstinessAnalyzer::SweepAll(const TraceSet& trace) {
-  const InstanceTable instances = InstanceTable::Build(trace);
+std::vector<TailDiagnostics> BurstinessAnalyzer::SweepAll(const TraceSet& trace,
+                                                          const InstanceTable& instances) {
   std::vector<double> interarrivals = OpenInterarrivalsMs(trace);
   std::vector<double> holding_ms;
   std::vector<double> session_bytes;

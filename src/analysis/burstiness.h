@@ -13,6 +13,7 @@
 #include "src/stats/descriptive.h"
 #include "src/stats/tails.h"
 #include "src/trace/trace_set.h"
+#include "src/tracedb/instance_table.h"
 
 namespace ntrace {
 
@@ -54,8 +55,9 @@ class BurstinessAnalyzer {
 
   // The section-7 sweep: Hill estimates for session inter-arrival times,
   // session holding times, read/write request sizes, per-session byte
-  // counts and file sizes.
-  static std::vector<TailDiagnostics> SweepAll(const TraceSet& trace);
+  // counts and file sizes. `instances` must be built over `trace`.
+  static std::vector<TailDiagnostics> SweepAll(const TraceSet& trace,
+                                               const InstanceTable& instances);
 };
 
 }  // namespace ntrace

@@ -5,14 +5,9 @@
 #include <algorithm>
 #include <string>
 
-#include "src/base/cpu.h"
 #include "src/base/time.h"
 #include "src/ntio/irp.h"
 #include "src/tracedb/dimensions.h"
-
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
 
 namespace ntrace {
 namespace {
@@ -34,436 +29,6 @@ inline size_t TallyIndex(uint16_t event, uint16_t status) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Cache-mix kernel
-// ---------------------------------------------------------------------------
-
-void CacheMixKernelPortable(const ColumnBatch& b, CacheMixTally* out) {
-  uint64_t pr = 0, prb = 0, pw = 0, pwb = 0, ra = 0, rab = 0, lw = 0, lwb = 0;
-  for (size_t i = 0; i < b.count; ++i) {
-    const uint32_t flags = b.irp_flags[i];
-    const uint16_t ev = b.event[i];
-    const uint64_t len = b.length[i];
-    // Branchless: every predicate is a 0/1 mask multiplied into the adds.
-    const uint64_t paging = flags & kIrpPagingIo;  // Bit 0.
-    const uint64_t is_read = paging & (ev == static_cast<uint16_t>(TraceEvent::kIrpRead) ? 1u : 0u);
-    const uint64_t is_write =
-        paging & (ev == static_cast<uint16_t>(TraceEvent::kIrpWrite) ? 1u : 0u);
-    const uint64_t is_ra = is_read & ((flags & kIrpReadAhead) != 0 ? 1u : 0u);
-    const uint64_t is_lw = is_write & ((flags & kIrpLazyWrite) != 0 ? 1u : 0u);
-    pr += is_read;
-    prb += is_read * len;
-    pw += is_write;
-    pwb += is_write * len;
-    ra += is_ra;
-    rab += is_ra * len;
-    lw += is_lw;
-    lwb += is_lw * len;
-  }
-  out->paging_reads += pr;
-  out->paging_read_bytes += prb;
-  out->paging_writes += pw;
-  out->paging_write_bytes += pwb;
-  out->readahead_records += ra;
-  out->readahead_bytes += rab;
-  out->lazywrite_records += lw;
-  out->lazywrite_bytes += lwb;
-}
-
-#if defined(__x86_64__)
-
-// Widened per-lane accumulation: counts come from movemask+popcount, byte
-// sums from mask&length widened to 64-bit lanes. Tails fall to portable.
-__attribute__((target("avx2"))) void CacheMixKernelAvx2(const ColumnBatch& b,
-                                                        CacheMixTally* out) {
-  const size_t n = b.count & ~size_t{7};
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i one = _mm256_set1_epi32(1);
-  const __m256i ev_read = _mm256_set1_epi32(static_cast<int>(TraceEvent::kIrpRead));
-  const __m256i ev_write = _mm256_set1_epi32(static_cast<int>(TraceEvent::kIrpWrite));
-  const __m256i ra_bit = _mm256_set1_epi32(static_cast<int>(kIrpReadAhead));
-  const __m256i lw_bit = _mm256_set1_epi32(static_cast<int>(kIrpLazyWrite));
-  __m256i prb = zero, pwb = zero, rab = zero, lwb = zero;
-  uint64_t pr = 0, pw = 0, ra = 0, lw = 0;
-  for (size_t i = 0; i < n; i += 8) {
-    const __m256i flags =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b.irp_flags + i));
-    const __m256i len = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b.length + i));
-    const __m256i ev = _mm256_cvtepu16_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b.event + i)));
-    // paging mask: all-ones lanes where bit 0 of irp_flags is set.
-    const __m256i paging = _mm256_cmpeq_epi32(_mm256_and_si256(flags, one), one);
-    const __m256i rmask = _mm256_and_si256(paging, _mm256_cmpeq_epi32(ev, ev_read));
-    const __m256i wmask = _mm256_and_si256(paging, _mm256_cmpeq_epi32(ev, ev_write));
-    const __m256i ramask =
-        _mm256_and_si256(rmask, _mm256_cmpeq_epi32(_mm256_and_si256(flags, ra_bit), ra_bit));
-    const __m256i lwmask =
-        _mm256_and_si256(wmask, _mm256_cmpeq_epi32(_mm256_and_si256(flags, lw_bit), lw_bit));
-    pr += __builtin_popcount(_mm256_movemask_ps(_mm256_castsi256_ps(rmask)));
-    pw += __builtin_popcount(_mm256_movemask_ps(_mm256_castsi256_ps(wmask)));
-    ra += __builtin_popcount(_mm256_movemask_ps(_mm256_castsi256_ps(ramask)));
-    lw += __builtin_popcount(_mm256_movemask_ps(_mm256_castsi256_ps(lwmask)));
-    const __m256i rlen = _mm256_and_si256(rmask, len);
-    const __m256i wlen = _mm256_and_si256(wmask, len);
-    const __m256i ralen = _mm256_and_si256(ramask, len);
-    const __m256i lwlen = _mm256_and_si256(lwmask, len);
-    prb = _mm256_add_epi64(prb, _mm256_add_epi64(_mm256_unpacklo_epi32(rlen, zero),
-                                                 _mm256_unpackhi_epi32(rlen, zero)));
-    pwb = _mm256_add_epi64(pwb, _mm256_add_epi64(_mm256_unpacklo_epi32(wlen, zero),
-                                                 _mm256_unpackhi_epi32(wlen, zero)));
-    rab = _mm256_add_epi64(rab, _mm256_add_epi64(_mm256_unpacklo_epi32(ralen, zero),
-                                                 _mm256_unpackhi_epi32(ralen, zero)));
-    lwb = _mm256_add_epi64(lwb, _mm256_add_epi64(_mm256_unpacklo_epi32(lwlen, zero),
-                                                 _mm256_unpackhi_epi32(lwlen, zero)));
-  }
-  alignas(32) uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), prb);
-  out->paging_read_bytes += lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), pwb);
-  out->paging_write_bytes += lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), rab);
-  out->readahead_bytes += lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), lwb);
-  out->lazywrite_bytes += lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  out->paging_reads += pr;
-  out->paging_writes += pw;
-  out->readahead_records += ra;
-  out->lazywrite_records += lw;
-  if (n < b.count) {
-    ColumnBatch tail = b;
-    tail.irp_flags += n;
-    tail.event += n;
-    tail.length += n;
-    tail.count = b.count - n;
-    CacheMixKernelPortable(tail, out);
-  }
-}
-
-__attribute__((target("sse4.2"))) void CacheMixKernelSse42(const ColumnBatch& b,
-                                                           CacheMixTally* out) {
-  const size_t n = b.count & ~size_t{3};
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i one = _mm_set1_epi32(1);
-  const __m128i ev_read = _mm_set1_epi32(static_cast<int>(TraceEvent::kIrpRead));
-  const __m128i ev_write = _mm_set1_epi32(static_cast<int>(TraceEvent::kIrpWrite));
-  const __m128i ra_bit = _mm_set1_epi32(static_cast<int>(kIrpReadAhead));
-  const __m128i lw_bit = _mm_set1_epi32(static_cast<int>(kIrpLazyWrite));
-  __m128i prb = zero, pwb = zero, rab = zero, lwb = zero;
-  uint64_t pr = 0, pw = 0, ra = 0, lw = 0;
-  for (size_t i = 0; i < n; i += 4) {
-    const __m128i flags = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b.irp_flags + i));
-    const __m128i len = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b.length + i));
-    const __m128i ev =
-        _mm_cvtepu16_epi32(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(b.event + i)));
-    const __m128i paging = _mm_cmpeq_epi32(_mm_and_si128(flags, one), one);
-    const __m128i rmask = _mm_and_si128(paging, _mm_cmpeq_epi32(ev, ev_read));
-    const __m128i wmask = _mm_and_si128(paging, _mm_cmpeq_epi32(ev, ev_write));
-    const __m128i ramask =
-        _mm_and_si128(rmask, _mm_cmpeq_epi32(_mm_and_si128(flags, ra_bit), ra_bit));
-    const __m128i lwmask =
-        _mm_and_si128(wmask, _mm_cmpeq_epi32(_mm_and_si128(flags, lw_bit), lw_bit));
-    pr += __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(rmask)));
-    pw += __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(wmask)));
-    ra += __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(ramask)));
-    lw += __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(lwmask)));
-    const __m128i rlen = _mm_and_si128(rmask, len);
-    const __m128i wlen = _mm_and_si128(wmask, len);
-    const __m128i ralen = _mm_and_si128(ramask, len);
-    const __m128i lwlen = _mm_and_si128(lwmask, len);
-    prb = _mm_add_epi64(prb, _mm_add_epi64(_mm_unpacklo_epi32(rlen, zero),
-                                           _mm_unpackhi_epi32(rlen, zero)));
-    pwb = _mm_add_epi64(pwb, _mm_add_epi64(_mm_unpacklo_epi32(wlen, zero),
-                                           _mm_unpackhi_epi32(wlen, zero)));
-    rab = _mm_add_epi64(rab, _mm_add_epi64(_mm_unpacklo_epi32(ralen, zero),
-                                           _mm_unpackhi_epi32(ralen, zero)));
-    lwb = _mm_add_epi64(lwb, _mm_add_epi64(_mm_unpacklo_epi32(lwlen, zero),
-                                           _mm_unpackhi_epi32(lwlen, zero)));
-  }
-  alignas(16) uint64_t lanes[2];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), prb);
-  out->paging_read_bytes += lanes[0] + lanes[1];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), pwb);
-  out->paging_write_bytes += lanes[0] + lanes[1];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), rab);
-  out->readahead_bytes += lanes[0] + lanes[1];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), lwb);
-  out->lazywrite_bytes += lanes[0] + lanes[1];
-  out->paging_reads += pr;
-  out->paging_writes += pw;
-  out->readahead_records += ra;
-  out->lazywrite_records += lw;
-  if (n < b.count) {
-    ColumnBatch tail = b;
-    tail.irp_flags += n;
-    tail.event += n;
-    tail.length += n;
-    tail.count = b.count - n;
-    CacheMixKernelPortable(tail, out);
-  }
-}
-
-#endif  // __x86_64__
-
-void CacheMixKernel(const ColumnBatch& b, CacheMixTally* out) {
-#if defined(__x86_64__)
-  if (CpuHasAvx2()) {
-    CacheMixKernelAvx2(b, out);
-    return;
-  }
-  if (CpuHasSse42()) {
-    CacheMixKernelSse42(b, out);
-    return;
-  }
-#endif
-  CacheMixKernelPortable(b, out);
-}
-
-// ---------------------------------------------------------------------------
-// Transfer pre-count kernel
-// ---------------------------------------------------------------------------
-
-void TransferPrecountKernelPortable(const ColumnBatch& b, TransferPrecountTally* out) {
-  uint64_t ir = 0, iw = 0, fr = 0, fw = 0;
-  for (size_t i = 0; i < b.count; ++i) {
-    const uint64_t nonpaging = (b.irp_flags[i] & kIrpPagingIo) == 0 ? 1u : 0u;
-    const uint16_t ev = b.event[i];
-    ir += nonpaging & (ev == static_cast<uint16_t>(TraceEvent::kIrpRead) ? 1u : 0u);
-    iw += nonpaging & (ev == static_cast<uint16_t>(TraceEvent::kIrpWrite) ? 1u : 0u);
-    fr += nonpaging & (ev == static_cast<uint16_t>(TraceEvent::kFastIoRead) ? 1u : 0u);
-    fw += nonpaging & (ev == static_cast<uint16_t>(TraceEvent::kFastIoWrite) ? 1u : 0u);
-  }
-  out->irp_reads += ir;
-  out->irp_writes += iw;
-  out->fastio_reads += fr;
-  out->fastio_writes += fw;
-}
-
-#if defined(__x86_64__)
-
-__attribute__((target("avx2"))) void TransferPrecountKernelAvx2(const ColumnBatch& b,
-                                                                TransferPrecountTally* out) {
-  const size_t n = b.count & ~size_t{7};
-  const __m256i one = _mm256_set1_epi32(1);
-  const __m256i ev_iread = _mm256_set1_epi32(static_cast<int>(TraceEvent::kIrpRead));
-  const __m256i ev_iwrite = _mm256_set1_epi32(static_cast<int>(TraceEvent::kIrpWrite));
-  const __m256i ev_fread = _mm256_set1_epi32(static_cast<int>(TraceEvent::kFastIoRead));
-  const __m256i ev_fwrite = _mm256_set1_epi32(static_cast<int>(TraceEvent::kFastIoWrite));
-  uint64_t ir = 0, iw = 0, fr = 0, fw = 0;
-  for (size_t i = 0; i < n; i += 8) {
-    const __m256i flags =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b.irp_flags + i));
-    const __m256i ev = _mm256_cvtepu16_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b.event + i)));
-    const __m256i nonpaging =
-        _mm256_cmpeq_epi32(_mm256_and_si256(flags, one), _mm256_setzero_si256());
-    const __m256i irm = _mm256_and_si256(nonpaging, _mm256_cmpeq_epi32(ev, ev_iread));
-    const __m256i iwm = _mm256_and_si256(nonpaging, _mm256_cmpeq_epi32(ev, ev_iwrite));
-    const __m256i frm = _mm256_and_si256(nonpaging, _mm256_cmpeq_epi32(ev, ev_fread));
-    const __m256i fwm = _mm256_and_si256(nonpaging, _mm256_cmpeq_epi32(ev, ev_fwrite));
-    ir += __builtin_popcount(_mm256_movemask_ps(_mm256_castsi256_ps(irm)));
-    iw += __builtin_popcount(_mm256_movemask_ps(_mm256_castsi256_ps(iwm)));
-    fr += __builtin_popcount(_mm256_movemask_ps(_mm256_castsi256_ps(frm)));
-    fw += __builtin_popcount(_mm256_movemask_ps(_mm256_castsi256_ps(fwm)));
-  }
-  out->irp_reads += ir;
-  out->irp_writes += iw;
-  out->fastio_reads += fr;
-  out->fastio_writes += fw;
-  if (n < b.count) {
-    ColumnBatch tail = b;
-    tail.irp_flags += n;
-    tail.event += n;
-    tail.count = b.count - n;
-    TransferPrecountKernelPortable(tail, out);
-  }
-}
-
-__attribute__((target("sse4.2"))) void TransferPrecountKernelSse42(const ColumnBatch& b,
-                                                                   TransferPrecountTally* out) {
-  const size_t n = b.count & ~size_t{3};
-  const __m128i one = _mm_set1_epi32(1);
-  const __m128i ev_iread = _mm_set1_epi32(static_cast<int>(TraceEvent::kIrpRead));
-  const __m128i ev_iwrite = _mm_set1_epi32(static_cast<int>(TraceEvent::kIrpWrite));
-  const __m128i ev_fread = _mm_set1_epi32(static_cast<int>(TraceEvent::kFastIoRead));
-  const __m128i ev_fwrite = _mm_set1_epi32(static_cast<int>(TraceEvent::kFastIoWrite));
-  uint64_t ir = 0, iw = 0, fr = 0, fw = 0;
-  for (size_t i = 0; i < n; i += 4) {
-    const __m128i flags = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b.irp_flags + i));
-    const __m128i ev =
-        _mm_cvtepu16_epi32(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(b.event + i)));
-    const __m128i nonpaging = _mm_cmpeq_epi32(_mm_and_si128(flags, one), _mm_setzero_si128());
-    const __m128i irm = _mm_and_si128(nonpaging, _mm_cmpeq_epi32(ev, ev_iread));
-    const __m128i iwm = _mm_and_si128(nonpaging, _mm_cmpeq_epi32(ev, ev_iwrite));
-    const __m128i frm = _mm_and_si128(nonpaging, _mm_cmpeq_epi32(ev, ev_fread));
-    const __m128i fwm = _mm_and_si128(nonpaging, _mm_cmpeq_epi32(ev, ev_fwrite));
-    ir += __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(irm)));
-    iw += __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(iwm)));
-    fr += __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(frm)));
-    fw += __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(fwm)));
-  }
-  out->irp_reads += ir;
-  out->irp_writes += iw;
-  out->fastio_reads += fr;
-  out->fastio_writes += fw;
-  if (n < b.count) {
-    ColumnBatch tail = b;
-    tail.irp_flags += n;
-    tail.event += n;
-    tail.count = b.count - n;
-    TransferPrecountKernelPortable(tail, out);
-  }
-}
-
-#endif  // __x86_64__
-
-void TransferPrecountKernel(const ColumnBatch& b, TransferPrecountTally* out) {
-#if defined(__x86_64__)
-  if (CpuHasAvx2()) {
-    TransferPrecountKernelAvx2(b, out);
-    return;
-  }
-  if (CpuHasSse42()) {
-    TransferPrecountKernelSse42(b, out);
-    return;
-  }
-#endif
-  TransferPrecountKernelPortable(b, out);
-}
-
-// ---------------------------------------------------------------------------
-// Control-predicate kernel
-// ---------------------------------------------------------------------------
-
-void ControlPredicateKernelPortable(const ColumnBatch& b, ControlPredicateTally* out) {
-  uint64_t vmc = 0, seteof = 0;
-  for (size_t i = 0; i < b.count; ++i) {
-    const uint64_t nonpaging = (b.irp_flags[i] & kIrpPagingIo) == 0 ? 1u : 0u;
-    const uint16_t ev = b.event[i];
-    const uint64_t is_control =
-        (ev == static_cast<uint16_t>(TraceEvent::kIrpFileSystemControl) ||
-         ev == static_cast<uint16_t>(TraceEvent::kIrpDeviceControl))
-            ? 1u
-            : 0u;
-    const uint64_t is_setinfo =
-        ev == static_cast<uint16_t>(TraceEvent::kIrpSetInformation) ? 1u : 0u;
-    vmc += nonpaging & is_control &
-           (b.fsctl[i] == static_cast<uint8_t>(FsctlCode::kIsVolumeMounted) ? 1u : 0u);
-    seteof += nonpaging & is_setinfo &
-              (b.info_class[i] == static_cast<uint8_t>(FileInfoClass::kEndOfFile) ? 1u : 0u);
-  }
-  out->volume_mounted_checks += vmc;
-  out->seteof_ops += seteof;
-}
-
-#if defined(__x86_64__)
-
-__attribute__((target("avx2"))) void ControlPredicateKernelAvx2(const ColumnBatch& b,
-                                                                ControlPredicateTally* out) {
-  const size_t n = b.count & ~size_t{7};
-  const __m256i one = _mm256_set1_epi32(1);
-  const __m256i ev_fsctl = _mm256_set1_epi32(static_cast<int>(TraceEvent::kIrpFileSystemControl));
-  const __m256i ev_devctl = _mm256_set1_epi32(static_cast<int>(TraceEvent::kIrpDeviceControl));
-  const __m256i ev_setinfo = _mm256_set1_epi32(static_cast<int>(TraceEvent::kIrpSetInformation));
-  const __m256i fsctl_vmc = _mm256_set1_epi32(static_cast<int>(FsctlCode::kIsVolumeMounted));
-  const __m256i info_eof = _mm256_set1_epi32(static_cast<int>(FileInfoClass::kEndOfFile));
-  uint64_t vmc = 0, seteof = 0;
-  for (size_t i = 0; i < n; i += 8) {
-    const __m256i flags =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b.irp_flags + i));
-    const __m256i ev = _mm256_cvtepu16_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b.event + i)));
-    // 8 bytes of each u8 column, widened to 32-bit lanes.
-    const __m256i fsctl = _mm256_cvtepu8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b.fsctl + i)));
-    const __m256i info = _mm256_cvtepu8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b.info_class + i)));
-    const __m256i nonpaging =
-        _mm256_cmpeq_epi32(_mm256_and_si256(flags, one), _mm256_setzero_si256());
-    const __m256i is_control = _mm256_or_si256(_mm256_cmpeq_epi32(ev, ev_fsctl),
-                                               _mm256_cmpeq_epi32(ev, ev_devctl));
-    const __m256i vmask = _mm256_and_si256(
-        nonpaging, _mm256_and_si256(is_control, _mm256_cmpeq_epi32(fsctl, fsctl_vmc)));
-    const __m256i smask = _mm256_and_si256(
-        nonpaging, _mm256_and_si256(_mm256_cmpeq_epi32(ev, ev_setinfo),
-                                    _mm256_cmpeq_epi32(info, info_eof)));
-    vmc += __builtin_popcount(_mm256_movemask_ps(_mm256_castsi256_ps(vmask)));
-    seteof += __builtin_popcount(_mm256_movemask_ps(_mm256_castsi256_ps(smask)));
-  }
-  out->volume_mounted_checks += vmc;
-  out->seteof_ops += seteof;
-  if (n < b.count) {
-    ColumnBatch tail = b;
-    tail.irp_flags += n;
-    tail.event += n;
-    tail.fsctl += n;
-    tail.info_class += n;
-    tail.count = b.count - n;
-    ControlPredicateKernelPortable(tail, out);
-  }
-}
-
-__attribute__((target("sse4.2"))) void ControlPredicateKernelSse42(const ColumnBatch& b,
-                                                                   ControlPredicateTally* out) {
-  const size_t n = b.count & ~size_t{3};
-  const __m128i one = _mm_set1_epi32(1);
-  const __m128i ev_fsctl = _mm_set1_epi32(static_cast<int>(TraceEvent::kIrpFileSystemControl));
-  const __m128i ev_devctl = _mm_set1_epi32(static_cast<int>(TraceEvent::kIrpDeviceControl));
-  const __m128i ev_setinfo = _mm_set1_epi32(static_cast<int>(TraceEvent::kIrpSetInformation));
-  const __m128i fsctl_vmc = _mm_set1_epi32(static_cast<int>(FsctlCode::kIsVolumeMounted));
-  const __m128i info_eof = _mm_set1_epi32(static_cast<int>(FileInfoClass::kEndOfFile));
-  uint64_t vmc = 0, seteof = 0;
-  for (size_t i = 0; i < n; i += 4) {
-    const __m128i flags = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b.irp_flags + i));
-    const __m128i ev =
-        _mm_cvtepu16_epi32(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(b.event + i)));
-    const __m128i fsctl = _mm_cvtepu8_epi32(_mm_cvtsi32_si128(
-        static_cast<int>(*reinterpret_cast<const uint32_t*>(b.fsctl + i))));
-    const __m128i info = _mm_cvtepu8_epi32(_mm_cvtsi32_si128(
-        static_cast<int>(*reinterpret_cast<const uint32_t*>(b.info_class + i))));
-    const __m128i nonpaging = _mm_cmpeq_epi32(_mm_and_si128(flags, one), _mm_setzero_si128());
-    const __m128i is_control =
-        _mm_or_si128(_mm_cmpeq_epi32(ev, ev_fsctl), _mm_cmpeq_epi32(ev, ev_devctl));
-    const __m128i vmask =
-        _mm_and_si128(nonpaging, _mm_and_si128(is_control, _mm_cmpeq_epi32(fsctl, fsctl_vmc)));
-    const __m128i smask = _mm_and_si128(
-        nonpaging,
-        _mm_and_si128(_mm_cmpeq_epi32(ev, ev_setinfo), _mm_cmpeq_epi32(info, info_eof)));
-    vmc += __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(vmask)));
-    seteof += __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(smask)));
-  }
-  out->volume_mounted_checks += vmc;
-  out->seteof_ops += seteof;
-  if (n < b.count) {
-    ColumnBatch tail = b;
-    tail.irp_flags += n;
-    tail.event += n;
-    tail.fsctl += n;
-    tail.info_class += n;
-    tail.count = b.count - n;
-    ControlPredicateKernelPortable(tail, out);
-  }
-}
-
-#endif  // __x86_64__
-
-void ControlPredicateKernel(const ColumnBatch& b, ControlPredicateTally* out) {
-#if defined(__x86_64__)
-  if (CpuHasAvx2()) {
-    ControlPredicateKernelAvx2(b, out);
-    return;
-  }
-  if (CpuHasSse42()) {
-    ControlPredicateKernelSse42(b, out);
-    return;
-  }
-#endif
-  ControlPredicateKernelPortable(b, out);
-}
-
-// ---------------------------------------------------------------------------
-// ScanAccumulator
-// ---------------------------------------------------------------------------
 
 ScanAccumulator::ScanAccumulator() : tally_(kTallyEvents * kTallyStatuses, 0) {}
 
@@ -521,33 +86,13 @@ void ScanAccumulator::EmitWrite(RunState& s) {
 
 void ScanAccumulator::Consume(const ColumnBatch& b) {
   out_.records_scanned += b.count;
-  // Vector pass: paging transfer mix and the control predicates, whole
-  // batch at a time.
-  CacheMixKernel(b, &cache_mix_);
-  ControlPredicateKernel(b, &control_predicates_);
-
-  // Pre-count the batch's CDF appends so the scalar loop never grows a
-  // sample vector mid-batch (ReserveAdditional keeps growth geometric
-  // across batches, so this is not quadratic).
-  TransferPrecountTally pre;
-  TransferPrecountKernel(b, &pre);
-  out_.irp_read_latency_us.ReserveAdditional(pre.irp_reads);
-  out_.irp_read_size.ReserveAdditional(pre.irp_reads);
-  out_.irp_write_latency_us.ReserveAdditional(pre.irp_writes);
-  out_.irp_write_size.ReserveAdditional(pre.irp_writes);
-  out_.fastio_read_latency_us.ReserveAdditional(pre.fastio_reads);
-  out_.fastio_read_size.ReserveAdditional(pre.fastio_reads);
-  out_.fastio_write_latency_us.ReserveAdditional(pre.fastio_writes);
-  out_.fastio_write_size.ReserveAdditional(pre.fastio_writes);
-  out_.read_sizes.ReserveAdditional(pre.irp_reads + pre.fastio_reads);
-  out_.write_sizes.ReserveAdditional(pre.irp_writes + pre.fastio_writes);
-
-  // Scalar pass: hash-table state (active seconds, run chains, flush set),
-  // per-record CDF appends and the (event, status) tally. Same record
-  // order and per-record arithmetic as the row oracle.
+  // Same record order and per-record arithmetic as the row sweep.
   constexpr uint16_t kEvRead = static_cast<uint16_t>(TraceEvent::kIrpRead);
   constexpr uint16_t kEvWrite = static_cast<uint16_t>(TraceEvent::kIrpWrite);
   constexpr uint16_t kEvFlush = static_cast<uint16_t>(TraceEvent::kIrpFlushBuffers);
+  constexpr uint16_t kEvFsctl = static_cast<uint16_t>(TraceEvent::kIrpFileSystemControl);
+  constexpr uint16_t kEvDevctl = static_cast<uint16_t>(TraceEvent::kIrpDeviceControl);
+  constexpr uint16_t kEvSetInfo = static_cast<uint16_t>(TraceEvent::kIrpSetInformation);
   constexpr uint16_t kEvFastRead = static_cast<uint16_t>(TraceEvent::kFastIoRead);
   constexpr uint16_t kEvFastWrite = static_cast<uint16_t>(TraceEvent::kFastIoWrite);
   WeightedCdf* const lat_cdf[4] = {&out_.irp_read_latency_us, &out_.irp_write_latency_us,
@@ -560,8 +105,26 @@ void ScanAccumulator::Consume(const ColumnBatch& b) {
     if (ev == kEvFlush) {
       out_.flushed_files.emplace(b.file_object[i], uint8_t{1});
     }
-    if ((b.irp_flags[i] & kIrpPagingIo) != 0) {
-      continue;  // Cache mix already tallied by the vector pass.
+    const uint32_t flags = b.irp_flags[i];
+    if ((flags & kIrpPagingIo) != 0) {
+      // Cc/Mm-originated transfer: the cache mix only.
+      const uint32_t len = b.length[i];
+      if (ev == kEvRead) {
+        ++out_.paging_reads;
+        out_.paging_read_bytes += len;
+        if ((flags & kIrpReadAhead) != 0) {
+          ++out_.readahead_records;
+          out_.readahead_bytes += len;
+        }
+      } else if (ev == kEvWrite) {
+        ++out_.paging_writes;
+        out_.paging_write_bytes += len;
+        if ((flags & kIrpLazyWrite) != 0) {
+          ++out_.lazywrite_records;
+          out_.lazywrite_bytes += len;
+        }
+      }
+      continue;
     }
 
     // Active (system, second) pairs: the dense last-second table bypasses
@@ -594,9 +157,16 @@ void ScanAccumulator::Consume(const ColumnBatch& b) {
     out_.attributed += cls != 0 ? 1 : 0;
     out_.non_interactive += cls == 2 ? 1 : 0;
 
-    // One branch-free increment replaces the row switch; the named
-    // counters fold out of the table in Finish().
+    // One increment replaces the row switch; the named counters fold out of
+    // the table in Finish(). The two argument predicates count here.
     ++tally_[TallyIndex(ev, b.status[i])];
+    if ((ev == kEvFsctl || ev == kEvDevctl) &&
+        b.fsctl[i] == static_cast<uint8_t>(FsctlCode::kIsVolumeMounted)) {
+      ++out_.volume_mounted_checks;
+    }
+    if (ev == kEvSetInfo && b.info_class[i] == static_cast<uint8_t>(FileInfoClass::kEndOfFile)) {
+      ++out_.seteof_ops;
+    }
 
     // Transfers: run-chain state, size buckets, size/latency CDF appends.
     const bool is_write = ev == kEvWrite || ev == kEvFastWrite;
@@ -705,18 +275,6 @@ TraceScan ScanAccumulator::Finish() {
   out_.read_fallbacks = sum_all(row(TraceEvent::kFastIoReadNotPossible));
   out_.write_fallbacks = sum_all(row(TraceEvent::kFastIoWriteNotPossible));
 
-  out_.volume_mounted_checks = control_predicates_.volume_mounted_checks;
-  out_.seteof_ops = control_predicates_.seteof_ops;
-
-  out_.paging_reads = cache_mix_.paging_reads;
-  out_.paging_read_bytes = cache_mix_.paging_read_bytes;
-  out_.paging_writes = cache_mix_.paging_writes;
-  out_.paging_write_bytes = cache_mix_.paging_write_bytes;
-  out_.readahead_records = cache_mix_.readahead_records;
-  out_.readahead_bytes = cache_mix_.readahead_bytes;
-  out_.lazywrite_records = cache_mix_.lazywrite_records;
-  out_.lazywrite_bytes = cache_mix_.lazywrite_bytes;
-
   // Close the still-open run chains. Emission order differs from the row
   // path's FlatMap walk, but WeightedCdf sorts on Finalize and run samples
   // carry value-determined weights, so the distributions are identical.
@@ -744,7 +302,7 @@ TraceScan ScanAccumulator::Finish() {
   return std::move(out_);
 }
 
-TraceScan ScanColumnar(const ColumnarTraceSet& trace) {
+TraceScan TraceScan::Run(const ColumnarTraceSet& trace) {
   ScanAccumulator acc;
   if (trace.disk_backed()) {
     // Out-of-core scan: the store streams extent by extent, so the CDF

@@ -1,10 +1,8 @@
-// Batch scan kernels over columnar trace extents (DESIGN.md §12).
+// The columnar scan (DESIGN.md §12): TraceScan over ColumnBatch column
+// arrays, one scalar pass per batch.
 //
-// TraceScan's row loop pays three per-record costs that dominate its
-// profile: a string hash to classify the requesting process, a hash-set
-// emplace to count active (system, second) pairs, and a ~20-way switch on
-// the event code. The kernels here compute the same aggregates over
-// ColumnBatch column arrays with those costs removed:
+// The row sweep (TraceScan::Run over a TraceSet) pays three per-record
+// costs that the column layout lets this pass drop:
 //
 //   * process classification memoizes per pid (one string hash per distinct
 //     pid per trace, not per record) in a dense byte table;
@@ -12,21 +10,15 @@
 //     time-sorted trace the hash set is touched once per new second, not
 //     once per record (and out-of-order input still counts exactly, the
 //     set is only bypassed when the second repeats);
-//   * the event switch becomes one branch-free increment into a
-//     64x64 (event, status) tally table, folded into the named counters
-//     once per scan;
-//   * the cache/paging transfer mix and the control-operation predicates
-//     (is-volume-mounted probes, set-end-of-file) vectorize: SSE4.2/AVX2
-//     kernels with a portable branchless fallback, runtime-dispatched via
-//     src/base/cpu.h exactly like the CRC-32C codec. NTRACE_NO_SIMD=1
-//     forces the portable paths; the parity tests pin both equal.
+//   * the event switch becomes one increment into a 64x64 (event, status)
+//     tally table, folded into the named counters once per scan.
 //
-// Everything parity-critical keeps the row path's exact arithmetic: the
+// Everything parity-critical keeps the row sweep's exact arithmetic: the
 // latency double is the same SimDuration expression, CDF sample multisets
 // are identical (WeightedCdf sorts on Finalize, so per-file emission order
 // never shows), and the (event, status) fold applies the same NtError /
-// special-status predicates as the row switch. TraceScan::RunRows stays
-// around as the oracle; tests/scan_parity_test.cc holds the two equal.
+// special-status predicates as the row switch. The two stay separate code
+// so each is the other's oracle: tests/scan_parity_test.cc holds them equal.
 
 #ifndef SRC_ANALYSIS_SCAN_KERNELS_H_
 #define SRC_ANALYSIS_SCAN_KERNELS_H_
@@ -41,68 +33,9 @@
 
 namespace ntrace {
 
-// --- Vector kernels ---------------------------------------------------------
-// Each kernel has portable / SSE4.2 / AVX2 variants with identical integer
-// results; the unsuffixed entry point dispatches on the running CPU. The
-// suffixed variants are exported so the parity test can pin them equal
-// directly (the env knob NTRACE_NO_SIMD covers the dispatch route).
-
-// Cache-manager transfer mix over one batch: counts and byte sums of
-// paging-flagged reads/writes and their read-ahead / lazy-write subsets.
-// Mirrors the row path's IsPagingIo branch bit for bit.
-struct CacheMixTally {
-  uint64_t paging_reads = 0;
-  uint64_t paging_read_bytes = 0;
-  uint64_t paging_writes = 0;
-  uint64_t paging_write_bytes = 0;
-  uint64_t readahead_records = 0;
-  uint64_t readahead_bytes = 0;
-  uint64_t lazywrite_records = 0;
-  uint64_t lazywrite_bytes = 0;
-};
-void CacheMixKernel(const ColumnBatch& b, CacheMixTally* out);
-void CacheMixKernelPortable(const ColumnBatch& b, CacheMixTally* out);
-#if defined(__x86_64__)
-void CacheMixKernelSse42(const ColumnBatch& b, CacheMixTally* out);
-void CacheMixKernelAvx2(const ColumnBatch& b, CacheMixTally* out);
-#endif
-
-// Non-paging transfer counts per mechanism over one batch. These are the
-// exact CDF append counts of the scalar pass (each such record appends one
-// latency and one size sample, and reads/writes one size-distribution
-// sample), so the accumulator can reserve every CDF's appends up front and
-// the append loop never reallocates mid-batch.
-struct TransferPrecountTally {
-  uint64_t irp_reads = 0;
-  uint64_t irp_writes = 0;
-  uint64_t fastio_reads = 0;
-  uint64_t fastio_writes = 0;
-};
-void TransferPrecountKernel(const ColumnBatch& b, TransferPrecountTally* out);
-void TransferPrecountKernelPortable(const ColumnBatch& b, TransferPrecountTally* out);
-#if defined(__x86_64__)
-void TransferPrecountKernelSse42(const ColumnBatch& b, TransferPrecountTally* out);
-void TransferPrecountKernelAvx2(const ColumnBatch& b, TransferPrecountTally* out);
-#endif
-
-// Control-operation predicates over the non-paging records of one batch:
-// IS_VOLUME_MOUNTED probes among FS/device control ops and end-of-file
-// truncations among SetInformation ops.
-struct ControlPredicateTally {
-  uint64_t volume_mounted_checks = 0;
-  uint64_t seteof_ops = 0;
-};
-void ControlPredicateKernel(const ColumnBatch& b, ControlPredicateTally* out);
-void ControlPredicateKernelPortable(const ColumnBatch& b, ControlPredicateTally* out);
-#if defined(__x86_64__)
-void ControlPredicateKernelSse42(const ColumnBatch& b, ControlPredicateTally* out);
-void ControlPredicateKernelAvx2(const ColumnBatch& b, ControlPredicateTally* out);
-#endif
-
-// --- ScanAccumulator --------------------------------------------------------
 // Streaming accumulator: feed process names once, then Consume() every
 // batch in trace order, then Finish(). Produces a TraceScan identical to
-// TraceScan::RunRows over the same records.
+// the row sweep, TraceScan::Run(const TraceSet&), over the same records.
 class ScanAccumulator {
  public:
   ScanAccumulator();
@@ -141,8 +74,6 @@ class ScanAccumulator {
   void EmitWrite(RunState& s);
 
   TraceScan out_;
-  CacheMixTally cache_mix_;
-  ControlPredicateTally control_predicates_;
 
   // (event, status) occurrence counts for non-paging records; both axes
   // clamped to 63 (clamped codes fold into no named counter, exactly like
@@ -176,9 +107,6 @@ inline constexpr uint32_t kScanColumnMask =
     (1u << kExtentCol_complete_ticks) | (1u << kExtentCol_start_ticks) |
     (1u << kExtentCol_system_id) | (1u << kExtentCol_process_id) | (1u << kExtentCol_fsctl) |
     (1u << kExtentCol_info_class);
-
-// Convenience wrappers (the TraceScan entry points call these).
-TraceScan ScanColumnar(const ColumnarTraceSet& trace);
 
 }  // namespace ntrace
 

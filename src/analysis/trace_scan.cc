@@ -1,9 +1,5 @@
 #include "src/analysis/trace_scan.h"
 
-#include <algorithm>
-
-#include "src/analysis/scan_kernels.h"
-#include "src/trace/extent_store.h"
 #include "src/tracedb/dimensions.h"
 
 namespace ntrace {
@@ -43,29 +39,6 @@ void EmitWrite(TraceScan& out, RunState& s) {
 }  // namespace
 
 TraceScan TraceScan::Run(const TraceSet& trace) {
-  // One code path: rows transpose into column batches one extent at a time
-  // (a straight memory copy) and the batch kernels do all the analysis.
-  ScanAccumulator acc;
-  for (const auto& [pid, name] : trace.process_names) {
-    acc.AddProcessName(pid, name);
-  }
-  const size_t n = trace.records.size();
-  ColumnarExtent chunk;
-  chunk.Reserve(std::min<size_t>(n, kDefaultExtentRecords));
-  for (size_t base = 0; base < n; base += kDefaultExtentRecords) {
-    const size_t end = std::min(n, base + kDefaultExtentRecords);
-    chunk.Clear();
-    for (size_t i = base; i < end; ++i) {
-      chunk.AppendRow(trace.records[i]);
-    }
-    acc.Consume(ColumnBatch::Of(chunk));
-  }
-  return acc.Finish();
-}
-
-TraceScan TraceScan::Run(const ColumnarTraceSet& trace) { return ScanColumnar(trace); }
-
-TraceScan TraceScan::RunRows(const TraceSet& trace) {
   TraceScan out;
   out.records_scanned = trace.records.size();
 

@@ -19,6 +19,8 @@
 // The analyzers consume a shared, memoized TraceScan (Study::Scan()); their
 // results are identical to the former per-analyzer sweeps because the scan
 // visits records in the same order and applies the same per-record logic.
+// Each trace form has exactly one scan: the row sweep for a TraceSet, the
+// batch accumulator (scan_kernels.h) for a ColumnarTraceSet.
 
 #ifndef SRC_ANALYSIS_TRACE_SCAN_H_
 #define SRC_ANALYSIS_TRACE_SCAN_H_
@@ -121,21 +123,16 @@ struct TraceScan {
   WeightedCdf write_runs_by_count;
   WeightedCdf write_runs_by_bytes;
 
-  // Performs the sweep through the columnar batch kernels
-  // (src/analysis/scan_kernels.h): rows transpose into column batches one
-  // extent at a time and every aggregate comes off the batch path, so
-  // analyzers and benches share one code path with the columnar stores.
-  // The trace's name index and process-name table are only read, never
-  // mutated.
+  // The row sweep: one pass over the row-major records with the per-record
+  // switch. The trace's name index and process-name table are only read,
+  // never mutated.
   static TraceScan Run(const TraceSet& trace);
 
-  // Streams a columnar trace (resident or disk-backed) through the same
-  // kernels on a memory budget of O(one extent).
+  // The columnar scan (src/analysis/scan_kernels.h): streams a columnar
+  // trace (resident or disk-backed) batch by batch on a memory budget of
+  // O(one extent). Separate code from the row sweep on purpose: each is the
+  // other's oracle (tests/scan_parity_test.cc pins them equal).
   static TraceScan Run(const ColumnarTraceSet& trace);
-
-  // The original row-struct sweep, kept verbatim as the parity oracle
-  // (tests/scan_parity_test.cc pins Run == RunRows); not a production path.
-  static TraceScan RunRows(const TraceSet& trace);
 };
 
 }  // namespace ntrace

@@ -1,8 +1,7 @@
 #include "src/base/crc32c.h"
 
+#include <cstdlib>
 #include <cstring>
-
-#include "src/base/cpu.h"
 
 namespace ntrace {
 namespace {
@@ -32,6 +31,18 @@ struct Tables {
 };
 
 #if defined(__x86_64__) || defined(__i386__)
+// True when the CPU has the SSE4.2 crc32 instruction and NTRACE_NO_SIMD is
+// unset, "" or "0". Any other value forces the portable path, so one
+// machine can run the table codec end to end (scan_parity_test_no_simd).
+bool UseHardwareCrc() {
+  static const bool use = [] {
+    const char* v = std::getenv("NTRACE_NO_SIMD");
+    const bool disabled = v != nullptr && *v != '\0' && !(v[0] == '0' && v[1] == '\0');
+    return !disabled && __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return use;
+}
+
 // The SSE4.2 crc32 instruction computes exactly this CRC (reflected
 // Castagnoli with the same pre/post inversion); the target attribute lets
 // the one function use it while the rest of the binary stays baseline.
@@ -93,9 +104,7 @@ uint32_t Crc32cExtendPortable(uint32_t crc, const void* data, size_t size) {
 
 uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t size) {
 #if defined(__x86_64__) || defined(__i386__)
-  // Shared probe (src/base/cpu.h): NTRACE_NO_SIMD forces the portable path
-  // here too, so a parity run exercises one dispatch policy process-wide.
-  if (CpuHasSse42()) {
+  if (UseHardwareCrc()) {
     return Crc32cExtendHw(crc, data, size);
   }
 #endif

@@ -1,8 +1,9 @@
 // CRC-32C (Castagnoli, reflected polynomial 0x82F63B78), the checksum the
 // trace spool's block format uses to detect torn writes and bit rot
 // (DESIGN.md §10). Two implementations behind one entry point: the x86
-// SSE4.2 crc32 instruction when the CPU has it (runtime-detected once),
-// and a slice-by-8 table fallback whose eight 256-entry tables consume 8
+// SSE4.2 crc32 instruction when the CPU has it (runtime-detected once;
+// NTRACE_NO_SIMD=1 in the environment forces the fallback), and a
+// slice-by-8 table fallback whose eight 256-entry tables consume 8
 // input bytes per iteration with no byte-at-a-time dependency chain.
 // Either way checksumming a shipment frame stays well below the cost of
 // writing it. Matches the iSCSI / RFC 3720 polynomial so the unit tests

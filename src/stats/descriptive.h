@@ -9,7 +9,6 @@
 #ifndef SRC_STATS_DESCRIPTIVE_H_
 #define SRC_STATS_DESCRIPTIVE_H_
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <limits>
@@ -120,16 +119,6 @@ class WeightedCdf {
     finalized_ = false;
     if (spill_ != nullptr && samples_.size() >= spill_chunk_) {
       SpillChunk();
-    }
-  }
-
-  // Grows sample capacity for n more Add()s with geometric growth -- the
-  // batch scan reserves each batch's appends from the SIMD pre-counts, and
-  // a plain reserve(size + n) would reallocate-and-copy every batch.
-  void ReserveAdditional(size_t n) {
-    const size_t need = samples_.size() + n;
-    if (need > samples_.capacity()) {
-      samples_.reserve(std::max(need, samples_.capacity() * 2));
     }
   }
 

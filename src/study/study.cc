@@ -161,7 +161,7 @@ ArrivalViews Study::Burstiness(uint32_t system_id) {
 }
 
 std::vector<TailDiagnostics> Study::TailSweep() {
-  return BurstinessAnalyzer::SweepAll(trace());
+  return BurstinessAnalyzer::SweepAll(trace(), instances());
 }
 
 std::vector<ProcessProfile> Study::ProcessProfiles() {

@@ -10,7 +10,10 @@
 //   study.Run();
 //   const UserActivityResult activity = study.UserActivity();   // Table 2.
 //   const AccessPatternTable patterns = study.AccessPatterns(); // Table 3.
-//   study.trace().SaveTo("run.nttrace");                        // Publish.
+//   study.trace().SaveTo("run.ntx");                            // Publish.
+//
+// SaveTo writes the one trace file format, an NTCOLX01 extent store;
+// ColumnarTraceSet::FromFile reads it back (ToRows() for the row form).
 //
 // Analyses are computed on demand and memoized; all of them operate on the
 // application-level view (cache-induced paging duplicates filtered, section

@@ -11,8 +11,8 @@
 //   * out-of-core runs: extents stream to disk as they fill and stream back
 //     one at a time, so a 1,000-system fleet is analyzed on a memory budget
 //     of O(one extent), not O(total records);
-//   * vectorized analysis: the batch kernels (src/analysis/scan_kernels.h)
-//     run branch-free and SIMD over the column arrays;
+//   * columnar analysis: the batch scan (src/analysis/scan_kernels.h)
+//     reads only the columns it needs, straight from the column arrays;
 //   * cheap re-scans: per-extent min/max timestamps let time-windowed
 //     consumers skip extents wholesale, and constant-encoded columns
 //     (system_id in a per-system segment, the always-zero pad word) cost
@@ -180,7 +180,7 @@ struct ColumnarExtent {
 };
 
 // Borrowed pointer view of `count` records starting at row `begin` of an
-// extent -- what the scan kernels consume. Plain arrays only: constant
+// extent -- what the columnar scan consumes. Plain arrays only: constant
 // columns are materialized by the reader before a batch is formed.
 struct ColumnBatch {
   size_t count = 0;

@@ -346,7 +346,7 @@ bool SpoolWriter::AppendShipment(const ShipmentHeader& header,
   // staging copy of the (dominant) record bytes, only the 24-byte shipment
   // header goes through scratch. TraceRecord is POD with no implicit
   // padding (static_assert in trace_record.h); raw bytes are the
-  // serialized form, same as SaveTo.
+  // serialized form.
   scratch_.clear();
   SpoolEncodeShipmentHead(&scratch_, header);
   if (!WriteFrame(SpoolFrameType::kShipment, scratch_.data(), scratch_.size(), records.data(),

@@ -180,7 +180,8 @@ void TraceBuffer::CompleteAttempt(Shipment shipment, size_t free_buffer_index) {
     metrics.retry_backlog.Add(1);
     peak_retry_backlog_ = std::max(peak_retry_backlog_, retry_backlog_);
   }
-  if (shipment.header.attempt >= policy_.max_attempts) {
+  // Signed compare: a non-positive max_attempts abandons after one attempt.
+  if (static_cast<int64_t>(shipment.header.attempt) >= policy_.max_attempts) {
     Abandon(shipment);
     --retry_backlog_;
     metrics.retry_backlog.Add(-1);

@@ -1,40 +1,13 @@
 #include "src/trace/trace_set.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <queue>
 #include <set>
 #include <utility>
 
+#include "src/trace/extent_store.h"
+
 namespace ntrace {
-namespace {
-
-constexpr uint64_t kMagic = 0x4E54524143453031ULL;  // "NTRACE01".
-
-bool WriteBytes(std::FILE* f, const void* data, size_t size) {
-  return std::fwrite(data, 1, size, f) == size;
-}
-
-bool ReadBytes(std::FILE* f, void* data, size_t size) {
-  return std::fread(data, 1, size, f) == size;
-}
-
-bool WriteString(std::FILE* f, const std::string& s) {
-  const uint32_t len = static_cast<uint32_t>(s.size());
-  return WriteBytes(f, &len, sizeof(len)) && WriteBytes(f, s.data(), s.size());
-}
-
-bool ReadString(std::FILE* f, std::string* s) {
-  uint32_t len = 0;
-  if (!ReadBytes(f, &len, sizeof(len)) || len > (1u << 20)) {
-    return false;
-  }
-  s->resize(len);
-  return len == 0 || ReadBytes(f, s->data(), len);
-}
-
-}  // namespace
 
 TraceSet::TraceSet(const TraceSet& other)
     : records(other.records), names(other.names), process_names(other.process_names) {}
@@ -213,64 +186,18 @@ void TraceSet::MergeSortedRuns(std::vector<std::vector<TraceRecord>> runs) {
 }
 
 bool TraceSet::SaveTo(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
+  ExtentStoreWriter writer;
+  if (!writer.Open(path, kDefaultExtentRecords, /*config_fingerprint=*/0) ||
+      !writer.AppendRecords(records.data(), records.size())) {
     return false;
   }
-  bool ok = WriteBytes(f, &kMagic, sizeof(kMagic));
-  const uint64_t n_records = records.size();
-  const uint64_t n_names = names.size();
-  const uint64_t n_procs = process_names.size();
-  ok = ok && WriteBytes(f, &n_records, sizeof(n_records));
-  ok = ok && WriteBytes(f, &n_names, sizeof(n_names));
-  ok = ok && WriteBytes(f, &n_procs, sizeof(n_procs));
-  ok = ok && (n_records == 0 ||
-              WriteBytes(f, records.data(), n_records * sizeof(TraceRecord)));
   for (const NameRecord& n : names) {
-    ok = ok && WriteBytes(f, &n.file_object, sizeof(n.file_object)) &&
-         WriteBytes(f, &n.system_id, sizeof(n.system_id)) && WriteString(f, n.path);
+    writer.AddName(n);
   }
   for (const auto& [pid, name] : process_names) {
-    ok = ok && WriteBytes(f, &pid, sizeof(pid)) && WriteString(f, name);
+    writer.AddProcessName(pid, name);
   }
-  std::fclose(f);
-  return ok;
-}
-
-bool TraceSet::LoadFrom(const std::string& path, TraceSet* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return false;
-  }
-  uint64_t magic = 0;
-  uint64_t n_records = 0;
-  uint64_t n_names = 0;
-  uint64_t n_procs = 0;
-  bool ok = ReadBytes(f, &magic, sizeof(magic)) && magic == kMagic &&
-            ReadBytes(f, &n_records, sizeof(n_records)) &&
-            ReadBytes(f, &n_names, sizeof(n_names)) && ReadBytes(f, &n_procs, sizeof(n_procs));
-  if (ok) {
-    out->records.resize(n_records);
-    ok = n_records == 0 || ReadBytes(f, out->records.data(), n_records * sizeof(TraceRecord));
-  }
-  for (uint64_t i = 0; ok && i < n_names; ++i) {
-    NameRecord n;
-    ok = ReadBytes(f, &n.file_object, sizeof(n.file_object)) &&
-         ReadBytes(f, &n.system_id, sizeof(n.system_id)) && ReadString(f, &n.path);
-    if (ok) {
-      out->names.push_back(std::move(n));
-    }
-  }
-  for (uint64_t i = 0; ok && i < n_procs; ++i) {
-    uint32_t pid = 0;
-    std::string name;
-    ok = ReadBytes(f, &pid, sizeof(pid)) && ReadString(f, &name);
-    if (ok) {
-      out->process_names.emplace(pid, std::move(name));
-    }
-  }
-  std::fclose(f);
-  return ok;
+  return writer.Seal();
 }
 
 }  // namespace ntrace

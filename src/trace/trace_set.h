@@ -1,7 +1,9 @@
-// Trace sets: the collected data of one tracing run, plus binary
-// serialization so runs can be written to disk and analyzed offline --
-// fulfilling the paper's goal of a data collection "available for public
-// inspection ... used as input for file system simulation studies".
+// Trace sets: the collected data of one tracing run, in row form. SaveTo
+// publishes a run as an NTCOLX01 extent store (src/trace/extent_store.h),
+// the one trace file format, which ColumnarTraceSet::FromFile reads back
+// (ToRows() for the row form) -- fulfilling the paper's goal of a data
+// collection "available for public inspection ... used as input for file
+// system simulation studies".
 
 #ifndef SRC_TRACE_TRACE_SET_H_
 #define SRC_TRACE_TRACE_SET_H_
@@ -64,9 +66,10 @@ class TraceSet {
   // per-system shard streams in system-id order.
   void MergeSortedRuns(std::vector<std::vector<TraceRecord>> runs);
 
-  // Binary serialization. Returns false on I/O failure / bad magic.
+  // Writes the trace as a sealed, compressed extent store: records in
+  // order in kDefaultExtentRecords extents, then names, then process names
+  // in map order, config fingerprint 0. Returns false on I/O failure.
   bool SaveTo(const std::string& path) const;
-  static bool LoadFrom(const std::string& path, TraceSet* out);
 
  private:
   void ResetNameIndex() noexcept;

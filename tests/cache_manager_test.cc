@@ -9,9 +9,6 @@
 namespace ntrace {
 namespace {
 
-// Lets each test tweak the cache configuration.
-TestSystem MakeSystem(CacheConfig config) { return TestSystem(config); }
-
 TEST(CacheManager, InitializeOnFirstDataOperationOnly) {
   TestSystem sys;
   FileObject* fo = sys.OpenRw("C:\\f.txt");

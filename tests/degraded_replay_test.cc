@@ -82,28 +82,6 @@ TraceSet TruncateRows(const TraceSet& full, size_t keep) {
   return t;
 }
 
-std::vector<uint8_t> ReadFileBytes(const std::string& path) {
-  std::vector<uint8_t> bytes;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << path;
-  if (f != nullptr) {
-    uint8_t buf[1 << 14];
-    size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      bytes.insert(bytes.end(), buf, buf + n);
-    }
-    std::fclose(f);
-  }
-  return bytes;
-}
-
-void WriteFileBytes(const std::string& path, const uint8_t* data, size_t len) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr) << path;
-  ASSERT_EQ(std::fwrite(data, 1, len, f), len);
-  std::fclose(f);
-}
-
 // A clean input must replay byte-for-byte whether or not gap tolerance is
 // armed -- the degraded machinery may only fire on actual gap evidence.
 TEST(DegradedReplay, CleanTraceWithGapToleranceIsByteIdentical) {
@@ -280,7 +258,7 @@ TEST(DegradedReplay, StoreTruncationSweepReplaysMonotonically) {
     const size_t len =
         kExtentStoreHeaderSize +
         static_cast<size_t>(frac * static_cast<double>(bytes.size() - kExtentStoreHeaderSize));
-    WriteFileBytes(cut_path, bytes.data(), len);
+    WriteFileBytes(cut_path, std::vector<uint8_t>(bytes.begin(), bytes.begin() + len));
     const ColumnarTraceSet store = ColumnarTraceSet::FromFile(cut_path);
     EXPECT_GE(store.record_count(), prev_records) << "frac=" << frac;
     prev_records = store.record_count();

@@ -28,11 +28,11 @@ TEST(FlatMap, StartsEmptyWithNoAllocation) {
 
 TEST(FlatMap, InsertFindEraseBasics) {
   FlatMap<uint64_t, std::string> m;
-  auto [it, inserted] = m.emplace(1, "one");
+  auto [it, inserted] = m.emplace(uint64_t{1}, "one");
   EXPECT_TRUE(inserted);
   EXPECT_EQ(it->second, "one");
 
-  auto [it2, inserted2] = m.emplace(1, "uno");
+  auto [it2, inserted2] = m.emplace(uint64_t{1}, "uno");
   EXPECT_FALSE(inserted2);
   EXPECT_EQ(it2->second, "one");  // First value wins, like std::unordered_map.
 

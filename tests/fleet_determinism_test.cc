@@ -9,7 +9,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -44,27 +43,6 @@ FleetConfig FaultyConfig() {
   return config;
 }
 
-// Serializes through the public SaveTo format and returns the raw file
-// bytes: the strongest equality we can ask for, since it is the format a
-// published collection ships in.
-std::vector<unsigned char> SerializedBytes(const TraceSet& trace, const std::string& tag) {
-  const std::string path = ScratchPath("fleet_determinism_") + tag + ".nttrace";
-  EXPECT_TRUE(trace.SaveTo(path));
-  std::vector<unsigned char> bytes;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr);
-  if (f != nullptr) {
-    unsigned char buf[1 << 16];
-    size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      bytes.insert(bytes.end(), buf, buf + n);
-    }
-    std::fclose(f);
-  }
-  std::remove(path.c_str());
-  return bytes;
-}
-
 void ExpectSameIntegrity(const IntegrityReport& a, const IntegrityReport& b) {
   ASSERT_EQ(a.systems.size(), b.systems.size());
   for (size_t i = 0; i < a.systems.size(); ++i) {
@@ -96,7 +74,7 @@ void ExpectBitIdenticalAcrossThreadCounts(const FleetConfig& base, const std::st
   FleetConfig sequential = base;
   sequential.threads = 1;
   const FleetResult reference = RunFleet(sequential);
-  const std::vector<unsigned char> reference_bytes =
+  const std::vector<uint8_t> reference_bytes =
       SerializedBytes(reference.trace, tag + "_t1");
   ASSERT_FALSE(reference_bytes.empty());
 
@@ -107,7 +85,7 @@ void ExpectBitIdenticalAcrossThreadCounts(const FleetConfig& base, const std::st
 
     ASSERT_EQ(result.trace.records.size(), reference.trace.records.size())
         << tag << " threads=" << threads;
-    const std::vector<unsigned char> bytes =
+    const std::vector<uint8_t> bytes =
         SerializedBytes(result.trace, tag + "_t" + std::to_string(threads));
     EXPECT_TRUE(bytes == reference_bytes)
         << tag << ": serialized trace differs between threads=1 and threads=" << threads;
@@ -159,7 +137,7 @@ TEST(FleetDeterminism, DurableRunBitIdenticalToNonDurable) {
   FleetConfig reference_config = SmallConfig();
   reference_config.threads = 1;
   const FleetResult reference = RunFleet(reference_config);
-  const std::vector<unsigned char> reference_bytes =
+  const std::vector<uint8_t> reference_bytes =
       SerializedBytes(reference.trace, "durable_ref");
 
   for (int threads : {1, 2}) {

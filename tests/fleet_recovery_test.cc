@@ -44,24 +44,6 @@ std::string FreshDir(const std::string& tag) {
   return dir;
 }
 
-std::vector<unsigned char> SerializedBytes(const TraceSet& trace, const std::string& tag) {
-  const std::string path = ScratchPath("fleet_recovery_") + tag + ".nttrace";
-  EXPECT_TRUE(trace.SaveTo(path));
-  std::vector<unsigned char> bytes;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr);
-  if (f != nullptr) {
-    unsigned char buf[1 << 16];
-    size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      bytes.insert(bytes.end(), buf, buf + n);
-    }
-    std::fclose(f);
-  }
-  std::remove(path.c_str());
-  return bytes;
-}
-
 // Integrity equality. Salvage fields are compared only when
 // `expect_salvage_zero` (a resumed run legitimately reports salvaged
 // records; a live rerun must report none).
@@ -96,7 +78,7 @@ void ExpectSameIntegrity(const IntegrityReport& a, const IntegrityReport& b,
 
 struct Reference {
   FleetResult result;
-  std::vector<unsigned char> bytes;
+  std::vector<uint8_t> bytes;
 };
 
 const Reference& UninterruptedReference() {

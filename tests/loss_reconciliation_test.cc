@@ -42,28 +42,6 @@ TraceRecord MakeRecord(uint32_t system_id, uint64_t i) {
   return r;
 }
 
-std::vector<uint8_t> ReadFileBytes(const std::string& path) {
-  std::vector<uint8_t> bytes;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << path;
-  if (f != nullptr) {
-    uint8_t buf[1 << 14];
-    size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      bytes.insert(bytes.end(), buf, buf + n);
-    }
-    std::fclose(f);
-  }
-  return bytes;
-}
-
-void WriteFileBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr) << path;
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
-  std::fclose(f);
-}
-
 // Offset of the end of the first extent frame (the damage target sits just
 // past it, inside the second extent's payload).
 size_t FirstFrameEnd(const std::vector<uint8_t>& bytes) {

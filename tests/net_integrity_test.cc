@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -49,24 +48,6 @@ NetCollectionConfig FastNet() {
   return net;
 }
 
-std::vector<unsigned char> SerializedBytes(const TraceSet& trace, const std::string& tag) {
-  const std::string path = ScratchPath("net_integrity_") + tag + ".nttrace";
-  EXPECT_TRUE(trace.SaveTo(path));
-  std::vector<unsigned char> bytes;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr);
-  if (f != nullptr) {
-    unsigned char buf[1 << 16];
-    size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      bytes.insert(bytes.end(), buf, buf + n);
-    }
-    std::fclose(f);
-  }
-  std::remove(path.c_str());
-  return bytes;
-}
-
 void ExpectSameIntegrity(const IntegrityReport& a, const IntegrityReport& b) {
   ASSERT_EQ(a.systems.size(), b.systems.size());
   for (size_t i = 0; i < a.systems.size(); ++i) {
@@ -100,7 +81,7 @@ void ExpectSameIntegrity(const IntegrityReport& a, const IntegrityReport& b) {
 // transport is excluded from the config fingerprint by construction.
 struct Reference {
   FleetResult result;
-  std::vector<unsigned char> bytes;
+  std::vector<uint8_t> bytes;
 };
 
 const Reference& InProcessReference() {
@@ -132,7 +113,7 @@ void ExpectNetMatchesReference(const NetCollectionConfig& net, const std::string
     ASSERT_TRUE(result.net.used) << tag << " threads=" << threads
                                  << ": fell back to in-process collection";
     EXPECT_EQ(result.net.agent_failures, 0u) << tag << " threads=" << threads;
-    const std::vector<unsigned char> bytes =
+    const std::vector<uint8_t> bytes =
         SerializedBytes(result.trace, tag + "_t" + std::to_string(threads));
     EXPECT_TRUE(bytes == reference.bytes)
         << tag << ": serialized trace differs from in-process run at threads=" << threads;
@@ -259,7 +240,7 @@ TEST(NetIntegrity, MidStreamServerCrashRecoversExactly) {
     EXPECT_GE(result.net.sessions_restored, 1u) << "threads=" << threads;
     EXPECT_EQ(result.net.agent_failures, 0u) << "threads=" << threads;
 
-    const std::vector<unsigned char> bytes =
+    const std::vector<uint8_t> bytes =
         SerializedBytes(result.trace, "crash_t" + std::to_string(threads));
     EXPECT_TRUE(bytes == reference.bytes)
         << "mid-stream crash changed the merged trace at threads=" << threads;

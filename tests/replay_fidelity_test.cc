@@ -182,14 +182,12 @@ TEST(ReplayFidelity, ReplayOutputSerializesIdentically) {
   const FleetResult fleet = RunFleet(SmallConfig());
   TraceReplayer replayer(SmallConfig());
   const FleetReplayResult replay = replayer.Replay(fleet.trace, ReplayOptions{}, 1);
-  const std::string original = ScratchPath("replay_fidelity_original.nttrace");
-  const std::string regenerated = ScratchPath("replay_fidelity_regen.nttrace");
+  const std::string original = ScratchPath("replay_fidelity_original.ntx");
+  const std::string regenerated = ScratchPath("replay_fidelity_regen.ntx");
   ASSERT_TRUE(fleet.trace.SaveTo(original));
   ASSERT_TRUE(replay.trace.SaveTo(regenerated));
-  TraceSet a;
-  TraceSet b;
-  ASSERT_TRUE(TraceSet::LoadFrom(original, &a));
-  ASSERT_TRUE(TraceSet::LoadFrom(regenerated, &b));
+  const TraceSet a = ColumnarTraceSet::FromFile(original).ToRows();
+  const TraceSet b = ColumnarTraceSet::FromFile(regenerated).ToRows();
   EXPECT_EQ(TraceFingerprint(a), TraceFingerprint(b));
   EXPECT_EQ(a.process_names, b.process_names);
   std::remove(original.c_str());

@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "src/analysis/report.h"
 #include "src/workload/simulated_system.h"
 #include "tests/test_util.h"
@@ -96,25 +94,6 @@ TEST(UsageCategoryNames, AllNamed) {
   EXPECT_EQ(UsageCategoryName(UsageCategory::kPersonal), "personal");
   EXPECT_EQ(UsageCategoryName(UsageCategory::kAdministrative), "administrative");
   EXPECT_EQ(UsageCategoryName(UsageCategory::kScientific), "scientific");
-}
-
-TEST(TraceSetRobustness, TruncatedFileRejected) {
-  TestSystem sys;
-  FileObject* fo = sys.OpenRw("C:\\t.bin");
-  sys.io->WriteNext(*fo, 5000);
-  sys.io->CloseHandle(*fo);
-  TraceSet& set = sys.FinishTrace();
-  const std::string path = ScratchPath("ntrace_truncated_test.bin");
-  ASSERT_TRUE(set.SaveTo(path));
-  // Truncate the file to half: load must fail, not crash.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fclose(f);
-  ASSERT_EQ(truncate(path.c_str(), size / 2), 0);
-  TraceSet out;
-  EXPECT_FALSE(TraceSet::LoadFrom(path, &out));
-  std::remove(path.c_str());
 }
 
 TEST(EngineEdge, ManyInterleavedPeriodics) {

@@ -1,25 +1,25 @@
-// Row/columnar scan parity (DESIGN.md §12): TraceScan::Run (batch kernels)
-// must reproduce TraceScan::RunRows (the original row sweep, kept as the
-// oracle) field for field and sample for sample --
+// Row/columnar scan parity (DESIGN.md §12): the columnar scan
+// (TraceScan::Run over a ColumnarTraceSet, the batch accumulator) must
+// reproduce the row sweep (TraceScan::Run over a TraceSet) field for field
+// and sample for sample -- the two are separate code, each the other's
+// oracle --
 //  - over seeded fleet traces, clean and fault-injected;
 //  - over the fleet's out-of-core columnar mode at threads {1, 2, 8};
+//  - over compressed and uncompressed stores scanned from disk;
 //  - over adversarial random records (wild pids / system ids beyond the
-//    dense-table caps, unknown event codes, out-of-order timestamps);
-//  - and the portable / SSE4.2 / AVX2 kernel variants pinned equal on the
-//    same batches (tests/CMakeLists.txt additionally re-runs this whole
-//    binary with NTRACE_NO_SIMD=1, pinning the dispatch route itself).
+//    dense-table caps, unknown event codes, out-of-order timestamps).
+// tests/CMakeLists.txt additionally re-runs this whole binary with
+// NTRACE_NO_SIMD=1, which puts every store it writes and reads through the
+// portable CRC-32C codec.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
-#include "src/analysis/scan_kernels.h"
 #include "src/analysis/trace_scan.h"
-#include "src/base/cpu.h"
 #include "src/base/rng.h"
 #include "src/trace/extent_store.h"
 #include "src/workload/fleet.h"
@@ -125,9 +125,8 @@ TEST(ScanParity, BatchEqualsRowsOnSeededFleets) {
   for (const uint64_t seed : {7u, 1999u}) {
     const FleetResult result = RunFleet(SmallConfig(seed));
     ASSERT_GT(result.trace.records.size(), 1000u) << "seed=" << seed;
-    const TraceScan oracle = TraceScan::RunRows(result.trace);
-    // The production row entry point transposes through the batch kernels.
-    ExpectScanEqual(TraceScan::Run(result.trace), oracle);
+    const TraceScan oracle = TraceScan::Run(result.trace);
+    ExpectScanEqual(TraceScan::Run(ColumnarTraceSet::FromRows(result.trace)), oracle);
     // A resident columnar transpose with small extents (many batch seams).
     ExpectScanEqual(
         TraceScan::Run(ColumnarTraceSet::FromRows(result.trace, 1024)), oracle);
@@ -137,8 +136,7 @@ TEST(ScanParity, BatchEqualsRowsOnSeededFleets) {
 TEST(ScanParity, BatchEqualsRowsOnFaultInjectedFleet) {
   const FleetResult result = RunFleet(FaultyConfig(7));
   ASSERT_GT(result.trace.records.size(), 100u);
-  const TraceScan oracle = TraceScan::RunRows(result.trace);
-  ExpectScanEqual(TraceScan::Run(result.trace), oracle);
+  const TraceScan oracle = TraceScan::Run(result.trace);
   ExpectScanEqual(TraceScan::Run(ColumnarTraceSet::FromRows(result.trace)), oracle);
 }
 
@@ -149,7 +147,7 @@ TEST(ScanParity, ColumnarFleetModeMatchesRowModeAcrossThreads) {
   for (const bool faulty : {false, true}) {
     FleetConfig row_config = faulty ? FaultyConfig(7) : SmallConfig(7);
     const FleetResult row_result = RunFleet(row_config);
-    const TraceScan oracle = TraceScan::RunRows(row_result.trace);
+    const TraceScan oracle = TraceScan::Run(row_result.trace);
 
     for (const int threads : {1, 2, 8}) {
       FleetConfig config = faulty ? FaultyConfig(7) : SmallConfig(7);
@@ -173,7 +171,7 @@ TEST(ScanParity, ColumnarFleetModeMatchesRowModeAcrossThreads) {
 }
 
 // Compressed and uncompressed stores of the same fleet trace must scan to
-// identical results -- the fused decode inside the batch kernels cannot
+// identical results -- the fused decode inside the columnar scan cannot
 // perturb a single counter or sample. Both scans run disk-backed, so this
 // also holds the CDF spill/external-merge path equal to itself across the
 // two encodings.
@@ -181,7 +179,7 @@ TEST(ScanParity, CompressedStoreScanMatchesUncompressedStore) {
   for (const bool faulty : {false, true}) {
     const FleetConfig config = faulty ? FaultyConfig(11) : SmallConfig(11);
     const FleetResult row_result = RunFleet(config);
-    const TraceScan oracle = TraceScan::RunRows(row_result.trace);
+    const TraceScan oracle = TraceScan::Run(row_result.trace);
 
     auto write_store = [&](const std::string& path, bool compress) {
       ExtentStoreWriter writer;
@@ -282,96 +280,12 @@ TEST(ScanParity, RandomizedAdversarialRecords) {
     trace.records.push_back(r);
   }
 
-  const TraceScan oracle = TraceScan::RunRows(trace);
-  ExpectScanEqual(TraceScan::Run(trace), oracle);
+  const TraceScan oracle = TraceScan::Run(trace);
+  ExpectScanEqual(TraceScan::Run(ColumnarTraceSet::FromRows(trace)), oracle);
   // Batch-boundary independence: a 333-record extent chops every run chain
   // and tally differently from one big batch; results must not move.
   ExpectScanEqual(TraceScan::Run(ColumnarTraceSet::FromRows(trace, 333)), oracle);
 }
-
-#if defined(__x86_64__)
-// The portable, SSE4.2 and AVX2 kernel variants must produce identical
-// tallies on identical batches -- including misaligned batch lengths that
-// exercise every scalar tail.
-TEST(ScanParity, KernelVariantsPinnedEqual) {
-  Rng rng(0xFACADE);
-  for (const size_t n : {0ul, 1ul, 7ul, 31ul, 32ul, 33ul, 1000ul, 4096ul, 4103ul}) {
-    ColumnarExtent extent;
-    for (size_t i = 0; i < n; ++i) {
-      TraceRecord r;
-      r.event = static_cast<uint16_t>(rng.UniformInt(0, 40));
-      r.status = static_cast<uint16_t>(rng.UniformInt(0, 8));
-      r.irp_flags = static_cast<uint32_t>(rng.UniformInt(0, 63));
-      r.length = static_cast<uint32_t>(rng.UniformInt(0, 1 << 16));
-      r.returned = static_cast<uint32_t>(rng.UniformInt(0, 1 << 16));
-      r.fsctl = static_cast<uint8_t>(rng.UniformInt(0, 3));
-      r.info_class = static_cast<uint8_t>(rng.UniformInt(0, 7));
-      extent.AppendRow(r);
-    }
-    const ColumnBatch batch = ColumnBatch::Of(extent);
-
-    CacheMixTally portable_mix, simd_mix;
-    CacheMixKernelPortable(batch, &portable_mix);
-    if (CpuHasSse42()) {
-      simd_mix = CacheMixTally();
-      CacheMixKernelSse42(batch, &simd_mix);
-      EXPECT_EQ(std::memcmp(&portable_mix, &simd_mix, sizeof(portable_mix)), 0)
-          << "sse4.2 cache mix, n=" << n;
-    }
-    if (CpuHasAvx2()) {
-      simd_mix = CacheMixTally();
-      CacheMixKernelAvx2(batch, &simd_mix);
-      EXPECT_EQ(std::memcmp(&portable_mix, &simd_mix, sizeof(portable_mix)), 0)
-          << "avx2 cache mix, n=" << n;
-    }
-
-    ControlPredicateTally portable_ctl, simd_ctl;
-    ControlPredicateKernelPortable(batch, &portable_ctl);
-    if (CpuHasSse42()) {
-      simd_ctl = ControlPredicateTally();
-      ControlPredicateKernelSse42(batch, &simd_ctl);
-      EXPECT_EQ(std::memcmp(&portable_ctl, &simd_ctl, sizeof(portable_ctl)), 0)
-          << "sse4.2 control predicates, n=" << n;
-    }
-    if (CpuHasAvx2()) {
-      simd_ctl = ControlPredicateTally();
-      ControlPredicateKernelAvx2(batch, &simd_ctl);
-      EXPECT_EQ(std::memcmp(&portable_ctl, &simd_ctl, sizeof(portable_ctl)), 0)
-          << "avx2 control predicates, n=" << n;
-    }
-
-    TransferPrecountTally portable_pre, simd_pre;
-    TransferPrecountKernelPortable(batch, &portable_pre);
-    if (CpuHasSse42()) {
-      simd_pre = TransferPrecountTally();
-      TransferPrecountKernelSse42(batch, &simd_pre);
-      EXPECT_EQ(std::memcmp(&portable_pre, &simd_pre, sizeof(portable_pre)), 0)
-          << "sse4.2 transfer precount, n=" << n;
-    }
-    if (CpuHasAvx2()) {
-      simd_pre = TransferPrecountTally();
-      TransferPrecountKernelAvx2(batch, &simd_pre);
-      EXPECT_EQ(std::memcmp(&portable_pre, &simd_pre, sizeof(portable_pre)), 0)
-          << "avx2 transfer precount, n=" << n;
-    }
-
-    // The dispatched entry points must agree with the portable results too
-    // (whichever route NTRACE_NO_SIMD / the CPU picked).
-    CacheMixTally dispatched_mix;
-    CacheMixKernel(batch, &dispatched_mix);
-    EXPECT_EQ(std::memcmp(&portable_mix, &dispatched_mix, sizeof(portable_mix)), 0)
-        << "dispatched cache mix, n=" << n;
-    ControlPredicateTally dispatched_ctl;
-    ControlPredicateKernel(batch, &dispatched_ctl);
-    EXPECT_EQ(std::memcmp(&portable_ctl, &dispatched_ctl, sizeof(portable_ctl)), 0)
-        << "dispatched control predicates, n=" << n;
-    TransferPrecountTally dispatched_pre;
-    TransferPrecountKernel(batch, &dispatched_pre);
-    EXPECT_EQ(std::memcmp(&portable_pre, &dispatched_pre, sizeof(portable_pre)), 0)
-        << "dispatched transfer precount, n=" << n;
-  }
-}
-#endif  // defined(__x86_64__)
 
 }  // namespace
 }  // namespace ntrace

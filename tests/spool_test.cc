@@ -47,28 +47,6 @@ std::vector<TraceRecord> MakeRecords(uint32_t system_id, uint64_t base, size_t n
   return records;
 }
 
-std::vector<uint8_t> ReadFileBytes(const std::string& path) {
-  std::vector<uint8_t> bytes;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << path;
-  if (f != nullptr) {
-    uint8_t buf[1 << 14];
-    size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      bytes.insert(bytes.end(), buf, buf + n);
-    }
-    std::fclose(f);
-  }
-  return bytes;
-}
-
-void WriteFileBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr) << path;
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
-  std::fclose(f);
-}
-
 TEST(Spool, RoundTripSealedSegment) {
   const std::string path = ScratchPath("spool_roundtrip.ntspool");
   SpoolWriter writer;

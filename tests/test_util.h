@@ -1,6 +1,7 @@
-// Shared fixture pieces for tests: a per-process scratch path, and a single
-// simulated system with one local volume, cache manager, VM manager and
-// trace filter, wired exactly like the study fleet wires its machines.
+// Shared fixture pieces for tests: a per-process scratch path, whole-file
+// byte helpers, and a single simulated system with one local volume, cache
+// manager, VM manager and trace filter, wired exactly like the study fleet
+// wires its machines.
 
 #ifndef TESTS_TEST_UTIL_H_
 #define TESTS_TEST_UTIL_H_
@@ -8,8 +9,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/fs/fs_driver.h"
 #include "src/mm/cache_manager.h"
@@ -27,6 +31,45 @@ namespace ntrace {
 // as scan_parity_test_no_simd), so a fixed scratch name races.
 inline std::string ScratchPath(const std::string& name) {
   return testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
+}
+
+// The whole contents of `path` (empty, with a test failure, if it cannot be
+// opened).
+inline std::vector<uint8_t> ReadFileBytes(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f != nullptr) {
+    uint8_t buf[1 << 16];
+    size_t n = 0;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+      bytes.insert(bytes.end(), buf, buf + n);
+    }
+    std::fclose(f);
+  }
+  return bytes;
+}
+
+// Creates or truncates `path` to exactly `bytes`.
+inline void WriteFileBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr) << path;
+  // An empty vector's data() may be null, which fwrite must not be given.
+  if (!bytes.empty()) {
+    EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size()) << path;
+  }
+  std::fclose(f);
+}
+
+// The bytes TraceSet::SaveTo publishes for `trace`: the strongest equality
+// a test can ask of two traces, since it is the format a collection ships
+// in. `tag` names the scratch file.
+inline std::vector<uint8_t> SerializedBytes(const TraceSet& trace, const std::string& tag) {
+  const std::string path = ScratchPath("serialized_" + tag + ".ntx");
+  EXPECT_TRUE(trace.SaveTo(path)) << path;
+  std::vector<uint8_t> bytes = ReadFileBytes(path);
+  std::remove(path.c_str());
+  return bytes;
 }
 
 // One traced machine with a "C:" volume. Members are public on purpose:

@@ -9,6 +9,7 @@
 
 #include "src/fault/fault.h"
 #include "src/trace/collection_server.h"
+#include "src/trace/extent_store.h"
 #include "src/trace/snapshot.h"
 #include "src/trace/trace_buffer.h"
 #include "src/trace/trace_set.h"
@@ -138,28 +139,33 @@ TEST(TraceBufferFaults, RetriesWithBackoffUntilOutageEnds) {
 }
 
 TEST(TraceBufferFaults, AbandonsAfterMaxAttemptsAndCountsLoss) {
-  Engine engine;
-  CountingSink sink;
-  FaultInjector injector(11);
-  FaultPlan plan;
-  plan.outages.emplace_back(SimTime(), SimTime() + SimDuration::Days(365));
-  injector.SetPlan(FaultSite::kShipment, plan);
-  ShipmentPolicy policy;
-  policy.max_attempts = 3;
-  TraceBuffer buffer(engine, sink, SimDuration::Micros(2), 1, policy, &injector);
-  TraceRecord r;
-  for (int i = 0; i < 42; ++i) {
-    buffer.Append(r);
+  // A non-positive max_attempts abandons after the first attempt.
+  for (const int max_attempts : {3, 0, -1}) {
+    Engine engine;
+    CountingSink sink;
+    FaultInjector injector(11);
+    FaultPlan plan;
+    plan.outages.emplace_back(SimTime(), SimTime() + SimDuration::Days(365));
+    injector.SetPlan(FaultSite::kShipment, plan);
+    ShipmentPolicy policy;
+    policy.max_attempts = max_attempts;
+    TraceBuffer buffer(engine, sink, SimDuration::Micros(2), 1, policy, &injector);
+    TraceRecord r;
+    for (int i = 0; i < 42; ++i) {
+      buffer.Append(r);
+    }
+    buffer.FlushAll();
+    engine.RunAll();
+    SCOPED_TRACE(max_attempts);
+    EXPECT_EQ(sink.delivered, 0u);
+    const uint64_t attempts = max_attempts > 0 ? static_cast<uint64_t>(max_attempts) : 1;
+    EXPECT_EQ(buffer.shipment_attempts(), attempts);
+    EXPECT_EQ(buffer.shipments_abandoned(), 1u);
+    EXPECT_EQ(buffer.records_lost(), 42u);
+    EXPECT_EQ(buffer.records_unresolved(), 0u);
+    ASSERT_EQ(buffer.abandoned_shipments().size(), 1u);
+    EXPECT_EQ(buffer.abandoned_shipments()[0], (std::pair<uint64_t, uint64_t>{1, 42}));
   }
-  buffer.FlushAll();
-  engine.RunAll();
-  EXPECT_EQ(sink.delivered, 0u);
-  EXPECT_EQ(buffer.shipment_attempts(), 3u);
-  EXPECT_EQ(buffer.shipments_abandoned(), 1u);
-  EXPECT_EQ(buffer.records_lost(), 42u);
-  EXPECT_EQ(buffer.records_unresolved(), 0u);
-  ASSERT_EQ(buffer.abandoned_shipments().size(), 1u);
-  EXPECT_EQ(buffer.abandoned_shipments()[0], (std::pair<uint64_t, uint64_t>{1, 42}));
 }
 
 TEST(TraceBufferFaults, ShedsIncomingRecordsWhileBacklogged) {
@@ -331,10 +337,12 @@ TEST(TraceSetIo, SaveLoadRoundTrip) {
   sys.io->CloseHandle(*fo);
   TraceSet& set = sys.FinishTrace();
 
-  const std::string path = ScratchPath("ntrace_roundtrip_test.bin");
+  const std::string path = ScratchPath("ntrace_roundtrip_test.ntx");
   ASSERT_TRUE(set.SaveTo(path));
-  TraceSet loaded;
-  ASSERT_TRUE(TraceSet::LoadFrom(path, &loaded));
+  const ColumnarTraceSet store = ColumnarTraceSet::FromFile(path);
+  EXPECT_TRUE(store.read_stats().sealed);
+  EXPECT_EQ(store.read_stats().config_fingerprint, 0u);
+  const TraceSet loaded = store.ToRows();
   ASSERT_EQ(loaded.records.size(), set.records.size());
   for (size_t i = 0; i < set.records.size(); ++i) {
     EXPECT_EQ(loaded.records[i].event, set.records[i].event);
@@ -344,17 +352,6 @@ TEST(TraceSetIo, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded.names.size(), set.names.size());
   EXPECT_EQ(loaded.process_names.size(), set.process_names.size());
   std::remove(path.c_str());
-}
-
-TEST(TraceSetIo, LoadRejectsGarbage) {
-  const std::string path = ScratchPath("ntrace_garbage_test.bin");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  std::fputs("this is not a trace", f);
-  std::fclose(f);
-  TraceSet out;
-  EXPECT_FALSE(TraceSet::LoadFrom(path, &out));
-  std::remove(path.c_str());
-  EXPECT_FALSE(TraceSet::LoadFrom("/nonexistent/path.bin", &out));
 }
 
 TEST(TraceSetIo, SystemFiltering) {
