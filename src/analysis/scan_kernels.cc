@@ -316,16 +316,8 @@ TraceScan TraceScan::Run(const ColumnarTraceSet& trace) {
   trace.ForEachBatch([&acc](const ColumnBatch& b) { acc.Consume(b); }, kScanColumnMask);
   TraceScan out = acc.Finish();
   // Salvage accounting rides with the store (DESIGN.md §16): what the reader
-  // knows was lost is what the figures above do not cover. A surviving seal
-  // additionally counts whole extents lost without their headers.
-  const ExtentReadStats& rs = trace.read_stats();
-  out.records_lost_known = rs.records_lost_known;
-  if (rs.sealed && rs.seal_records > rs.records_recovered) {
-    const uint64_t seal_missing = rs.seal_records - rs.records_recovered;
-    if (seal_missing > out.records_lost_known) {
-      out.records_lost_known = seal_missing;
-    }
-  }
+  // knows was lost is what the figures above do not cover.
+  out.records_lost_known = trace.read_stats().KnownLost();
   return out;
 }
 

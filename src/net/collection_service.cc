@@ -12,7 +12,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <filesystem>
 
 #include "src/metrics/metrics.h"
 
@@ -349,7 +348,7 @@ void CollectionService::AcceptLoop() {
       continue;
     }
     SetNoDelay(fd);
-    SetRecvTimeout(fd, options_.config.connect_timeout_ms);
+    SetRecvTimeout(fd, kNetConnectTimeoutMs);
 
     // The first frame must be the hello; it routes the connection to its
     // shard. Handled here so shard loops only ever see bound connections.
@@ -357,7 +356,7 @@ void CollectionService::AcceptLoop() {
     NetHello hello;
     bool got = false, bad = false;
     const int64_t deadline =
-        NowMicros() + static_cast<int64_t>(options_.config.connect_timeout_ms * 1000.0);
+        NowMicros() + static_cast<int64_t>(kNetConnectTimeoutMs * 1000.0);
     while (!got && !bad && NowMicros() < deadline) {
       uint8_t buf[512];
       const ssize_t n = recv(fd, buf, sizeof(buf), 0);
@@ -427,20 +426,12 @@ CollectionService::Session* CollectionService::FindOrCreateSession(Shard* shard,
         // bye gets its ack from the replayed server state.
         session->sealed = true;
         session->server.Finish();
-      } else {
-        // Drop any damaged tail before appending: the writer must continue
-        // exactly where the valid prefix ends.
-        if (r.bytes_discarded > 0) {
-          std::error_code ec;
-          const uint64_t size = std::filesystem::file_size(path, ec);
-          if (!ec && size >= r.bytes_discarded) {
-            std::filesystem::resize_file(path, size - r.bytes_discarded, ec);
-          }
-        }
-        session->spool.OpenAppend(path, agent_id, options_.config_fingerprint);
       }
-    } else {
-      session->spool.Open(path, agent_id, options_.config_fingerprint);
+    }
+    if (!session->sealed) {
+      // Continues exactly where the valid prefix ends (a damaged tail is
+      // truncated first); a segment of another run starts over.
+      session->spool.OpenAppend(path, agent_id, options_.config_fingerprint);
     }
     session->spool.set_flush_threshold(kSessionFlushBytes);
   }
@@ -576,7 +567,7 @@ void CollectionService::HandleFrame(Shard* shard, Connection* conn, const SpoolF
         return;
       }
       // A gap: park the frame (bounded) or drop it and say so.
-      if (s->parked.size() >= static_cast<size_t>(options_.config.reorder_limit)) {
+      if (s->parked.size() >= kNetReorderLimit) {
         ++s->dropped_frames;
         ++shard->local.frames_dropped;
         s->shed_flag = true;

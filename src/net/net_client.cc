@@ -42,7 +42,7 @@ NetAgentClient::NetAgentClient(const NetCollectionConfig& config, uint16_t port,
       agent_id_(agent_id),
       fingerprint_(config_fingerprint),
       faults_(config.transport_faults, config.fault_seed, agent_id),
-      backoff_rng_(config.retry_seed + 0x9E3779B97F4A7C15ULL * (agent_id + 1)) {}
+      backoff_rng_(kNetRetrySeed + 0x9E3779B97F4A7C15ULL * (agent_id + 1)) {}
 
 NetAgentClient::~NetAgentClient() { Disconnect(); }
 
@@ -112,7 +112,7 @@ bool NetAgentClient::EnsureConnected() {
     int rc = connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
     if (rc != 0 && errno == EINPROGRESS) {
       pollfd p{fd, POLLOUT, 0};
-      rc = poll(&p, 1, static_cast<int>(config_.connect_timeout_ms)) == 1 ? 0 : -1;
+      rc = poll(&p, 1, static_cast<int>(kNetConnectTimeoutMs)) == 1 ? 0 : -1;
       if (rc == 0) {
         int err = 0;
         socklen_t len = sizeof(err);
@@ -125,7 +125,7 @@ bool NetAgentClient::EnsureConnected() {
       continue;
     }
     fcntl(fd, F_SETFL, flags);  // Back to blocking; timeouts bound the waits.
-    SetIoTimeouts(fd, config_.io_timeout_ms);
+    SetIoTimeouts(fd, kNetIoTimeoutMs);
     int one = 1;
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 

@@ -4,7 +4,8 @@
 // behaves exactly as before src/net existed. When enabled, agents deliver
 // their shipment streams to a loopback CollectionService over real TCP
 // connections, and the merged output is required to stay bit-identical to
-// the in-process path (tests/net_integrity_test.cc holds the line).
+// the in-process path (tests/net_integrity_test.cc holds the line). The
+// session layer's fixed limits are constants in net_protocol.h.
 
 #ifndef SRC_NET_NET_CONFIG_H_
 #define SRC_NET_NET_CONFIG_H_
@@ -28,21 +29,13 @@ struct NetCollectionConfig {
   // server advertises to a fresh session.
   int window = 64;
 
-  // Server-side reorder buffer: out-of-order frames parked per session
-  // while a gap is outstanding. Beyond the limit frames are dropped (the
-  // cumulative ack makes the client resend them) -- bounded memory under
-  // arbitrary reordering.
-  int reorder_limit = 64;
   // Reorder-buffer depth at which acks start carrying a BUSY status, the
   // explicit backpressure signal (clients pause before sending more).
   int busy_watermark = 32;
 
-  // Client connect/send/receive timeouts and the server's slow-client
-  // eviction deadline, all wall-clock milliseconds. A connection that shows
-  // no readable bytes for evict_idle_ms is closed by its shard; the client
-  // notices on its next I/O and reconnects.
-  double connect_timeout_ms = 1000.0;
-  double io_timeout_ms = 1000.0;
+  // The server's slow-client eviction deadline, wall-clock milliseconds: a
+  // connection that shows no readable bytes for this long is closed by its
+  // shard; the client notices on its next I/O and reconnects.
   double evict_idle_ms = 2000.0;
 
   // Reconnect/backoff plan, reusing the shipment retry-policy shape (PR 1):
@@ -51,7 +44,6 @@ struct NetCollectionConfig {
   // exponential backoff between attempts. SimDurations are interpreted as
   // wall-clock here (the transport lives outside simulated time).
   ShipmentPolicy retry;
-  uint64_t retry_seed = 0x4E455452;  // "NETR": jitter stream seed.
 
   // Transport fault plan applied to every agent connection, each agent
   // drawing from its own deterministic stream (seed, stream = agent id).

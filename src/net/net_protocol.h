@@ -1,11 +1,12 @@
 // Wire protocol of the networked collection tier (DESIGN.md §11).
 //
-// The wire speaks the spool v1 frame format: every message is one spool
-// frame (20-byte header -- magic, type, payload size, payload CRC-32C,
-// header CRC-32C -- then payload), so a frame captured off the wire is
-// bit-compatible with a frame read from a spool segment, and the server
-// persists delivered payloads by writing them straight back out as spool
-// frames. Net-specific frame types live above the on-disk range (>= 16).
+// The wire speaks the v1 frame format of the trace-file container
+// (src/trace/frame_file.h): every message is one frame (20-byte header --
+// magic, type, payload size, payload CRC-32C, header CRC-32C -- then
+// payload), so a frame captured off the wire is bit-compatible with a frame
+// read from a spool segment, and the server persists delivered payloads by
+// writing them straight back out as spool frames. Net-specific frame types
+// live above the on-disk range (>= 16).
 //
 // Session layer: every data frame an agent sends carries a dense per-agent
 // sequence number (net_seq, 0-based). The server delivers frames to its
@@ -29,6 +30,16 @@
 namespace ntrace {
 
 inline constexpr uint32_t kNetProtocolVersion = 1;
+
+// Session-layer limits. Out-of-order frames parked per session beyond
+// kNetReorderLimit are dropped (the cumulative ack makes the client resend
+// them): bounded memory under arbitrary reordering. Timeouts are wall-clock
+// milliseconds: connect (and the service's wait for a hello), then each
+// blocking agent send or receive. kNetRetrySeed seeds reconnect jitter.
+inline constexpr size_t kNetReorderLimit = 64;
+inline constexpr double kNetConnectTimeoutMs = 1000.0;
+inline constexpr double kNetIoTimeoutMs = 1000.0;
+inline constexpr uint64_t kNetRetrySeed = 0x4E455452;  // "NETR".
 
 // Frame types 1..6 are the on-disk spool types (SpoolFrameType); the net
 // session types start at 16 so the ranges can never collide.

@@ -98,20 +98,12 @@ FidelityReport CheckFidelity(const TraceSet& original, const TraceSet& replayed)
 
 ReplaySalvageInfo SalvageInfoFromStats(const ExtentReadStats& stats) {
   ReplaySalvageInfo info;
-  info.records_lost_known = stats.records_lost_known;
+  info.records_lost_known = stats.KnownLost();
   // The dictionary, name table and seal ride behind the extent frames, so
   // any damage -- or a truncation clean enough to leave no damaged frame --
   // takes the names with it; an unsealed read of a sealed store is the same
   // evidence.
   info.names_lost = stats.frames_damaged > 0 || stats.bytes_discarded > 0 || !stats.sealed;
-  // A surviving seal knows exactly how many records the store held; count
-  // whole extents lost without their headers, not just damaged payloads.
-  if (stats.sealed && stats.seal_records > stats.records_recovered) {
-    const uint64_t seal_missing = stats.seal_records - stats.records_recovered;
-    if (seal_missing > info.records_lost_known) {
-      info.records_lost_known = seal_missing;
-    }
-  }
   return info;
 }
 

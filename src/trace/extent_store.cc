@@ -1,14 +1,10 @@
 #include "src/trace/extent_store.h"
 
-#include <fcntl.h>
-
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <queue>
 #include <utility>
 
-#include "src/base/crc32c.h"
 #include "src/metrics/metrics.h"
 
 namespace ntrace {
@@ -454,52 +450,30 @@ ColumnBatch ColumnBatch::Of(const ColumnarExtent& e, size_t begin, size_t count)
 
 bool ExtentStoreWriter::Open(const std::string& path, uint32_t extent_records,
                              uint64_t config_fingerprint, bool compress) {
-  Close();
-  failed_ = false;
   sealed_ = false;
   compress_ = compress;
   records_written_ = 0;
   extents_written_ = 0;
-  bytes_written_ = 0;
   pending_.Clear();
   dict_.clear();
   dict_index_.clear();
   names_.clear();
   procs_.clear();
   extent_records_ = std::max<uint32_t>(1, std::min(extent_records, kMaxExtentRecords));
-  file_ = std::fopen(path.c_str(), "wb");
-  if (file_ == nullptr) {
-    failed_ = true;
+  if (!file_.Open(path,
+                  FrameFileHeader{kExtentStoreMagic, kExtentStoreVersion, extent_records_,
+                                  config_fingerprint},
+                  &ExtentMetrics::Get().bytes_written)) {
     return false;
   }
-  path_ = path;
   pending_.Reserve(extent_records_);
-  frame_.clear();
-  PutScalar<uint64_t>(&frame_, kExtentStoreMagic);
-  PutScalar<uint32_t>(&frame_, kExtentStoreVersion);
-  PutScalar<uint32_t>(&frame_, extent_records_);
-  PutScalar<uint64_t>(&frame_, config_fingerprint);
-  if (std::fwrite(frame_.data(), 1, frame_.size(), file_) != frame_.size()) {
-    failed_ = true;
-    return false;
-  }
-  bytes_written_ += frame_.size();
   return true;
 }
 
-bool ExtentStoreWriter::WriteFrameBytes(ExtentFrameType type, const std::vector<uint8_t>& payload) {
-  if (!ok()) {
-    return false;
-  }
-  frame_.clear();
-  SpoolAppendFrame(&frame_, static_cast<uint16_t>(type), payload.data(), payload.size(), nullptr,
-                   0);
-  if (std::fwrite(frame_.data(), 1, frame_.size(), file_) != frame_.size()) {
-    failed_ = true;
-    return false;
-  }
-  bytes_written_ += frame_.size();
-  return true;
+bool ExtentStoreWriter::WriteFrame(ExtentFrameType type) {
+  // The payload rides as the tail: a full extent is never staged.
+  return file_.Append(static_cast<uint16_t>(type), nullptr, 0, payload_.data(), payload_.size(),
+                      /*checkpoint=*/type == ExtentFrameType::kSeal);
 }
 
 bool ExtentStoreWriter::FlushExtent() {
@@ -515,13 +489,12 @@ bool ExtentStoreWriter::FlushExtent() {
 #define NTRACE_X(name, type) PutColumn<type>(&payload_, pending_.name, compress_);
   NTRACE_EXTENT_COLUMNS(NTRACE_X)
 #undef NTRACE_X
-  if (!WriteFrameBytes(ExtentFrameType::kExtent, payload_)) {
+  if (!WriteFrame(ExtentFrameType::kExtent)) {
     return false;
   }
   ExtentMetrics& m = ExtentMetrics::Get();
   m.extents_written.Inc();
   m.records_written.Inc(pending_.size());
-  m.bytes_written.Inc(frame_.size());
   records_written_ += pending_.size();
   ++extents_written_;
   pending_.Clear();
@@ -596,17 +569,15 @@ bool ExtentStoreWriter::Seal() {
     for (size_t b = 0; b < 4; ++b) {
       payload_[count_pos + b] = static_cast<uint8_t>(in_chunk >> (8 * b));
     }
-    if (!WriteFrameBytes(ExtentFrameType::kDict, payload_)) {
+    if (!WriteFrame(ExtentFrameType::kDict)) {
       return false;
     }
   }
   // Name records, columnar, chunked the same way.
   constexpr size_t kNameChunk = 1u << 20;
-  for (size_t base = 0; base < names_.size() || base == 0; base += kNameChunk) {
-    const size_t n = names_.size() > base ? std::min(kNameChunk, names_.size() - base) : 0;
-    if (n == 0 && base > 0) {
-      break;
-    }
+  size_t base = 0;
+  do {  // At least one frame, even for an empty table.
+    const size_t n = std::min(kNameChunk, names_.size() - base);
     payload_.clear();
     PutScalar<uint32_t>(&payload_, static_cast<uint32_t>(n));
     for (size_t k = 0; k < n; ++k) {
@@ -618,13 +589,11 @@ bool ExtentStoreWriter::Seal() {
     for (size_t k = 0; k < n; ++k) {
       PutScalar<uint32_t>(&payload_, names_[base + k].dict);
     }
-    if (!WriteFrameBytes(ExtentFrameType::kNames, payload_)) {
+    if (!WriteFrame(ExtentFrameType::kNames)) {
       return false;
     }
-    if (names_.empty()) {
-      break;
-    }
-  }
+    base += n;
+  } while (base < names_.size());
   payload_.clear();
   PutScalar<uint32_t>(&payload_, static_cast<uint32_t>(procs_.size()));
   for (const ProcEntry& p : procs_) {
@@ -633,7 +602,7 @@ bool ExtentStoreWriter::Seal() {
   for (const ProcEntry& p : procs_) {
     PutScalar<uint32_t>(&payload_, p.dict);
   }
-  if (!WriteFrameBytes(ExtentFrameType::kProcs, payload_)) {
+  if (!WriteFrame(ExtentFrameType::kProcs)) {
     return false;
   }
   payload_.clear();
@@ -642,159 +611,65 @@ bool ExtentStoreWriter::Seal() {
   PutScalar<uint64_t>(&payload_, static_cast<uint64_t>(names_.size()));
   PutScalar<uint64_t>(&payload_, static_cast<uint64_t>(procs_.size()));
   PutScalar<uint64_t>(&payload_, static_cast<uint64_t>(dict_.size()));
-  if (!WriteFrameBytes(ExtentFrameType::kSeal, payload_)) {
-    return false;
-  }
-  if (std::fflush(file_) != 0) {
-    failed_ = true;
+  if (!WriteFrame(ExtentFrameType::kSeal)) {
     return false;
   }
   sealed_ = true;
   return true;
 }
 
-void ExtentStoreWriter::Close() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // ExtentStreamReader
 // ---------------------------------------------------------------------------
 
-ExtentStreamReader::~ExtentStreamReader() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-  }
-}
-
 namespace {
 
-// Bounded WILLNEED readahead window posted ahead of the next frame span
-// (ROADMAP item 1, the cheap half). The k-way merge interleaves reads
-// across hundreds of streams, so per-fd sequential readahead keeps
-// restarting; explicitly staging the next window per stream keeps each
-// input's pages in flight while the merge services the others. Bounded so
-// a wide merge never asks the page cache for more than window x fan-in.
-constexpr uint64_t kFadviseWindowBytes = 256 * 1024;
-
-// NTRACE_NO_FADVISE=1 kill switch: disables both the SEQUENTIAL hint and
-// the WILLNEED windows (for A/B measurement, and as an escape hatch on
-// filesystems where the advice is counterproductive).
-bool FadviseDisabled() {
-  static const bool disabled = [] {
-    const char* v = std::getenv("NTRACE_NO_FADVISE");
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
-  }();
-  return disabled;
+// A damaged extent frame whose head survived still declares its record
+// count: it rides at the front of the payload.
+uint64_t ExtentLostKnown(const SpoolFrameView& damaged) {
+  size_t p = 0;
+  uint32_t record_count = 0;
+  if (static_cast<ExtentFrameType>(damaged.type) == ExtentFrameType::kExtent &&
+      GetScalar(damaged.payload, damaged.payload_available, &p, &record_count) &&
+      record_count <= kMaxExtentRecords) {
+    return record_count;
+  }
+  return 0;
 }
 
 }  // namespace
 
-void ExtentStreamReader::PostReadahead() {
-#if defined(POSIX_FADV_WILLNEED)
-  if (FadviseDisabled() || file_ == nullptr || file_pos_ >= file_size_) {
-    return;
-  }
-  uint64_t window = file_size_ - file_pos_;
-  if (window > kFadviseWindowBytes) {
-    window = kFadviseWindowBytes;
-  }
-  posix_fadvise(fileno(file_), static_cast<off_t>(file_pos_), static_cast<off_t>(window),
-                POSIX_FADV_WILLNEED);
-#endif
-}
-
 bool ExtentStreamReader::Open(const std::string& path) {
-  file_ = std::fopen(path.c_str(), "rb");
-  if (file_ == nullptr) {
-    done_ = true;
-    return false;
-  }
-#if defined(POSIX_FADV_SEQUENTIAL)
-  // Extent streams are read front to back exactly once -- the k-way merge
-  // holds hundreds of these open at a time, so kernel readahead sized for
-  // sequential access (instead of per-fd heuristics restarting after every
-  // interleaved read) is worth real wall clock on the merge leg.
-  if (!FadviseDisabled()) {
-    posix_fadvise(fileno(file_), 0, 0, POSIX_FADV_SEQUENTIAL);
-  }
-#endif
-  stats_.file_opened = true;
-  std::fseek(file_, 0, SEEK_END);
-  const long end = std::ftell(file_);
-  file_size_ = end > 0 ? static_cast<uint64_t>(end) : 0;
-  std::fseek(file_, 0, SEEK_SET);
-
-  uint8_t header[kExtentStoreHeaderSize];
-  if (std::fread(header, 1, sizeof(header), file_) != sizeof(header)) {
-    stats_.bytes_discarded = file_size_;
-    done_ = true;
-    return false;
-  }
-  size_t pos = 0;
-  uint64_t magic = 0;
-  if (!GetScalar(header, sizeof(header), &pos, &magic) || magic != kExtentStoreMagic ||
-      !GetScalar(header, sizeof(header), &pos, &stats_.version) ||
-      stats_.version != kExtentStoreVersion ||
-      !GetScalar(header, sizeof(header), &pos, &stats_.extent_capacity) ||
-      !GetScalar(header, sizeof(header), &pos, &stats_.config_fingerprint)) {
-    stats_.bytes_discarded = file_size_;
-    done_ = true;
-    return false;
-  }
-  stats_.header_valid = true;
-  file_pos_ = sizeof(header);
-  PostReadahead();
-  return true;
+  const bool opened = file_.Open(path, kExtentStoreMagic, kExtentStoreVersion, &ExtentLostKnown);
+  static_cast<FrameSalvage&>(stats_) = file_.salvage();
+  stats_.extent_capacity = file_.header().param;
+  return opened;
 }
 
-// Reads and fully validates the next frame into frame_buf_. Returns false
-// at clean EOF or on damage (stats_ updated); true leaves a kOk view.
-bool ExtentStreamReader::ReadFrame(SpoolFrameView* view) {
-  frame_buf_.resize(kSpoolFrameHeaderSize);
-  const size_t got = std::fread(frame_buf_.data(), 1, kSpoolFrameHeaderSize, file_);
-  if (got == 0) {
-    return false;  // Clean EOF.
-  }
-  size_t consumed = 0;
-  SpoolFrameStatus status = SpoolParseFrame(frame_buf_.data(), got, view, &consumed);
-  if (status == SpoolFrameStatus::kTruncatedHeader || status == SpoolFrameStatus::kBadHeader) {
-    stats_.frames_damaged = 1;
-    stats_.bytes_discarded = file_size_ - file_pos_;
-    ExtentMetrics::Get().frames_damaged.Inc();
+bool ExtentStreamReader::DecodeExtent(const SpoolFrameView& view, uint32_t mask,
+                                      ColumnarExtent* out) {
+  const uint8_t* payload = view.payload;
+  const size_t size = view.payload_size;
+  size_t pos = 0;
+  uint32_t count = 0;
+  bool decoded = GetScalar(payload, size, &pos, &count) && count <= kMaxExtentRecords &&
+                 GetScalar(payload, size, &pos, &out->min_start_ticks) &&
+                 GetScalar(payload, size, &pos, &out->max_start_ticks) &&
+                 GetScalar(payload, size, &pos, &out->min_complete_ticks) &&
+                 GetScalar(payload, size, &pos, &out->max_complete_ticks);
+#define NTRACE_X(name, type)                                                   \
+  decoded = decoded && GetColumn<type>(payload, size, &pos, count, &out->name, \
+                                       (mask & (1u << kExtentCol_##name)) != 0);
+  NTRACE_EXTENT_COLUMNS(NTRACE_X)
+#undef NTRACE_X
+  if (!decoded) {
     return false;
   }
-  // Header intact: pull the declared payload and re-validate end to end.
-  const size_t payload_size = view->payload_size;
-  frame_buf_.resize(kSpoolFrameHeaderSize + payload_size);
-  const size_t payload_got =
-      payload_size == 0
-          ? 0
-          : std::fread(frame_buf_.data() + kSpoolFrameHeaderSize, 1, payload_size, file_);
-  status = SpoolParseFrame(frame_buf_.data(), kSpoolFrameHeaderSize + payload_got, view,
-                           &consumed);
-  if (status != SpoolFrameStatus::kOk) {
-    stats_.frames_damaged = 1;
-    stats_.bytes_discarded = file_size_ - file_pos_;
-    // Damaged payload under an intact header: the extent's record count
-    // rides at the front of the payload, so when enough of it survives the
-    // loss is known exactly (the spool does the same with shipments).
-    if (static_cast<ExtentFrameType>(view->type) == ExtentFrameType::kExtent) {
-      size_t p = 0;
-      uint32_t record_count = 0;
-      if (GetScalar(view->payload, view->payload_available, &p, &record_count) &&
-          record_count <= kMaxExtentRecords) {
-        stats_.records_lost_known = record_count;
-      }
-    }
-    ExtentMetrics::Get().frames_damaged.Inc();
-    return false;
-  }
-  file_pos_ += kSpoolFrameHeaderSize + payload_size;
-  PostReadahead();
+  ++stats_.extents_recovered;
+  stats_.records_recovered += count;
+  ExtentMetrics& m = ExtentMetrics::Get();
+  m.extents_recovered.Inc();
+  m.records_recovered.Inc(count);
   return true;
 }
 
@@ -882,62 +757,24 @@ bool ExtentStreamReader::NextExtent(ColumnarExtent* out, uint32_t column_mask) {
   // The event column carries the extent's row count for every consumer
   // (ColumnarExtent::size() is event.size()); no projection drops it.
   const uint32_t mask = column_mask | (1u << kExtentCol_event);
-  while (!done_) {
-    SpoolFrameView view;
-    if (!ReadFrame(&view)) {
-      done_ = true;
-      return false;
-    }
-    if (static_cast<ExtentFrameType>(view.type) == ExtentFrameType::kExtent) {
-      const uint8_t* payload = view.payload;
-      const size_t size = view.payload_size;
-      size_t pos = 0;
-      uint32_t count = 0;
-      bool decoded = GetScalar(payload, size, &pos, &count) && count <= kMaxExtentRecords &&
-                     GetScalar(payload, size, &pos, &out->min_start_ticks) &&
-                     GetScalar(payload, size, &pos, &out->max_start_ticks) &&
-                     GetScalar(payload, size, &pos, &out->min_complete_ticks) &&
-                     GetScalar(payload, size, &pos, &out->max_complete_ticks);
-#define NTRACE_X(name, type)                                                   \
-  decoded = decoded && GetColumn<type>(payload, size, &pos, count, &out->name, \
-                                       (mask & (1u << kExtentCol_##name)) != 0);
-      NTRACE_EXTENT_COLUMNS(NTRACE_X)
-#undef NTRACE_X
-      if (!decoded) {
-        // A decode failure under a valid CRC means a broken writer; treat
-        // it as damage all the same (the salvage contract never hard-fails).
-        stats_.frames_damaged = 1;
-        stats_.bytes_discarded = file_size_ - file_pos_ + view.payload_size +
-                                 kSpoolFrameHeaderSize;
-        ExtentMetrics::Get().frames_damaged.Inc();
-        done_ = true;
-        return false;
-      }
-      ++stats_.frames_valid;
-      ++stats_.extents_recovered;
-      stats_.records_recovered += count;
-      ExtentMetrics& m = ExtentMetrics::Get();
-      m.extents_recovered.Inc();
-      m.records_recovered.Inc(count);
-      return true;
-    }
-    if (!DecodeTail(view)) {
-      stats_.frames_damaged = 1;
-      stats_.bytes_discarded = file_size_ - file_pos_ + view.payload_size +
-                               kSpoolFrameHeaderSize;
-      ExtentMetrics::Get().frames_damaged.Inc();
-      done_ = true;
-      return false;
-    }
-    ++stats_.frames_valid;
-    if (static_cast<ExtentFrameType>(view.type) == ExtentFrameType::kSeal) {
-      stats_.sealed = true;
-      stats_.bytes_discarded = file_size_ - file_pos_;  // Anything past the seal.
-      done_ = true;
-      return false;
+  bool got_extent = false;
+  SpoolFrameView view;
+  while (!got_extent && file_.Next(&view)) {
+    const auto type = static_cast<ExtentFrameType>(view.type);
+    got_extent = type == ExtentFrameType::kExtent;
+    if (!(got_extent ? DecodeExtent(view, mask, out) : DecodeTail(view))) {
+      got_extent = false;
+      file_.Reject();
+    } else if (type == ExtentFrameType::kSeal) {
+      file_.Seal();
     }
   }
-  return false;
+  const bool was_damaged = stats_.frames_damaged > 0;
+  static_cast<FrameSalvage&>(stats_) = file_.salvage();
+  if (!was_damaged && stats_.frames_damaged > 0) {
+    ExtentMetrics::Get().frames_damaged.Inc();
+  }
+  return got_extent;
 }
 
 // ---------------------------------------------------------------------------

@@ -18,16 +18,14 @@
 //     (system_id in a per-system segment, the always-zero pad word) cost
 //     eight bytes instead of four per record.
 //
-// On-disk layout reuses the spool v1 segment machinery wholesale: the same
-// 24-byte file header shape, the same CRC-32C-split frame codec
-// (SpoolFillFrameHeader / SpoolParseFrame), and the same salvage contract --
-// a torn, truncated or bit-flipped file degrades to the longest intact
-// frame prefix plus loss accounting, never a hard failure
-// (tests/extent_store_test.cc fuzzes this, mirroring spool_test.cc).
+// On disk a store is a frame vocabulary of the trace-file container
+// (src/trace/frame_file.h), with its salvage contract: a damaged store
+// degrades to its longest intact frame prefix plus loss accounting, never
+// a hard failure (tests/extent_store_test.cc fuzzes this).
 //
 //   file header   u64 magic "NTCOLX01" | u32 version | u32 extent_capacity
 //                 u64 config_fingerprint
-//   frames        spool v1 frame format, extent-store types (>= 32):
+//   frames        the container's v1 frames, extent-store types (>= 32):
 //     kExtent     u32 record_count | i64 min/max start | i64 min/max complete
 //                 | per column: u8 encoding | u32 encoded_bytes | column bytes
 //     kDict       string dictionary chunk: u32 count | (u32 len, bytes)*
@@ -47,8 +45,8 @@
 // deterministic). The u32 encoded-length field makes every column
 // skippable without decoding, which is what lets a scan decode only the
 // columns it reads (NextExtent's column_mask). Compression changes nothing
-// about the frame contract: payloads still ride the CRC-32C spool codec and
-// a damaged store still degrades to its longest intact frame prefix.
+// about the frame contract: payloads still ride the container's CRC-32C
+// frames and a damaged store still degrades to its longest intact prefix.
 //
 // Extent frames stream out as records arrive; the dictionary, name and
 // process tables follow at Seal() time (names are consulted per lookup, not
@@ -59,14 +57,13 @@
 #define SRC_TRACE_EXTENT_STORE_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "src/trace/spool.h"
+#include "src/trace/frame_file.h"
 #include "src/trace/trace_record.h"
 #include "src/trace/trace_set.h"
 
@@ -75,11 +72,11 @@ namespace ntrace {
 // Format constants, shared by writer, reader and the golden-format test.
 inline constexpr uint64_t kExtentStoreMagic = 0x3130584C4F43544EULL;  // "NTCOLX01" LE.
 inline constexpr uint32_t kExtentStoreVersion = 1;
-inline constexpr uint32_t kExtentStoreHeaderSize = 24;
+inline constexpr uint32_t kExtentStoreHeaderSize = kFrameFileHeaderSize;
 // Default records per extent: 64K records x 80 column bytes = 5 MB, the
 // streaming unit for both the writer and the analysis scan.
 inline constexpr uint32_t kDefaultExtentRecords = 64 * 1024;
-// Hard cap: an extent frame must fit the spool codec's payload limit.
+// Hard cap: an extent frame must fit the container's payload limit.
 inline constexpr uint32_t kMaxExtentRecords = 512 * 1024;
 
 // Extent-store frame types live above the spool (< 16) and net (< 32)
@@ -102,8 +99,9 @@ enum class ColumnEncoding : uint8_t {
 };
 
 // The column schema: one X(name, type) per TraceRecord field, in on-disk
-// order. This order is pinned byte-for-byte by the golden test -- extend
-// only by appending (and bump the store version when you do).
+// order; ColumnarExtent and ColumnBatch declare their columns from it. This
+// order is pinned byte-for-byte by the golden test -- extend only by
+// appending (and bump the store version when you do).
 #define NTRACE_EXTENT_COLUMNS(X) \
   X(file_object, uint64_t)       \
   X(start_ticks, int64_t)        \
@@ -141,25 +139,9 @@ inline constexpr uint32_t kExtentColumnMaskAll = (1u << kExtentColumnCount) - 1;
 // One extent of column arrays (SoA). All vectors share the same length;
 // min/max are maintained by Append* and serve as the extent's time index.
 struct ColumnarExtent {
-  std::vector<uint64_t> file_object;
-  std::vector<int64_t> start_ticks;
-  std::vector<int64_t> complete_ticks;
-  std::vector<uint64_t> offset;
-  std::vector<uint64_t> file_size;
-  std::vector<uint32_t> length;
-  std::vector<uint32_t> returned;
-  std::vector<uint32_t> process_id;
-  std::vector<uint32_t> irp_flags;
-  std::vector<uint32_t> create_options;
-  std::vector<uint32_t> file_attributes;
-  std::vector<uint16_t> event;
-  std::vector<uint16_t> status;
-  std::vector<uint8_t> disposition;
-  std::vector<uint8_t> create_action;
-  std::vector<uint8_t> info_class;
-  std::vector<uint8_t> fsctl;
-  std::vector<uint32_t> system_id;
-  std::vector<uint32_t> reserved;
+#define NTRACE_X(name, type) std::vector<type> name;
+  NTRACE_EXTENT_COLUMNS(NTRACE_X)
+#undef NTRACE_X
 
   int64_t min_start_ticks = 0;
   int64_t max_start_ticks = 0;
@@ -184,46 +166,21 @@ struct ColumnarExtent {
 // columns are materialized by the reader before a batch is formed.
 struct ColumnBatch {
   size_t count = 0;
-  const uint64_t* file_object = nullptr;
-  const int64_t* start_ticks = nullptr;
-  const int64_t* complete_ticks = nullptr;
-  const uint64_t* offset = nullptr;
-  const uint64_t* file_size = nullptr;
-  const uint32_t* length = nullptr;
-  const uint32_t* returned = nullptr;
-  const uint32_t* process_id = nullptr;
-  const uint32_t* irp_flags = nullptr;
-  const uint32_t* create_options = nullptr;
-  const uint32_t* file_attributes = nullptr;
-  const uint16_t* event = nullptr;
-  const uint16_t* status = nullptr;
-  const uint8_t* disposition = nullptr;
-  const uint8_t* create_action = nullptr;
-  const uint8_t* info_class = nullptr;
-  const uint8_t* fsctl = nullptr;
-  const uint32_t* system_id = nullptr;
-  const uint32_t* reserved = nullptr;
+#define NTRACE_X(name, type) const type* name = nullptr;
+  NTRACE_EXTENT_COLUMNS(NTRACE_X)
+#undef NTRACE_X
 
   static ColumnBatch Of(const ColumnarExtent& e, size_t begin, size_t count);
   static ColumnBatch Of(const ColumnarExtent& e) { return Of(e, 0, e.size()); }
 };
 
-// Salvage accounting for one extent-store file (mirrors SpoolReadResult).
-struct ExtentReadStats {
-  bool file_opened = false;
-  bool header_valid = false;
-  uint32_t version = 0;
+// Salvage accounting for one extent-store file: the container's, plus what
+// the extent frames held.
+struct ExtentReadStats : FrameSalvage {
   uint32_t extent_capacity = 0;
-  uint64_t config_fingerprint = 0;
-  bool sealed = false;
-
-  uint64_t frames_valid = 0;
-  uint64_t frames_damaged = 0;      // 0 or 1: the first damaged frame stops the scan.
   uint64_t extents_recovered = 0;
   uint64_t records_recovered = 0;
-  uint64_t records_lost_known = 0;  // Count of a damaged extent whose header survived.
   uint64_t names_recovered = 0;
-  uint64_t bytes_discarded = 0;     // File bytes after the last valid frame.
 
   // Seal totals (valid when sealed).
   uint64_t seal_records = 0;
@@ -231,17 +188,21 @@ struct ExtentReadStats {
   uint64_t seal_names = 0;
   uint64_t seal_procs = 0;
   uint64_t seal_dict_entries = 0;
+
+  // Records known lost: a damaged extent's declared count or, when a seal
+  // survived, its total beyond the recovered records (whole extents lost
+  // without their headers), whichever is larger.
+  uint64_t KnownLost() const {
+    const uint64_t seal_missing =
+        sealed && seal_records > records_recovered ? seal_records - records_recovered : 0;
+    return seal_missing > records_lost_known ? seal_missing : records_lost_known;
+  }
 };
 
 // Appends extents (and, at Seal, the name/dictionary tables) to one store
 // file. Not thread-safe; each fleet worker owns its own writer.
 class ExtentStoreWriter {
  public:
-  ExtentStoreWriter() = default;
-  ~ExtentStoreWriter() { Close(); }
-  ExtentStoreWriter(const ExtentStoreWriter&) = delete;
-  ExtentStoreWriter& operator=(const ExtentStoreWriter&) = delete;
-
   // Creates/truncates `path`. extent_records is clamped to
   // [1, kMaxExtentRecords]; it is the flush granularity of AppendRecord(s).
   // With compress on (the default) every column picks the smallest of its
@@ -266,27 +227,23 @@ class ExtentStoreWriter {
   // Flushes the pending partial extent, then the dictionary/name/process
   // frames and the seal. The file is complete after Seal.
   bool Seal();
-  void Close();
+  void Close() { file_.Close(); }
 
-  bool ok() const { return file_ != nullptr && !failed_; }
-  const std::string& path() const { return path_; }
+  bool ok() const { return file_.ok(); }
   uint64_t records_written() const { return records_written_; }
   uint64_t extents_written() const { return extents_written_; }
-  uint64_t bytes_written() const { return bytes_written_; }
+  uint64_t bytes_written() const { return file_.bytes_written(); }
 
  private:
   bool FlushExtent();
-  bool WriteFrameBytes(ExtentFrameType type, const std::vector<uint8_t>& payload);
+  bool WriteFrame(ExtentFrameType type);  // payload_ as one frame.
 
-  std::FILE* file_ = nullptr;
-  std::string path_;
-  bool failed_ = false;
+  FrameFileWriter file_;
   bool sealed_ = false;
   bool compress_ = true;
   uint32_t extent_records_ = kDefaultExtentRecords;
   uint64_t records_written_ = 0;
   uint64_t extents_written_ = 0;
-  uint64_t bytes_written_ = 0;
 
   ColumnarExtent pending_;
   std::vector<std::string> dict_;  // First-appearance order.
@@ -303,7 +260,6 @@ class ExtentStoreWriter {
   };
   std::vector<ProcEntry> procs_;
   std::vector<uint8_t> payload_;  // Reused frame-payload staging buffer.
-  std::vector<uint8_t> frame_;    // Reused header+payload assembly buffer.
 };
 
 // Streams extents out of a store file one frame at a time on a memory
@@ -312,11 +268,6 @@ class ExtentStoreWriter {
 // what is known lost. Safe on arbitrary bytes.
 class ExtentStreamReader {
  public:
-  ExtentStreamReader() = default;
-  ~ExtentStreamReader();
-  ExtentStreamReader(const ExtentStreamReader&) = delete;
-  ExtentStreamReader& operator=(const ExtentStreamReader&) = delete;
-
   bool Open(const std::string& path);
 
   // Decodes the next kExtent frame into *out (replacing its contents).
@@ -336,16 +287,11 @@ class ExtentStreamReader {
   const ExtentReadStats& stats() const { return stats_; }
 
  private:
-  bool ReadFrame(SpoolFrameView* view);
+  bool DecodeExtent(const SpoolFrameView& view, uint32_t mask, ColumnarExtent* out);
   bool DecodeTail(const SpoolFrameView& view);
-  void PostReadahead();
 
-  std::FILE* file_ = nullptr;
+  FrameFileReader file_;
   ExtentReadStats stats_;
-  bool done_ = false;
-  uint64_t file_pos_ = 0;
-  uint64_t file_size_ = 0;
-  std::vector<uint8_t> frame_buf_;
   std::vector<std::string> dict_;
   std::vector<NameRecord> names_;
   std::vector<std::pair<uint32_t, std::string>> process_names_;

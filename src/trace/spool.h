@@ -1,42 +1,30 @@
-// The durable trace spool: a versioned, block-structured, checksummed
-// on-disk format for in-flight trace collection (DESIGN.md §10).
+// The durable trace spool (DESIGN.md §10): the delivery vocabulary of the
+// trace-file container (src/trace/frame_file.h).
 //
 // The paper's collection ran unattended for four weeks on machines that
 // crashed, rebooted and dropped off the network; the study survived because
-// partial data was salvageable. The spool gives the reproduction the same
-// property: every shipment a system delivers to its collection server is
-// also appended to a per-system segment file as a length-prefixed,
+// partial data was salvageable. Here every shipment a system delivers to its
+// collection server is also appended to a per-system segment file as a
 // CRC-32C-protected frame, so a worker crash at any point leaves a valid
-// prefix on disk. A segment is *sealed* by a final frame carrying the
-// system's run summary; only sealed segments count as checkpoints.
+// prefix on disk. A segment is *sealed* by a final frame carrying the run's
+// delivery totals; only sealed segments count as checkpoints. The
+// checkpoint manifest is a spool file of kManifest frames.
 //
-// On-disk v1 layout (all integers little-endian):
+// This header owns what the frames mean (file magic, frame types, payload
+// encodings, seal totals); the container does every byte of file I/O.
 //
 //   file header   u64 magic "NTSPOOL1" | u32 version | u32 system_id
 //                 u64 config_fingerprint
-//   frame         u32 frame magic | u16 type | u16 reserved
-//                 u32 payload_size | u32 crc32c(payload)
-//                 u32 crc32c(first 16 header bytes)
-//                 payload bytes
-//
-// The separate header CRC lets the salvage reader distinguish "frame header
-// torn/corrupt" (stop: the length field cannot be trusted) from "payload
-// damaged" (the frame's record count is still known, so the loss can be
-// counted). SpoolReader recovers every record up to the last valid frame
-// and never crashes on damaged input: truncation, bit flips and garbage
-// tails all degrade to a shorter valid prefix plus loss accounting
-// (tests/spool_test.cc fuzzes exactly this contract).
+//   frames        the container's v1 frames, spool types (< 16)
 
 #ifndef SRC_TRACE_SPOOL_H_
 #define SRC_TRACE_SPOOL_H_
 
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <string>
-#include <type_traits>
 #include <vector>
 
+#include "src/trace/frame_file.h"
 #include "src/trace/trace_buffer.h"
 #include "src/trace/trace_record.h"
 
@@ -47,13 +35,7 @@ class CollectionServer;
 // Format constants, shared by writer, reader and the golden-format test.
 inline constexpr uint64_t kSpoolMagic = 0x314C4F4F5053544EULL;  // "NTSPOOL1" LE.
 inline constexpr uint32_t kSpoolVersion = 1;
-inline constexpr uint32_t kSpoolFrameMagic = 0xC5B10733u;
-inline constexpr size_t kSpoolFileHeaderSize = 24;
-inline constexpr size_t kSpoolFrameHeaderSize = 20;
-// A frame payload larger than this is treated as corruption by the reader
-// (the writer never produces one: a shipment is at most a few thousand
-// fixed-size records).
-inline constexpr uint32_t kSpoolMaxPayload = 64u << 20;
+inline constexpr size_t kSpoolFileHeaderSize = kFrameFileHeaderSize;
 
 enum class SpoolFrameType : uint16_t {
   kShipment = 1,    // ShipmentHeader + TraceRecord array.
@@ -63,95 +45,6 @@ enum class SpoolFrameType : uint16_t {
   kSeal = 5,        // Terminates a complete segment; carries delivery totals.
   kManifest = 6,    // Checkpoint-manifest entry (completed-system log).
 };
-
-// ---------------------------------------------------------------------------
-// Shared v1 frame codec.
-//
-// The networked collection tier (src/net) speaks the spool frame format on
-// the wire: same 20-byte header, same CRC split, same payload encodings.
-// These helpers are the single implementation both layers use, so a frame
-// captured off the wire is bit-compatible with a frame read from disk.
-// ---------------------------------------------------------------------------
-
-// Little-endian scalar codec of every byte format in the tree (spool and
-// wire frames, extent store, the fleet's completion blob): the formats are
-// explicitly LE so the golden-byte tests pin identical bytes on every
-// platform.
-template <typename T>
-void PutScalar(std::vector<uint8_t>* out, T value) {
-  static_assert(std::is_integral_v<T>);
-  for (size_t i = 0; i < sizeof(T); ++i) {
-    out->push_back(static_cast<uint8_t>(static_cast<uint64_t>(value) >> (8 * i)));
-  }
-}
-
-// Bounds-checked read: a short buffer returns false (callers treat it as
-// damage) and leaves *pos unchanged.
-template <typename T>
-bool GetScalar(const uint8_t* data, size_t size, size_t* pos, T* out) {
-  static_assert(std::is_integral_v<T>);
-  if (size - *pos < sizeof(T)) {
-    return false;
-  }
-  uint64_t v = 0;
-  for (size_t i = 0; i < sizeof(T); ++i) {
-    v |= static_cast<uint64_t>(data[*pos + i]) << (8 * i);
-  }
-  *pos += sizeof(T);
-  *out = static_cast<T>(v);
-  return true;
-}
-
-// Raw byte spans (strings, record arrays, host-layout structs), read with
-// the same bounds check.
-inline void PutBytes(std::vector<uint8_t>* out, const void* data, size_t n) {
-  const uint8_t* bytes = static_cast<const uint8_t*>(data);
-  out->insert(out->end(), bytes, bytes + n);
-}
-
-inline bool GetBytes(const uint8_t* data, size_t size, size_t* pos, void* out, size_t n) {
-  if (size - *pos < n) {
-    return false;
-  }
-  std::memcpy(out, data + *pos, n);
-  *pos += n;
-  return true;
-}
-
-// Fills one frame header in place. `header` must point at
-// kSpoolFrameHeaderSize writable bytes; `payload_crc` covers the payload
-// bytes that will follow.
-void SpoolFillFrameHeader(uint8_t* header, uint16_t type, uint32_t payload_size,
-                          uint32_t payload_crc);
-
-// Appends a complete frame (header + payload, payload given as head/tail
-// spans) to `out`. Convenience for callers without a streaming writer.
-void SpoolAppendFrame(std::vector<uint8_t>* out, uint16_t type, const void* head,
-                      size_t head_size, const void* tail, size_t tail_size);
-
-// One parsed frame, borrowed from the caller's buffer.
-struct SpoolFrameView {
-  uint16_t type = 0;
-  uint32_t payload_size = 0;      // Declared by the header.
-  const uint8_t* payload = nullptr;
-  size_t payload_available = 0;   // Bytes actually present after the header.
-};
-
-enum class SpoolFrameStatus {
-  kOk,                // Frame valid; *consumed covers header + payload.
-  kTruncatedHeader,   // Fewer than kSpoolFrameHeaderSize bytes available.
-  kBadHeader,         // Header magic/CRC/size invalid: length untrustworthy.
-  kTruncatedPayload,  // Header intact but the payload runs past the buffer.
-  kBadPayload,        // Payload complete but fails its CRC.
-};
-
-// Parses one frame from the front of [data, data+size). On kOk, *consumed
-// is the frame's full length. On kTruncatedPayload/kBadPayload the view is
-// still filled (the header was valid), so callers can classify the loss; a
-// streaming consumer treats kTruncatedHeader/kTruncatedPayload as "wait for
-// more bytes" and the kBad* states as corruption.
-SpoolFrameStatus SpoolParseFrame(const uint8_t* data, size_t size, SpoolFrameView* view,
-                                 size_t* consumed);
 
 // Payload codecs for the v1 frame types. Encoders append; decoders read a
 // complete payload span and return false on a structurally short payload.
@@ -182,20 +75,15 @@ struct SpoolManifestEntry {
   std::string segment_file;  // Basename, relative to the spool directory.
 };
 
-// Appends frames to one segment (or manifest) file. Not thread-safe; the
-// fleet gives each worker its own writer and serializes manifest appends.
+// Appends spool frames to one segment (or manifest) file through the
+// container's frame writer. Not thread-safe; the fleet gives each worker its
+// own writer and serializes manifest appends.
 class SpoolWriter {
  public:
-  SpoolWriter() = default;
-  ~SpoolWriter() { Close(); }
-  SpoolWriter(const SpoolWriter&) = delete;
-  SpoolWriter& operator=(const SpoolWriter&) = delete;
-
   // Creates/truncates `path` and writes the file header.
   bool Open(const std::string& path, uint32_t system_id, uint64_t config_fingerprint);
-  // Opens `path` for appending, validating the existing file header; a
-  // missing, empty or mismatching file is recreated. Used by the manifest,
-  // which accumulates entries across fleet invocations.
+  // Appends after the longest intact frame prefix (FrameFileWriter::
+  // OpenAppend): the manifest across fleet runs, a rebuilt net session.
   bool OpenAppend(const std::string& path, uint32_t system_id, uint64_t config_fingerprint);
 
   bool AppendShipment(const ShipmentHeader& header, const std::vector<TraceRecord>& records);
@@ -216,79 +104,34 @@ class SpoolWriter {
   // After sealing, the segment is a complete checkpoint.
   bool Seal(uint64_t records_collected);
 
-  void Close();
+  void Close() { file_.Close(); }
+  void Abandon() { file_.Abandon(); }  // Models a net server kill.
+  // Completion, seal and manifest frames are checkpoints: they always flush.
+  void set_flush_threshold(size_t bytes) { file_.set_flush_threshold(bytes); }
 
-  // Crash-semantics close: the file is closed WITHOUT flushing the batched
-  // frame buffer, so on-disk state is exactly what a process death at this
-  // point would have left (a valid frame prefix ending at the last flush).
-  // Used by the networked collection tier to model a server kill.
-  void Abandon();
-
-  // How many frame bytes may accumulate in the writer's own buffer before
-  // a non-checkpoint frame forces them out to the OS. 0 flushes after
-  // every frame (maximum durability: a crash tears at most the frame being
-  // written); the default trades a bounded unflushed tail for ~one write
-  // syscall per megabyte on the durable hot path. Checkpoint frames
-  // (completion/seal/manifest) always flush regardless.
-  void set_flush_threshold(size_t bytes) { flush_threshold_ = bytes; }
-
-  bool ok() const { return file_ != nullptr && !failed_; }
-  // Frame bytes batched in the writer's own buffer, not yet handed to the
-  // OS. Zero right after a flush: everything appended so far would survive
-  // a process crash. The net tier derives its durable-ack watermark here.
-  size_t buffered_bytes() const { return buf_.size(); }
-  const std::string& path() const { return path_; }
-  uint64_t frames_written() const { return frames_written_; }
-  uint64_t records_written() const { return records_written_; }
-  uint64_t names_written() const { return names_written_; }
-  uint64_t bytes_written() const { return bytes_written_; }
+  bool ok() const { return file_.ok(); }
+  // The net tier derives its durable-ack watermark here.
+  size_t buffered_bytes() const { return file_.buffered_bytes(); }
+  uint64_t bytes_written() const { return file_.bytes_written(); }
 
  private:
-  bool WriteHeader(uint32_t system_id, uint64_t config_fingerprint);
-  // Appends one frame -- header plus a payload that is the concatenation of
-  // two spans (the second lets AppendShipment hand the record array over
-  // without copying it into a staging buffer; the payload CRC is extended
-  // across both) -- to buf_. `checkpoint` frames are flushed to the OS
-  // unconditionally; others go out once flush_threshold_ bytes have
-  // accumulated. A crash can cost the unflushed tail, and the salvage
-  // contract (longest valid prefix) is unaffected.
   bool WriteFrame(SpoolFrameType type, const void* head, size_t head_size, const void* tail,
                   size_t tail_size, bool checkpoint);
-  // Writes buf_ to the (unbuffered) FILE in one call and clears it.
-  bool FlushBuffer();
-  // Same, but appends `tail` after the buffer via one vectored write, so a
-  // large payload tail (a shipment's record array) reaches the kernel
-  // without a staging copy.
-  bool FlushBufferWithTail(const uint8_t* tail, size_t tail_size);
 
-  std::FILE* file_ = nullptr;
-  std::string path_;
-  bool failed_ = false;
+  FrameFileWriter file_;
   uint64_t frames_written_ = 0;
   uint64_t records_written_ = 0;
   uint64_t names_written_ = 0;
-  uint64_t bytes_written_ = 0;
-  size_t flush_threshold_ = 1u << 20;
-  // Frame assembly buffer: a typical frame is well under a kilobyte (one
-  // name record, or one shipment), so the durable hot path batches frames
-  // here with plain memcpy and hands the OS ~one write per megabyte
-  // instead of three stdio calls per frame.
-  std::vector<uint8_t> buf_;
-  // Reused payload staging buffer: frame appends are the durable hot path,
-  // one heap allocation per frame would dominate small frames.
+  // Reused payload staging buffer: one allocation per frame would dominate.
   std::vector<uint8_t> scratch_;
 };
 
 // Everything a salvage pass recovers from one spool file: the valid frame
-// prefix, decoded, plus damage accounting. Reading never fails hard -- a
-// damaged or truncated file just yields a shorter prefix.
-struct SpoolReadResult {
-  bool file_opened = false;
-  bool header_valid = false;
-  uint32_t version = 0;
+// prefix, decoded, plus the container's damage accounting (FrameSalvage).
+// Reading never fails hard -- a damaged or truncated file just yields a
+// shorter prefix.
+struct SpoolReadResult : FrameSalvage {
   uint32_t system_id = 0;
-  uint64_t config_fingerprint = 0;
-  bool sealed = false;
   SpoolSeal seal;
 
   struct Shipment {
@@ -301,21 +144,14 @@ struct SpoolReadResult {
   std::vector<uint8_t> completion;             // Empty if no completion frame.
   std::vector<SpoolManifestEntry> manifest;
 
-  // Salvage accounting.
-  uint64_t frames_valid = 0;
-  uint64_t frames_damaged = 0;       // 0 or 1: the first damaged frame stops the scan.
-  uint64_t records_recovered = 0;    // Shipment + legacy records in the valid prefix.
-  uint64_t records_lost_known = 0;   // Record count of a damaged frame whose header survived.
-  uint64_t bytes_discarded = 0;      // File bytes after the last valid frame.
-
-  uint64_t TotalRecords() const { return records_recovered; }
+  uint64_t records_recovered = 0;  // Shipment + legacy records in the valid prefix.
 };
 
 class SpoolReader {
  public:
-  // Salvage-reads `path`: decodes the longest valid frame prefix and stops
-  // at the first torn, corrupt or truncated frame (or at the seal). Safe on
-  // arbitrary bytes.
+  // Salvage-reads `path` in one streaming scan (FrameFileReader), one frame
+  // at a time: decodes the longest valid frame prefix, up to the seal. Safe
+  // on arbitrary bytes.
   static SpoolReadResult Read(const std::string& path);
 };
 

@@ -26,6 +26,7 @@
 
 #include "src/base/crc32c.h"
 #include "src/base/rng.h"
+#include "src/metrics/metrics.h"
 #include "src/trace/spool.h"
 #include "tests/test_util.h"
 
@@ -130,6 +131,32 @@ TEST(ExtentStore, RoundTripRowsNamesAndProcesses) {
   ASSERT_EQ(rows.process_names.size(), 2u);
   EXPECT_EQ(rows.process_names.at(40), "explorer.exe");
   EXPECT_EQ(rows.process_names.at(41), "services.exe");
+  std::remove(path.c_str());
+}
+
+// The bytes counter covers every byte the store holds: the file header,
+// the extents and the dictionary, name, process and seal frames behind them.
+TEST(ExtentStore, BytesCounterCountsEveryByteOfASealedStore) {
+  const std::string path = ScratchPath("extent_counter.ntx");
+  auto counted = [] {
+    return MetricsRegistry::Global().Snapshot().CounterValue("ntrace_extent_bytes_written_total");
+  };
+  const uint64_t before = counted();
+  const std::vector<TraceRecord> records = MakeRecords(7, 0, 1000);
+  ExtentStoreWriter writer;
+  ASSERT_TRUE(writer.Open(path, 256, 0x77));
+  ASSERT_TRUE(writer.AppendRecords(records.data(), records.size()));
+  NameRecord name;
+  name.file_object = 0x1000;
+  name.system_id = 7;
+  name.path = "C:\\temp\\build.log";
+  writer.AddName(name);
+  writer.AddProcessName(40, "explorer.exe");
+  ASSERT_TRUE(writer.Seal());
+  writer.Close();
+  const uint64_t file_size = ReadFileBytes(path).size();
+  EXPECT_EQ(writer.bytes_written(), file_size);
+  EXPECT_EQ(counted() - before, file_size);
   std::remove(path.c_str());
 }
 

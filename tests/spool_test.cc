@@ -18,6 +18,7 @@
 
 #include "src/base/crc32c.h"
 #include "src/base/rng.h"
+#include "src/metrics/metrics.h"
 #include "tests/test_util.h"
 
 namespace ntrace {
@@ -137,6 +138,26 @@ TEST(Spool, ManifestRoundTripAndAppend) {
   ASSERT_TRUE(r.header_valid);
   EXPECT_EQ(r.config_fingerprint, 0xD00Du);
   EXPECT_TRUE(r.manifest.empty());
+  std::remove(path.c_str());
+}
+
+// The bytes counter covers every byte the segment holds: the file header
+// and every frame, seal included.
+TEST(Spool, BytesCounterCountsEveryByteOfASealedSegment) {
+  const std::string path = ScratchPath("spool_counter.ntspool");
+  auto counted = [] {
+    return MetricsRegistry::Global().Snapshot().CounterValue("ntrace_spool_bytes_written_total");
+  };
+  const uint64_t before = counted();
+  SpoolWriter writer;
+  ASSERT_TRUE(writer.Open(path, 5, 0x55));
+  ShipmentHeader h{5, 1, 1, 100};
+  ASSERT_TRUE(writer.AppendShipment(h, MakeRecords(5, 0, 100)));
+  ASSERT_TRUE(writer.Seal(100));
+  writer.Close();
+  const uint64_t file_size = ReadFileBytes(path).size();
+  EXPECT_EQ(writer.bytes_written(), file_size);
+  EXPECT_EQ(counted() - before, file_size);
   std::remove(path.c_str());
 }
 
@@ -469,6 +490,48 @@ TEST(SpoolSalvage, PayloadEndingExactlyAtEofClassifiesByCrc) {
   EXPECT_EQ(truncated.frames_damaged, 1u);
   EXPECT_EQ(truncated.records_lost_known, 4u);
   EXPECT_EQ(truncated.bytes_discarded, kSpoolFrameHeaderSize + payload.size() - 1);
+}
+
+// A crash in the middle of AppendManifestEntry leaves a torn frame. The
+// next OpenAppend must resume after the last intact frame: an entry
+// appended behind the torn bytes would sit where no reader reaches.
+TEST(SpoolSalvage, OpenAppendResumesAfterTheLastIntactFrame) {
+  const std::string path = ScratchPath("spool_manifest_torn.ntspool");
+  auto entry = [](uint32_t system_id) {
+    SpoolManifestEntry e;
+    e.system_id = system_id;
+    e.records_collected = 100 * system_id;
+    e.segment_file = SpoolSegmentName(system_id);
+    return e;
+  };
+  size_t intact = 0;
+  {
+    SpoolWriter writer;
+    ASSERT_TRUE(writer.Open(path, 0, 0xABCD));
+    ASSERT_TRUE(writer.AppendManifestEntry(entry(1)));
+    ASSERT_TRUE(writer.AppendManifestEntry(entry(2)));
+    intact = static_cast<size_t>(writer.bytes_written());
+    ASSERT_TRUE(writer.AppendManifestEntry(entry(3)));
+  }
+  std::vector<uint8_t> bytes = ReadFileBytes(path);
+  bytes.resize(intact + (bytes.size() - intact) / 2);  // Half of the third frame.
+  WriteFileBytes(path, bytes);
+
+  {
+    SpoolWriter writer;
+    ASSERT_TRUE(writer.OpenAppend(path, 0, 0xABCD));
+    ASSERT_TRUE(writer.AppendManifestEntry(entry(3)));
+  }
+  const SpoolReadResult r = SpoolReader::Read(path);
+  ASSERT_TRUE(r.header_valid);
+  EXPECT_EQ(r.frames_damaged, 0u);
+  EXPECT_EQ(r.bytes_discarded, 0u);
+  ASSERT_EQ(r.manifest.size(), 3u);
+  for (uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(r.manifest[i].system_id, i + 1);
+    EXPECT_EQ(r.manifest[i].records_collected, 100u * (i + 1));
+  }
+  std::remove(path.c_str());
 }
 
 TEST(SpoolSalvage, MissingAndEmptyFiles) {
