@@ -1,12 +1,12 @@
-// Shared driver for the reproduction benches.
-//
-// Every bench binary runs the same "standard study" (a scaled-down version
-// of the paper's 45-system, 4-week collection) and prints paper-vs-measured
-// rows for its table or figure. Scale knobs via environment:
+// Shared pieces of the bench binaries: StandardConfig(), the paper-scale
+// "standard study" (a scaled-down version of the paper's 45-system, 4-week
+// collection) that the reproduction driver and the performance benches
+// build on, strict environment-knob parsers, the counting allocation hook,
+// peak RSS, and the TraceScan fingerprint. Scale knobs via environment:
 //   NTRACE_SYSTEMS_SCALE  multiplies per-category system counts (default 1)
 //   NTRACE_DAYS           simulated days (default 1)
-//   NTRACE_ACTIVITY       burst-rate multiplier (default 1.0)
-//   NTRACE_CONTENT        initial-content multiplier (default 0.15)
+//   NTRACE_ACTIVITY       burst-rate multiplier (default 0.75)
+//   NTRACE_CONTENT        initial-content multiplier (default 0.12)
 //   NTRACE_SEED           fleet seed (default 1999)
 //   NTRACE_THREADS        fleet worker threads (default 0 = all cores;
 //                         output is bit-identical for every value)
@@ -375,22 +375,6 @@ inline StudyConfig StandardConfig() {
     net.transport_faults.reorder_probability = fault_prob;
   }
   return config;
-}
-
-// Runs the standard study, reporting its scale on stdout.
-inline Study& RunStandardStudy() {
-  static Study study(StandardConfig());
-  if (!study.has_run()) {
-    const StudyConfig config = StandardConfig();
-    std::printf("ntrace standard study: %d systems, %d day(s), activity x%.2f, seed %llu\n",
-                config.fleet.TotalSystems(), config.fleet.days, config.fleet.activity_scale,
-                static_cast<unsigned long long>(config.fleet.seed));
-    study.Run();
-    std::printf("collected %zu trace records, %zu name records across %zu systems\n",
-                study.trace().records.size(), study.trace().names.size(),
-                study.systems().size());
-  }
-  return study;
 }
 
 }  // namespace ntrace

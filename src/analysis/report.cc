@@ -1,13 +1,91 @@
 #include "src/analysis/report.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 #include "src/analysis/trace_scan.h"
 #include "src/base/format.h"
 
 namespace ntrace {
+
+bool Band::Contains(double value) const {
+  return open ? value > lo && value < hi : value >= lo && value <= hi;
+}
+
+std::string Band::ToString() const {
+  char lo_text[32];
+  char hi_text[32];
+  std::snprintf(lo_text, sizeof(lo_text), "%.15g", lo);
+  std::snprintf(hi_text, sizeof(hi_text), "%.15g", hi);
+  if (std::isfinite(lo) && std::isfinite(hi)) {
+    return std::string(lo_text) + ".." + hi_text + (open ? " (open)" : "");
+  }
+  const bool upper = std::isfinite(hi);
+  return std::string(upper ? "<" : ">") + (open ? " " : "= ") + (upper ? hi_text : lo_text);
+}
+
+const char* VerdictSymbol(Verdict verdict) {
+  static const char* const kSymbols[] = {"", "✓", "shape", "†"};
+  return kSymbols[static_cast<int>(verdict)];
+}
+
+namespace {
+
+Verdict Judge(double measured, const std::optional<Band>& band,
+              const std::optional<Shape>& shape) {
+  if (!band.has_value()) {
+    return Verdict::kInfo;
+  }
+  if (band->Contains(measured)) {
+    return Verdict::kMatch;
+  }
+  return shape.has_value() && shape->holds ? Verdict::kShape : Verdict::kDeviation;
+}
+
+std::string JsonString(const std::string& s) {
+  std::string out = "\"";
+  for (char c : s) {
+    if (c == '"' || c == '\\') {
+      out.push_back('\\');
+    }
+    out.push_back(c);
+  }
+  return out + "\"";
+}
+
+// Shortest round-trip form; null for an infinite or NaN value.
+std::string JsonNumber(double v) {
+  char buf[32] = "null";
+  if (std::isfinite(v)) {
+    *std::to_chars(buf, buf + sizeof(buf) - 1, v).ptr = '\0';
+  }
+  return buf;
+}
+
+}  // namespace
+
+std::string ComparisonRowJson(const std::string& section, const ComparisonRow& row) {
+  std::string band = "null";
+  if (row.band.has_value()) {
+    band = "{\"lo\": " + JsonNumber(row.band->lo) + ", \"hi\": " + JsonNumber(row.band->hi) +
+           ", \"open\": " + (row.band->open ? "true" : "false") +
+           ", \"text\": " + JsonString(row.band->ToString()) + "}";
+  }
+  std::string shape = "null";
+  if (row.shape.has_value()) {
+    shape = "{\"claim\": " + JsonString(row.shape->claim) + ", \"holds\": " +
+            (row.shape->holds ? "true}" : "false}");
+  }
+  const std::string verdict =
+      row.verdict == Verdict::kInfo ? "null" : JsonString(VerdictSymbol(row.verdict));
+  return "{\"section\": " + JsonString(section) + ", \"metric\": " + JsonString(row.metric) +
+         ", \"paper\": " + JsonString(row.paper) + ", \"measured\": " + JsonNumber(row.measured) +
+         ", \"text\": " + JsonString(row.measured_text) + ", \"band\": " + band + ", \"shape\": " +
+         shape + ", \"verdict\": " + verdict + ", \"note\": " + JsonString(row.note) + "}";
+}
 
 ComparisonReport::ComparisonReport(std::string title) : title_(std::move(title)) {}
 
@@ -24,12 +102,28 @@ void ComparisonReport::SetCoverage(const TraceScan& scan) { coverage_note_ = Cov
 
 void ComparisonReport::AddRow(const std::string& metric, const std::string& paper_value,
                               const std::string& measured_value, const std::string& note) {
-  rows_.push_back({metric, paper_value, measured_value, note});
+  AddRow(metric, paper_value, measured_value, std::nan(""), std::nullopt, note);
+}
+
+void ComparisonReport::AddRow(const std::string& metric, const std::string& paper_value,
+                              const std::string& measured_text, double measured,
+                              const std::optional<Band>& band, const std::string& note,
+                              const std::optional<Shape>& shape) {
+  // Six significant digits, as the JSON carries them: a reader of the JSON
+  // recomputes exactly this verdict, and every build type agrees on it.
+  char rounded[32];
+  std::snprintf(rounded, sizeof(rounded), "%.6g", measured);
+  measured = std::isfinite(measured) ? std::strtod(rounded, nullptr) : measured;
+  rows_.push_back({metric, paper_value, measured_text, measured, band, shape, note,
+                   Judge(measured, band, shape)});
 }
 
 void ComparisonReport::AddPercent(const std::string& metric, double paper_pct,
-                                  double measured_fraction, const std::string& note) {
-  AddRow(metric, FormatF(paper_pct, 0) + "%", FormatPct(measured_fraction), note);
+                                  double measured_fraction, const std::string& note,
+                                  const std::optional<Band>& stated,
+                                  const std::optional<Shape>& shape) {
+  AddRow(metric, FormatF(paper_pct, 0) + "%", FormatPct(measured_fraction),
+         100.0 * measured_fraction, stated.value_or(Band::Percent(paper_pct)), note, shape);
 }
 
 void ComparisonReport::AddValue(const std::string& metric, const std::string& paper_value,
@@ -42,7 +136,20 @@ void ComparisonReport::Print() const {
   if (!coverage_note_.empty()) {
     std::printf("  coverage: %s\n", coverage_note_.c_str());
   }
-  std::printf("%s", RenderTable({"metric", "paper", "measured", "note"}, rows_).c_str());
+  // The verdict goes last: RenderTable pads by bytes, and "✓" is three.
+  std::vector<std::vector<std::string>> cells;
+  for (const ComparisonRow& row : rows_) {
+    char value[32] = "";
+    if (std::isfinite(row.measured)) {
+      std::snprintf(value, sizeof(value), "%.6g", row.measured);
+    }
+    cells.push_back({row.metric, row.paper, row.measured_text, value,
+                     row.band.has_value() ? row.band->ToString() : "", row.note,
+                     VerdictSymbol(row.verdict)});
+  }
+  std::printf("%s", RenderTable({"metric", "paper", "measured", "value", "band", "note", "verdict"},
+                                cells)
+                        .c_str());
 }
 
 std::vector<double> LogProbePoints(double lo, double hi, int per_decade) {
