@@ -92,28 +92,30 @@ WhatIfReport PolicySweep::Run(const TraceSet& recorded, const PolicySweepOptions
   WhatIfReport report;
   report.recorded_fingerprint = TraceFingerprint(recorded);
 
-  // Baseline: the recording configuration replayed as recorded. Anything
-  // short of byte-exactness here disqualifies the what-if rows.
-  ReplayOptions baseline_options;
-  const FleetReplayResult baseline = replayer_.Replay(recorded, baseline_options, options.threads);
-  report.baseline = MakeRow("baseline", "recorded", baseline);
-  report.baseline.baseline = true;
-  const FidelityReport fidelity = CheckFidelity(recorded, baseline.trace);
-  report.baseline_fidelity_exact = fidelity.exact() && baseline.divergence.total() == 0;
-  report.baseline_fidelity_detail = fidelity.detail;
-
   PolicyConfig base;
   base.cache = config_.cache_config;
   const std::vector<PolicyPoint> grid =
       options.grid.empty() ? DefaultPolicyGrid(base) : options.grid;
-  report.rows.reserve(grid.size());
-  for (const PolicyPoint& point : grid) {
-    ReplayOptions replay_options;
-    replay_options.apply_policy = true;
-    replay_options.policy = point.policy;
-    const FleetReplayResult result = replayer_.Replay(recorded, replay_options, options.threads);
-    report.rows.push_back(MakeRow(point.knob, point.value, result));
+  // One job set: run 0 is the baseline, the recording configuration
+  // replayed as recorded; run i > 0 is grid point i - 1.
+  std::vector<ReplayOptions> runs(grid.size() + 1);
+  for (size_t i = 0; i < grid.size(); ++i) {
+    runs[i + 1].apply_policy = true;
+    runs[i + 1].policy = grid[i].policy;
   }
+  report.rows.resize(grid.size());
+  replayer_.ReplayEach(recorded, runs, options.threads, [&](size_t run, FleetReplayResult result) {
+    if (run > 0) {
+      report.rows[run - 1] = MakeRow(grid[run - 1].knob, grid[run - 1].value, result);
+      return;
+    }
+    // Anything short of byte-exactness here disqualifies the what-if rows.
+    report.baseline = MakeRow("baseline", "recorded", result);
+    report.baseline.baseline = true;
+    const FidelityReport fidelity = CheckFidelity(recorded, result.trace);
+    report.baseline_fidelity_exact = fidelity.exact() && result.divergence.total() == 0;
+    report.baseline_fidelity_detail = fidelity.detail;
+  });
   return report;
 }
 

@@ -38,7 +38,7 @@ std::vector<PolicyPoint> DefaultPolicyGrid(const PolicyConfig& base);
 
 struct PolicySweepOptions {
   std::vector<PolicyPoint> grid;  // Empty selects DefaultPolicyGrid.
-  int threads = 1;                // Workers per replay run.
+  int threads = 1;                // Workers for the whole sweep (<= 0: all cores).
 };
 
 class PolicySweep {

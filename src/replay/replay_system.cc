@@ -76,33 +76,6 @@ void DegradedReplayReport::Accumulate(const DegradedReplayReport& other) {
   }
 }
 
-void ReplayCollector::DeliverRecords(std::vector<TraceRecord> records) {
-  direct_.insert(direct_.end(), records.begin(), records.end());
-}
-
-void ReplayCollector::DeliverName(NameRecord name) { names_.push_back(std::move(name)); }
-
-void ReplayCollector::DeliverShipment(const ShipmentHeader& header,
-                                      std::vector<TraceRecord> records) {
-  // emplace keeps the first delivery of a sequence; an ack-loss retry of the
-  // same shipment is a duplicate the collection server would also discard.
-  shipments_.emplace(header.sequence, std::move(records));
-}
-
-std::vector<TraceRecord> ReplayCollector::Assemble() {
-  std::vector<TraceRecord> out;
-  size_t total = direct_.size();
-  for (const auto& [seq, payload] : shipments_) {
-    total += payload.size();
-  }
-  out.reserve(total);
-  out.insert(out.end(), direct_.begin(), direct_.end());
-  for (auto& [seq, payload] : shipments_) {
-    out.insert(out.end(), payload.begin(), payload.end());
-  }
-  return out;
-}
-
 SystemOptions ReplaySystem::EffectiveOptions(const SystemOptions& options,
                                              const ReplayOptions& replay) {
   SystemOptions effective = options;
@@ -114,7 +87,7 @@ SystemOptions ReplaySystem::EffectiveOptions(const SystemOptions& options,
 
 ReplaySystem::ReplaySystem(const SystemOptions& options, const TraceSet& recorded,
                            const ReplayOptions& replay)
-    : recorded_(recorded), replay_(replay), sys_(EffectiveOptions(options, replay), collector_) {
+    : recorded_(recorded), replay_(replay), sys_(EffectiveOptions(options, replay), server_) {
   if (replay_.apply_policy) {
     sys_.io().set_fastio_policy(replay_.policy.fastio);
   }
@@ -234,8 +207,9 @@ SystemReplayResult ReplaySystem::Run() {
   out.records_in = ops_.size();
   out.bursts = bursts_.size();
   div_.unfired_bursts += bursts_.size() - fired_bursts_;
-  out.records = collector_.Assemble();
-  out.names = std::move(collector_.names());
+  TraceSet& collected = server_.Finish();
+  out.records = std::move(collected.records);
+  out.names = std::move(collected.names);
   out.divergence = div_;
   out.cache = sys_.cache().stats();
   out.fastio_read_attempts = sys_.io().fastio_read_attempts();

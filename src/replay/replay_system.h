@@ -24,7 +24,6 @@
 #define SRC_REPLAY_REPLAY_SYSTEM_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -32,7 +31,7 @@
 
 #include "src/base/time.h"
 #include "src/replay/policy_config.h"
-#include "src/trace/trace_buffer.h"
+#include "src/trace/collection_server.h"
 #include "src/trace/trace_set.h"
 #include "src/workload/simulated_system.h"
 
@@ -121,7 +120,7 @@ struct SystemReplayResult {
   uint32_t system_id = 0;
   uint64_t records_in = 0;  // Replayable (non-cache-induced) input records.
   uint64_t bursts = 0;
-  std::vector<TraceRecord> records;  // Regenerated stream, per-system order.
+  std::vector<TraceRecord> records;  // Regenerated stream, time-sorted.
   std::vector<NameRecord> names;
   ReplayDivergence divergence;
   CacheStats cache;
@@ -131,26 +130,6 @@ struct SystemReplayResult {
   uint64_t fastio_write_hits = 0;
   uint64_t irp_count = 0;
   DegradedReplayReport degraded;
-};
-
-// Collects the replayed system's regenerated stream. Shipment sequences are
-// deduped (an ack-loss retry delivers the same sequence twice), so faulted
-// recording configurations replay to the same assembled stream the
-// collection server would have kept.
-class ReplayCollector : public TraceSink {
- public:
-  void DeliverRecords(std::vector<TraceRecord> records) override;
-  void DeliverName(NameRecord name) override;
-  void DeliverShipment(const ShipmentHeader& header, std::vector<TraceRecord> records) override;
-
-  // Shipments concatenated in sequence order (per-system emission order).
-  std::vector<TraceRecord> Assemble();
-  std::vector<NameRecord>& names() { return names_; }
-
- private:
-  std::map<uint64_t, std::vector<TraceRecord>> shipments_;
-  std::vector<TraceRecord> direct_;  // Non-shipment deliveries (normally empty).
-  std::vector<NameRecord> names_;
 };
 
 class ReplaySystem {
@@ -206,7 +185,7 @@ class ReplaySystem {
 
   const TraceSet& recorded_;
   ReplayOptions replay_;
-  ReplayCollector collector_;
+  CollectionServer server_;  // Dedupes and time-sorts as the recording's shard did.
   SimulatedSystem sys_;
   int64_t irp_ticks_ = 0;
   int64_t fastio_ticks_ = 0;

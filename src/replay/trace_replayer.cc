@@ -1,23 +1,49 @@
 #include "src/replay/trace_replayer.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <numeric>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "src/base/crc32c.h"
+#include "src/base/parallel.h"
 
 namespace ntrace {
 
 namespace {
 
-int ResolveThreads(int requested, int systems) {
-  if (requested <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    requested = hw == 0 ? 1 : static_cast<int>(hw);
+// Merges one run's per-system results in system-id order, exactly like
+// RunFleet's merge phase.
+FleetReplayResult MergeRun(const TraceSet& recorded, const ReplayOptions& options,
+                           std::vector<SystemReplayResult> results) {
+  FleetReplayResult out;
+  std::vector<std::vector<TraceRecord>> sorted_runs;
+  sorted_runs.reserve(results.size());
+  for (SystemReplayResult& r : results) {
+    sorted_runs.push_back(std::move(r.records));
+    out.trace.names.insert(out.trace.names.end(), r.names.begin(), r.names.end());
+    r.names.clear();
+    out.divergence.Accumulate(r.divergence);
+    out.cache.Accumulate(r.cache);
+    out.fastio_read_attempts += r.fastio_read_attempts;
+    out.fastio_read_hits += r.fastio_read_hits;
+    out.fastio_write_attempts += r.fastio_write_attempts;
+    out.fastio_write_hits += r.fastio_write_hits;
+    out.irp_count += r.irp_count;
+    out.records_in += r.records_in;
+    out.degraded.Accumulate(r.degraded);
   }
-  return requested < systems ? (requested < 1 ? 1 : requested) : systems;
+  // Loss is a collection-level figure; echo it once, not once per system.
+  out.degraded.records_lost_known = options.salvage.records_lost_known;
+  out.trace.MergeSortedRuns(std::move(sorted_runs));
+  // The end-of-run process-name capture is not part of the replayable
+  // stream; carry the recorded map through.
+  out.trace.process_names = recorded.process_names;
+  out.trace.EnsureNameIndex();
+  out.systems = std::move(results);
+  return out;
 }
 
 }  // namespace
@@ -119,81 +145,53 @@ ReplaySalvageInfo SalvageInfoFromIntegrity(const IntegrityReport& report) {
 }
 
 TraceReplayer::TraceReplayer(const FleetConfig& config)
-    : config_(config), system_options_(FleetSystemOptions(config)) {}
+    : system_options_(FleetSystemOptions(config)) {}
+
+void TraceReplayer::ReplayEach(const TraceSet& recorded, const std::vector<ReplayOptions>& runs,
+                               int threads, const RunDone& done) const {
+  const size_t systems = system_options_.size();
+  if (systems == 0) {
+    for (size_t r = 0; r < runs.size(); ++r) {
+      done(r, MergeRun(recorded, runs[r], {}));
+    }
+    return;
+  }
+  // Slice the collection per system once for every run (preserves
+  // per-system emission order: the fleet merge is stable, so a slice equals
+  // the shard stream the system originally delivered).
+  std::vector<TraceSet> slices(systems);
+  for (size_t s = 0; s < systems; ++s) {
+    slices[s] = recorded.ForSystem(system_options_[s].system_id);
+  }
+  // Longest slice first within a run, so a run's biggest system never
+  // starts last and leaves the run's other workers idle behind it.
+  std::vector<size_t> order(systems);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&slices](size_t a, size_t b) {
+    return slices[a].records.size() > slices[b].records.size();
+  });
+
+  std::vector<std::vector<SystemReplayResult>> results(runs.size(),
+                                                       std::vector<SystemReplayResult>(systems));
+  std::vector<std::atomic<size_t>> finished(runs.size());
+  const int units = static_cast<int>(runs.size() * systems);
+  ParallelFor(units, WorkerCount(threads, units), [&](int unit, int) {
+    const size_t r = static_cast<size_t>(unit) / systems;
+    const size_t s = order[static_cast<size_t>(unit) % systems];
+    results[r][s] = ReplaySystem(system_options_[s], slices[s], runs[r]).Run();
+    // acq_rel: the run's last worker sees the other workers' results.
+    if (finished[r].fetch_add(1, std::memory_order_acq_rel) + 1 == systems) {
+      done(r, MergeRun(recorded, runs[r], std::move(results[r])));
+    }
+  });
+}
 
 FleetReplayResult TraceReplayer::Replay(const TraceSet& recorded, const ReplayOptions& options,
                                         int threads) const {
   const MetricsSnapshot metrics_before = MetricsRegistry::Global().Snapshot();
-
-  const int total = static_cast<int>(system_options_.size());
-  // Slice the collection per system up front (preserves per-system emission
-  // order: the fleet merge is stable, so a slice equals the shard stream the
-  // system originally delivered).
-  std::vector<TraceSet> slices(static_cast<size_t>(total));
-  for (int i = 0; i < total; ++i) {
-    slices[static_cast<size_t>(i)] = recorded.ForSystem(system_options_[static_cast<size_t>(i)].system_id);
-  }
-
-  std::vector<SystemReplayResult> results(static_cast<size_t>(total));
-  const int workers = ResolveThreads(threads, total);
-  std::atomic<int> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const int i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= total) {
-        return;
-      }
-      const size_t idx = static_cast<size_t>(i);
-      ReplaySystem system(system_options_[idx], slices[idx], options);
-      results[idx] = system.Run();
-      // Mirror the fleet worker: the shard leaves each system time-sorted
-      // (already true of per-system emission order; a stable no-op).
-      TraceSet shard;
-      shard.records = std::move(results[idx].records);
-      shard.SortByTime();
-      results[idx].records = std::move(shard.records);
-    }
-  };
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      pool.emplace_back(worker);
-    }
-    for (std::thread& t : pool) {
-      t.join();
-    }
-  }
-
-  // Merge in system-id order, exactly like RunFleet's merge phase.
   FleetReplayResult out;
-  std::vector<std::vector<TraceRecord>> sorted_runs;
-  sorted_runs.reserve(static_cast<size_t>(total));
-  for (int i = 0; i < total; ++i) {
-    SystemReplayResult& r = results[static_cast<size_t>(i)];
-    sorted_runs.push_back(std::move(r.records));
-    out.trace.names.insert(out.trace.names.end(), r.names.begin(), r.names.end());
-    r.names.clear();
-    out.divergence.Accumulate(r.divergence);
-    out.cache.Accumulate(r.cache);
-    out.fastio_read_attempts += r.fastio_read_attempts;
-    out.fastio_read_hits += r.fastio_read_hits;
-    out.fastio_write_attempts += r.fastio_write_attempts;
-    out.fastio_write_hits += r.fastio_write_hits;
-    out.irp_count += r.irp_count;
-    out.records_in += r.records_in;
-    out.degraded.Accumulate(r.degraded);
-  }
-  // Loss is a collection-level figure; echo it once, not once per system.
-  out.degraded.records_lost_known = options.salvage.records_lost_known;
-  out.trace.MergeSortedRuns(std::move(sorted_runs));
-  // The end-of-run process-name capture is not part of the replayable
-  // stream; carry the recorded map through.
-  out.trace.process_names = recorded.process_names;
-  out.trace.EnsureNameIndex();
-  out.systems = std::move(results);
+  ReplayEach(recorded, {options}, threads,
+             [&out](size_t, FleetReplayResult result) { out = std::move(result); });
   out.metrics = MetricsRegistry::Global().Snapshot().DeltaFrom(metrics_before);
   return out;
 }

@@ -2,17 +2,18 @@
 //
 // TraceReplayer rebuilds every system of a recording configuration and
 // feeds each one its slice of a recorded collection through ReplaySystem,
-// in parallel across a worker pool, then merges the regenerated streams
-// exactly the way RunFleet merges live shards. Replaying under the
-// recording configuration must reproduce the original collection
-// byte-for-byte -- CheckFidelity and TraceFingerprint pin that contract in
-// tests and CI -- while a PolicyConfig override turns the same machinery
-// into a what-if engine (src/replay/policy_sweep.h).
+// one (run, system) unit at a time on the shared worker pool, then merges
+// each run's regenerated streams exactly the way RunFleet merges live
+// shards. Replaying under the recording configuration must reproduce the
+// original collection byte-for-byte -- CheckFidelity and TraceFingerprint
+// pin that contract in tests and CI -- while a PolicyConfig override turns
+// the same machinery into a what-if engine (src/replay/policy_sweep.h).
 
 #ifndef SRC_REPLAY_TRACE_REPLAYER_H_
 #define SRC_REPLAY_TRACE_REPLAYER_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -77,9 +78,20 @@ class TraceReplayer {
   // are rebuilt from it via FleetSystemOptions.
   explicit TraceReplayer(const FleetConfig& config);
 
-  // Replays `recorded` across the fleet on `threads` workers (<= 0 selects
-  // hardware concurrency). The merged output is bit-identical for every
-  // thread count, mirroring RunFleet's contract.
+  using RunDone = std::function<void(size_t run, FleetReplayResult result)>;
+
+  // Replays `recorded` once per entry of `runs` on `threads` workers (<= 0:
+  // all cores), slicing it once; units start run by run, longest slice
+  // first within a run. The worker that finishes a run's last system
+  // merges the run, passes it to `done` (concurrently with other runs, in
+  // any order) and frees it. Results are bit-identical for every thread
+  // count and carry no `metrics` delta: runs overlap.
+  void ReplayEach(const TraceSet& recorded, const std::vector<ReplayOptions>& runs, int threads,
+                  const RunDone& done) const;
+
+  // One run of ReplayEach, plus the process-wide metrics delta over it. The
+  // merged output is bit-identical for every thread count, mirroring
+  // RunFleet's contract.
   FleetReplayResult Replay(const TraceSet& recorded, const ReplayOptions& options = {},
                            int threads = 1) const;
   // Columnar input: materializes rows (O(records) memory) and replays them.
@@ -89,7 +101,6 @@ class TraceReplayer {
   const std::vector<SystemOptions>& system_options() const { return system_options_; }
 
  private:
-  FleetConfig config_;
   std::vector<SystemOptions> system_options_;
 };
 

@@ -65,7 +65,7 @@ class Study {
   // --- Raw data ---------------------------------------------------------------
   const TraceSet& trace() const;          // Full trace, paging included.
   const TraceSet& app_trace();            // Cache-induced paging filtered.
-  const InstanceTable& instances();       // Built over app_trace().
+  const InstanceTable& instances();       // Built over trace(), paging included.
   const std::vector<SystemRunStats>& systems() const;
   CacheStats total_cache_stats() const;
   // Pipeline accounting per system, rows in system-id order. Under

@@ -17,6 +17,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "src/base/parallel.h"
 #include "src/net/collection_service.h"
 #include "src/net/net_client.h"
 #include "src/trace/spool.h"
@@ -846,13 +847,6 @@ bool RunSystemOverNet(const SystemOptions& options, SystemShard* shard, FleetRun
   return true;
 }
 
-int ResolveThreads(int requested, int systems) {
-  if (requested <= 0) {
-    requested = static_cast<int>(std::thread::hardware_concurrency());  // 0 if unknown.
-  }
-  return std::clamp(requested, 1, std::max(systems, 1));
-}
-
 // Stage 1 (durable runs): with `resume`, restore every system whose segment
 // an earlier invocation left usable; then open the checkpoint manifest for
 // this run's appends.
@@ -913,13 +907,13 @@ std::unique_ptr<LoopbackTransport> StartTransport(const FleetRunContext& ctx) {
   return net;
 }
 
-// Stage 3: simulate every system no earlier stage produced, on the worker
-// pool (one worker is the sequential path). In-process shards complete on
-// their worker; net shards wait in the service for the drain stage.
+// Stage 3: simulate every system no earlier stage produced, on the shared
+// worker pool (src/base/parallel.h). In-process shards complete on their
+// worker; net shards wait in the service for the drain stage.
 void SimulateRemaining(FleetRunContext* ctx, LoopbackTransport* net) {
   const FleetConfig& config = ctx->config;
   const int total = static_cast<int>(ctx->shards.size());
-  std::vector<WorkerHeartbeat> hearts(static_cast<size_t>(ResolveThreads(config.threads, total)));
+  std::vector<WorkerHeartbeat> hearts(static_cast<size_t>(WorkerCount(config.threads, total)));
   // The watchdog only matters when workers can actually wedge: durability
   // runs (long, unattended) and armed crash plans (the hang kind blocks
   // until cancelled).
@@ -927,31 +921,25 @@ void SimulateRemaining(FleetRunContext* ctx, LoopbackTransport* net) {
                      (config.durability.enabled() || config.fault_config.crash.enabled());
   Watchdog watchdog(&hearts, watch ? config.durability.watchdog_deadline_s : 0.0,
                     &ctx->watchdog_cancellations);
-  std::atomic<int> next{0};
-  auto worker = [&](WorkerHeartbeat* heart) {
-    for (int i = next.fetch_add(1); i < total; i = next.fetch_add(1)) {
-      SystemShard& shard = ctx->shards[static_cast<size_t>(i)];
-      const SystemOptions& options = ctx->options[static_cast<size_t>(i)];
-      if (shard.state != ShardState::kPending) {
-        continue;  // Resumed from its segment.
-      }
-      if (net != nullptr) {
-        if (RunSystemOverNet(options, &shard, ctx, net)) {
-          shard.state = ShardState::kShipped;
-        } else {
-          FailShard(ctx, &shard);
-        }
-      } else if (RunSystemWithRecovery(options, &shard, ctx, heart)) {
-        CompleteShard(ctx, &shard);
+  // ParallelFor joins its workers before the watchdog and hearts go.
+  ParallelFor(total, static_cast<int>(hearts.size()), [&](int i, int worker) {
+    SystemShard& shard = ctx->shards[static_cast<size_t>(i)];
+    const SystemOptions& options = ctx->options[static_cast<size_t>(i)];
+    if (shard.state != ShardState::kPending) {
+      return;  // Resumed from its segment.
+    }
+    if (net != nullptr) {
+      if (RunSystemOverNet(options, &shard, ctx, net)) {
+        shard.state = ShardState::kShipped;
       } else {
         FailShard(ctx, &shard);
       }
+    } else if (RunSystemWithRecovery(options, &shard, ctx, &hearts[static_cast<size_t>(worker)])) {
+      CompleteShard(ctx, &shard);
+    } else {
+      FailShard(ctx, &shard);
     }
-  };
-  std::vector<std::jthread> pool;  // Joined on return, before the watchdog and hearts go.
-  for (WorkerHeartbeat& heart : hearts) {
-    pool.emplace_back(worker, &heart);
-  }
+  });
 }
 
 // Stage 4 (net runs): stop the service and complete every shipped shard

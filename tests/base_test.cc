@@ -1,10 +1,15 @@
-// Unit tests: src/base (time, rng, format).
+// Unit tests: src/base (time, rng, format, parallel).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "src/base/format.h"
+#include "src/base/parallel.h"
 #include "src/base/rng.h"
 #include "src/base/time.h"
 
@@ -207,6 +212,46 @@ TEST(Format, RenderTableAligns) {
   const std::string out = RenderTable({"a", "bb"}, {{"1", "2"}, {"333", "4"}});
   EXPECT_NE(out.find("a    bb"), std::string::npos);
   EXPECT_NE(out.find("333"), std::string::npos);
+}
+
+// --- ParallelFor / WorkerCount ------------------------------------------------
+
+TEST(ParallelFor, RunsEveryItemExactlyOnceOnAValidWorker) {
+  for (int workers : {1, 3, 8}) {
+    for (int items : {5, 200}) {  // 5 < 8: some workers find nothing to claim.
+      std::vector<std::atomic<int>> calls(static_cast<size_t>(items));
+      std::atomic<int> bad_worker{0};
+      ParallelFor(items, workers, [&](int item, int worker) {
+        calls[static_cast<size_t>(item)].fetch_add(1);
+        if (worker < 0 || worker >= workers) {
+          bad_worker.fetch_add(1);
+        }
+      });
+      for (int i = 0; i < items; ++i) {
+        EXPECT_EQ(calls[static_cast<size_t>(i)].load(), 1)
+            << "item " << i << " of " << items << ", workers=" << workers;
+      }
+      EXPECT_EQ(bad_worker.load(), 0) << items << " items, workers=" << workers;
+    }
+  }
+}
+
+TEST(ParallelFor, ZeroItemsNeverCallsFn) {
+  std::atomic<int> calls{0};
+  ParallelFor(0, 4, [&](int, int) { calls.fetch_add(1); });
+  EXPECT_EQ(calls.load(), 0);
+}
+
+TEST(WorkerCount, ClampsToItemsAndResolvesHardwareConcurrency) {
+  EXPECT_EQ(WorkerCount(8, 3), 3);
+  EXPECT_EQ(WorkerCount(2, 13), 2);
+  EXPECT_EQ(WorkerCount(1, 13), 1);
+  EXPECT_EQ(WorkerCount(8, 0), 1);
+  EXPECT_EQ(WorkerCount(0, 0), 1);
+  const int hw = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  EXPECT_EQ(WorkerCount(0, 1 << 20), hw);
+  EXPECT_EQ(WorkerCount(-3, 1 << 20), hw);
+  EXPECT_EQ(WorkerCount(0, 1), 1);
 }
 
 }  // namespace

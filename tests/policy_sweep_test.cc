@@ -1,13 +1,15 @@
 // Policy sweep contract (DESIGN.md §13): the what-if engine replays one
 // recorded collection across a grid of cache / read-ahead / lazy-writer /
-// FastIO policies, its baseline row reproduces the recording exactly, and
-// the section 9 cache hit ratio responds monotonically to cache size.
+// FastIO policies, its baseline row reproduces the recording exactly, its
+// rows are the same at every worker count, and the section 9 cache hit
+// ratio responds monotonically to cache size.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "src/base/parallel.h"
 #include "src/replay/policy_sweep.h"
 #include "src/workload/fleet.h"
 
@@ -30,6 +32,27 @@ FleetConfig SweepConfig() {
   config.content_scale = 0.05;
   config.cache_config.capacity_pages = 256;
   return config;
+}
+
+// Every WhatIfRow field, compared exactly: the sweep is bit-identical at
+// every worker count.
+void ExpectSameRow(const WhatIfRow& a, const WhatIfRow& b, const std::string& where) {
+  EXPECT_EQ(a.knob, b.knob) << where;
+  EXPECT_EQ(a.value, b.value) << where;
+  EXPECT_EQ(a.baseline, b.baseline) << where;
+  EXPECT_EQ(a.cache_hit_ratio, b.cache_hit_ratio) << where;
+  EXPECT_EQ(a.fastio_read_share, b.fastio_read_share) << where;
+  EXPECT_EQ(a.fastio_write_share, b.fastio_write_share) << where;
+  EXPECT_EQ(a.read_fallbacks, b.read_fallbacks) << where;
+  EXPECT_EQ(a.write_fallbacks, b.write_fallbacks) << where;
+  EXPECT_EQ(a.fault_irps, b.fault_irps) << where;
+  EXPECT_EQ(a.readahead_irps, b.readahead_irps) << where;
+  EXPECT_EQ(a.lazy_write_irps, b.lazy_write_irps) << where;
+  EXPECT_EQ(a.lazy_scans, b.lazy_scans) << where;
+  EXPECT_EQ(a.evictions_visible, b.evictions_visible) << where;
+  EXPECT_EQ(a.records, b.records) << where;
+  EXPECT_EQ(a.divergence, b.divergence) << where;
+  EXPECT_EQ(a.fingerprint, b.fingerprint) << where;
 }
 
 TEST(PolicySweep, DefaultGridCoversFourKnobsTimesThree) {
@@ -111,6 +134,85 @@ TEST(PolicySweep, BaselineIsExactAndHitRatioMonotoneInCacheSize) {
   const std::string table = report.FormatTable();
   EXPECT_NE(table.find("cache_pages"), std::string::npos);
   EXPECT_NE(table.find("baseline fidelity: exact"), std::string::npos);
+}
+
+TEST(PolicySweep, RowsIdenticalAtEveryWorkerCount) {
+  // The sweep runs as one job set of (point x system) units whose runs
+  // finish, merge and report in any order; no row may depend on the worker
+  // count or on that order. The recording's worker count only changes wall
+  // time (RunFleet's output contract), so it records on one worker per
+  // system.
+  FleetConfig config = SweepConfig();
+  config.threads = 3;
+  const FleetResult fleet = RunFleet(config);
+  PolicyConfig base;
+  base.cache = config.cache_config;
+  PolicySweepOptions options;
+  options.grid = {PolicyPoint{"cache_pages", "64", base}, PolicyPoint{"read_ahead", "off", base},
+                  PolicyPoint{"fastio", "off", base}};
+  options.grid[0].policy.cache.capacity_pages = 64;
+  options.grid[1].policy.cache.read_ahead_enabled = false;
+  options.grid[2].policy.fastio.enabled = false;
+
+  // The three sweeps, and below the three standalone replays, run side by
+  // side to keep this test's wall time down; they share only the recording.
+  const std::vector<int> thread_counts = {1, 2, 8};
+  std::vector<WhatIfReport> reports(thread_counts.size());
+  ParallelFor(static_cast<int>(reports.size()), static_cast<int>(reports.size()),
+              [&](int k, int) {
+                PolicySweepOptions sweep = options;
+                sweep.threads = thread_counts[static_cast<size_t>(k)];
+                reports[static_cast<size_t>(k)] = PolicySweep(config).Run(fleet.trace, sweep);
+              });
+  for (size_t k = 0; k < reports.size(); ++k) {
+    const WhatIfReport& report = reports[k];
+    const int threads = thread_counts[k];
+    EXPECT_TRUE(report.baseline_fidelity_exact)
+        << "threads=" << threads << ": " << report.baseline_fidelity_detail;
+    ASSERT_EQ(report.rows.size(), options.grid.size()) << "threads=" << threads;
+    for (size_t i = 0; i < options.grid.size(); ++i) {
+      EXPECT_EQ(report.rows[i].knob, options.grid[i].knob) << "threads=" << threads;
+      EXPECT_EQ(report.rows[i].value, options.grid[i].value) << "threads=" << threads;
+    }
+  }
+  for (size_t k = 1; k < reports.size(); ++k) {
+    const std::string threads = "threads=" + std::to_string(thread_counts[k]) + " ";
+    ExpectSameRow(reports[k].baseline, reports[0].baseline, threads + "baseline");
+    for (size_t i = 0; i < options.grid.size(); ++i) {
+      ExpectSameRow(reports[k].rows[i], reports[0].rows[i],
+                    threads + options.grid[i].knob + "=" + options.grid[i].value);
+    }
+  }
+
+  // Every row is what a standalone replay of its point produces.
+  const TraceReplayer replayer(config);
+  std::vector<FleetReplayResult> standalone(options.grid.size());
+  ParallelFor(static_cast<int>(standalone.size()), static_cast<int>(standalone.size()),
+              [&](int i, int) {
+                ReplayOptions point;
+                point.apply_policy = true;
+                point.policy = options.grid[static_cast<size_t>(i)].policy;
+                standalone[static_cast<size_t>(i)] = replayer.Replay(fleet.trace, point, 3);
+              });
+  for (size_t i = 0; i < options.grid.size(); ++i) {
+    EXPECT_EQ(TraceFingerprint(standalone[i].trace), reports[0].rows[i].fingerprint)
+        << options.grid[i].knob << "=" << options.grid[i].value;
+    EXPECT_EQ(standalone[i].trace.records.size(), reports[0].rows[i].records)
+        << options.grid[i].knob << "=" << options.grid[i].value;
+  }
+}
+
+TEST(PolicySweep, FleetWithoutSystemsStillReportsEveryPoint) {
+  // No (point x system) units at all: every run must still be reported.
+  FleetConfig config;
+  config.walk_up = config.pool = config.personal = config.administrative = config.scientific = 0;
+  const FleetResult fleet = RunFleet(config);
+  ASSERT_TRUE(fleet.trace.records.empty());
+  const WhatIfReport report = PolicySweep(config).Run(fleet.trace);
+  EXPECT_TRUE(report.baseline_fidelity_exact) << report.baseline_fidelity_detail;
+  ASSERT_EQ(report.rows.size(), 12u);
+  EXPECT_EQ(report.rows.front().knob, "cache_pages");
+  EXPECT_EQ(report.rows.back().knob, "fastio");
 }
 
 TEST(PolicySweep, ClosedLoopAndThinkScaledRegenerateEveryOperation) {
