@@ -409,12 +409,14 @@ CollectionService::Session* CollectionService::FindOrCreateSession(Shard* shard,
   session->agent_id = agent_id;
   if (!options_.spool_dir.empty()) {
     const std::string path = options_.spool_dir + "/" + SpoolSegmentName(agent_id);
-    SpoolReadResult r = SpoolReader::Read(path);
-    if (r.frames_valid > 0 &&
-        SpoolReplaySegment(&r, agent_id, options_.config_fingerprint, &session->server)) {
+    CollectionServer replayed;
+    const SpoolReadResult r = SpoolReader::Read(path, &replayed);
+    if (r.frames_valid > 0 && r.Matches(agent_id, options_.config_fingerprint)) {
       // Rebuilt from the segment's valid prefix; the count of data frames
       // in the prefix IS the resume watermark (one spool frame per data
-      // frame; a seal, if present, is not a data frame).
+      // frame: DeliverInOrder persists each payload as it came; a seal, if
+      // present, is not a data frame).
+      session->server = std::move(replayed);
       session->expected_seq = r.frames_valid - (r.sealed ? 1 : 0);
       session->durable_seq = session->expected_seq;
       session->restored = true;
@@ -444,55 +446,14 @@ void CollectionService::DeliverInOrder(Shard* shard, Session* s, uint16_t inner_
                                        const uint8_t* inner, size_t inner_size) {
   NetMetrics& metrics = NetMetrics::Get();
   uint64_t record_count = 0;
-  switch (static_cast<SpoolFrameType>(inner_type)) {
-    case SpoolFrameType::kShipment: {
-      ShipmentHeader header;
-      std::vector<TraceRecord> records;
-      if (SpoolDecodeShipment(inner, inner_size, &header, &records)) {
-        record_count = records.size();
-        if (s->spool.ok()) {
-          s->spool.AppendRawFrame(inner_type, inner, inner_size, /*checkpoint=*/false,
-                                  record_count);
-        }
-        s->server.DeliverShipment(header, std::move(records));
-      }
-      break;
-    }
-    case SpoolFrameType::kRecords: {
-      std::vector<TraceRecord> records;
-      if (SpoolDecodeRecords(inner, inner_size, &records)) {
-        record_count = records.size();
-        if (s->spool.ok()) {
-          s->spool.AppendRawFrame(inner_type, inner, inner_size, /*checkpoint=*/false,
-                                  record_count);
-        }
-        s->server.DeliverRecords(std::move(records));
-      }
-      break;
-    }
-    case SpoolFrameType::kName: {
-      NameRecord name;
-      if (SpoolDecodeName(inner, inner_size, &name)) {
-        if (s->spool.ok()) {
-          s->spool.AppendRawFrame(inner_type, inner, inner_size, /*checkpoint=*/false);
-        }
-        s->server.DeliverName(std::move(name));
-      }
-      break;
-    }
-    case SpoolFrameType::kCompletion:
-      // Run-summary blob: not collection state, but persisting it makes the
-      // sealed segment resumable by the fleet's checkpoint pass.
-      if (s->spool.ok()) {
-        s->spool.AppendRawFrame(inner_type, inner, inner_size, /*checkpoint=*/true);
-      }
-      break;
-    default:
-      // Unknown inner type from a future agent: persist, don't interpret.
-      if (s->spool.ok()) {
-        s->spool.AppendRawFrame(inner_type, inner, inner_size, /*checkpoint=*/false);
-      }
-      break;
+  // Every well-formed payload is persisted as it came off the wire: the
+  // completion blob is not collection state, but persisting it makes the
+  // sealed segment resumable by the fleet's checkpoint pass, and an unknown
+  // type from a future agent is kept, not interpreted.
+  if (SpoolDeliverFrame(inner_type, inner, inner_size, &s->server, &record_count) &&
+      s->spool.ok()) {
+    const bool completion = inner_type == static_cast<uint16_t>(SpoolFrameType::kCompletion);
+    s->spool.AppendRawFrame(inner_type, inner, inner_size, /*checkpoint=*/completion, record_count);
   }
   ++s->expected_seq;
   // Durable watermark: without a spool, an acked frame is as safe as it

@@ -336,8 +336,27 @@ bool NetAgentClient::PumpAcks(bool block) {
   }
 }
 
-bool NetAgentClient::SendInner(uint16_t inner_type, const void* inner, size_t inner_size) {
+bool NetAgentClient::SendName(const NameRecord& name) {
   if (failed_) {
+    return false;
+  }
+  names_.Add(name);
+  return !names_.full() || SendNames();
+}
+
+bool NetAgentClient::SendNames() {
+  if (names_.count == 0) {
+    return true;
+  }
+  names_.count = 0;  // The nested SendInner sees none staged.
+  const bool ok = SendInner(static_cast<uint16_t>(SpoolFrameType::kNames), names_.payload.data(),
+                            names_.payload.size());
+  names_.payload.clear();
+  return ok;
+}
+
+bool NetAgentClient::SendInner(uint16_t inner_type, const void* inner, size_t inner_size) {
+  if (failed_ || !SendNames()) {
     return false;
   }
   if (!EnsureConnected()) {
@@ -394,7 +413,7 @@ bool NetAgentClient::SendInner(uint16_t inner_type, const void* inner, size_t in
 }
 
 bool NetAgentClient::FinishStream(uint64_t* records_collected) {
-  if (failed_) {
+  if (failed_ || !SendNames()) {
     return false;
   }
   if (!EnsureConnected()) {
@@ -470,23 +489,12 @@ void NetSink::DeliverShipment(const ShipmentHeader& header, std::vector<TraceRec
 }
 
 void NetSink::DeliverRecords(std::vector<TraceRecord> records) {
-  staging_.clear();
-  SpoolEncodeRecordsHead(&staging_, records.size());
-  if (!records.empty()) {
-    const size_t at = staging_.size();
-    staging_.resize(at + records.size() * sizeof(TraceRecord));
-    std::memcpy(staging_.data() + at, records.data(), records.size() * sizeof(TraceRecord));
-  }
-  client_->SendInner(static_cast<uint16_t>(SpoolFrameType::kRecords), staging_.data(),
-                     staging_.size());
+  ShipmentHeader header;  // Sequence 0: unsequenced.
+  header.record_count = records.size();
+  DeliverShipment(header, std::move(records));
 }
 
-void NetSink::DeliverName(NameRecord name) {
-  staging_.clear();
-  SpoolEncodeNamePayload(&staging_, name);
-  client_->SendInner(static_cast<uint16_t>(SpoolFrameType::kName), staging_.data(),
-                     staging_.size());
-}
+void NetSink::DeliverName(NameRecord name) { client_->SendName(name); }
 
 bool NetSink::SendCompletion(const void* blob, size_t size) {
   return client_->SendInner(static_cast<uint16_t>(SpoolFrameType::kCompletion), blob, size);

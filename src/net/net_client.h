@@ -39,14 +39,17 @@ class NetAgentClient {
   NetAgentClient(const NetAgentClient&) = delete;
   NetAgentClient& operator=(const NetAgentClient&) = delete;
 
-  // Sends one sequenced data frame whose payload is `inner` encoded as the
-  // spool payload of `inner_type`. Blocks while the window is full. False
-  // once the client has failed permanently (retries exhausted).
+  // Sends any staged names, then one sequenced data frame whose payload is
+  // `inner` encoded as the spool payload of `inner_type`. Blocks while the
+  // window is full. False once the client has failed permanently.
   bool SendInner(uint16_t inner_type, const void* inner, size_t inner_size);
+  // Stages `name` for the next kNames frame, which goes out ahead of the
+  // next SendInner, at FinishStream, or once the batch is full.
+  bool SendName(const NameRecord& name);
 
-  // Drains the window, sends the bye and waits for the bye-ack confirming
-  // the stream is sealed server-side. `records_collected` (optional)
-  // receives the server's total.
+  // Sends the staged names, drains the window, sends the bye and waits for
+  // the bye-ack confirming the stream is sealed server-side.
+  // `records_collected` (optional) receives the server's total.
   bool FinishStream(uint64_t* records_collected);
 
   bool failed() const { return failed_; }
@@ -62,6 +65,7 @@ class NetAgentClient {
     std::vector<uint8_t> frame;  // Complete wire frame, ready to resend.
   };
 
+  bool SendNames();
   bool EnsureConnected();
   void Disconnect();
   // Writes queued frames from next_to_send_ up, applying transport faults.
@@ -84,6 +88,7 @@ class NetAgentClient {
   TransportFaultInjector faults_;
   Rng backoff_rng_;
 
+  SpoolNameBatch names_;
   std::deque<Pending> queue_;  // Retained frames, ascending seq.
   uint64_t next_seq_ = 0;      // Seq the next new frame gets.
   uint64_t next_to_send_ = 0;  // First seq not yet written on this connection.
@@ -105,7 +110,8 @@ class NetAgentClient {
 };
 
 // TraceSink over a NetAgentClient. The staging buffer is reused across
-// deliveries; encoding matches the spool payload codecs byte for byte.
+// deliveries; encoding matches the spool payload codecs byte for byte. A
+// DeliverRecords call travels as a shipment with sequence 0 (unsequenced).
 class NetSink final : public TraceSink {
  public:
   explicit NetSink(NetAgentClient* client) : client_(client) {}

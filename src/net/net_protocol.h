@@ -29,7 +29,7 @@
 
 namespace ntrace {
 
-inline constexpr uint32_t kNetProtocolVersion = 1;
+inline constexpr uint32_t kNetProtocolVersion = 2;
 
 // Session-layer limits. Out-of-order frames parked per session beyond
 // kNetReorderLimit are dropped (the cumulative ack makes the client resend
@@ -41,8 +41,8 @@ inline constexpr double kNetConnectTimeoutMs = 1000.0;
 inline constexpr double kNetIoTimeoutMs = 1000.0;
 inline constexpr uint64_t kNetRetrySeed = 0x4E455452;  // "NETR".
 
-// Frame types 1..6 are the on-disk spool types (SpoolFrameType); the net
-// session types start at 16 so the ranges can never collide.
+// Frame types below 16 are the on-disk spool types (SpoolFrameType); the
+// net session types start at 16 so the ranges can never collide.
 enum class NetFrameType : uint16_t {
   kHello = 16,     // Agent -> server: open/resume a session.
   kHelloAck = 17,  // Server -> agent: session accepted, resume point.
@@ -74,7 +74,7 @@ struct NetHelloAck {
 
 // Head of a kData payload; the inner payload bytes follow immediately and
 // are encoded exactly as the spool payload of `inner_type` (kShipment,
-// kName, kRecords or kCompletion).
+// kNames or kCompletion).
 struct NetDataHead {
   uint64_t net_seq = 0;
   uint32_t agent_id = 0;

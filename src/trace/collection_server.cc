@@ -43,15 +43,22 @@ struct IngestMetrics {
 }  // namespace
 
 void CollectionServer::DeliverRecords(std::vector<TraceRecord> records) {
-  ++deliveries_;
-  IngestMetrics::Get().records_collected.Inc(records.size());
-  set_.records.insert(set_.records.end(), records.begin(), records.end());
+  ShipmentHeader header;  // Sequence 0: unsequenced.
+  header.record_count = records.size();
+  DeliverShipment(header, std::move(records));
 }
 
 void CollectionServer::DeliverShipment(const ShipmentHeader& header,
                                        std::vector<TraceRecord> records) {
   ++deliveries_;
   IngestMetrics& metrics = IngestMetrics::Get();
+  if (header.sequence == 0) {
+    // Agents number shipments from 1, so sequence 0 is an unsequenced
+    // delivery: appended without stream bookkeeping.
+    metrics.records_collected.Inc(records.size());
+    set_.records.insert(set_.records.end(), records.begin(), records.end());
+    return;
+  }
   metrics.shipments_received.Inc();
   StreamState& stream = streams_[header.system_id];
   ++stream.shipments_received;

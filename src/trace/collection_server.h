@@ -13,8 +13,8 @@
 // received-sequence set of every stream so it can dedupe duplicate
 // shipments (a retry whose original acknowledgement was lost), flag
 // out-of-order arrivals, and report the sequences that never arrived at
-// all. Legacy DeliverRecords deliveries (no header) bypass sequencing and
-// are simply appended, preserving the behaviour simple test sinks rely on.
+// all. Sequences start at 1: a shipment with sequence 0 (a DeliverRecords
+// call, on the spool and the wire too) is simply appended.
 
 #ifndef SRC_TRACE_COLLECTION_SERVER_H_
 #define SRC_TRACE_COLLECTION_SERVER_H_
@@ -69,12 +69,13 @@ class CollectionServer final : public TraceSink {
 
   uint64_t deliveries() const { return deliveries_; }
 
-  // Stream state of one system (nullptr if it never shipped with a header).
+  // Stream state of one system (nullptr if it never shipped a sequenced
+  // shipment).
   const StreamState* StreamOf(uint32_t system_id) const;
   const std::map<uint32_t, StreamState>& streams() const { return streams_; }
 
   // Copies the server-side counters into `out` for the stream of
-  // `out->system_id` (no-op fields stay zero for header-less streams).
+  // `out->system_id` (no-op fields stay zero for unsequenced streams).
   void FillIntegrity(SystemIntegrity* out) const;
 
  private:

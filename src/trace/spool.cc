@@ -1,5 +1,9 @@
 #include "src/trace/spool.h"
 
+#include <algorithm>
+#include <cstring>
+#include <utility>
+
 #include "src/metrics/metrics.h"
 #include "src/trace/collection_server.h"
 
@@ -39,17 +43,6 @@ struct SpoolMetrics {
   }
 };
 
-bool GetRecords(const uint8_t* data, size_t size, size_t* pos, uint64_t count,
-                std::vector<TraceRecord>* out) {
-  if (count > kSpoolMaxPayload / sizeof(TraceRecord) ||
-      size - *pos < count * sizeof(TraceRecord)) {
-    return false;
-  }
-  out->resize(static_cast<size_t>(count));
-  return count == 0 ||
-         GetBytes(data, size, pos, out->data(), static_cast<size_t>(count) * sizeof(TraceRecord));
-}
-
 bool GetShipmentHead(const uint8_t* data, size_t size, size_t* pos, ShipmentHeader* h) {
   return GetScalar(data, size, pos, &h->system_id) && GetScalar(data, size, pos, &h->sequence) &&
          GetScalar(data, size, pos, &h->attempt) && GetScalar(data, size, pos, &h->record_count);
@@ -68,6 +61,54 @@ uint64_t ShipmentLostKnown(const SpoolFrameView& damaged) {
   return 0;
 }
 
+bool DecodeShipment(const uint8_t* payload, size_t size, CollectionServer* server,
+                    uint64_t* records) {
+  size_t pos = 0;
+  ShipmentHeader h;
+  if (!GetShipmentHead(payload, size, &pos, &h) ||
+      h.record_count > (size - pos) / sizeof(TraceRecord)) {
+    return false;
+  }
+  if (server != nullptr) {
+    // TraceRecord is POD without padding (static_assert in trace_record.h):
+    // the raw bytes are the serialized form.
+    std::vector<TraceRecord> batch(static_cast<size_t>(h.record_count));
+    if (!batch.empty()) {
+      std::memcpy(batch.data(), payload + pos, batch.size() * sizeof(TraceRecord));
+    }
+    server->DeliverShipment(h, std::move(batch));
+  }
+  *records += h.record_count;
+  return true;
+}
+
+// The whole batch decodes before any name is delivered.
+bool DecodeNames(const uint8_t* payload, size_t size, CollectionServer* server) {
+  size_t pos = 0;
+  uint32_t count = 0;
+  uint32_t len = 0;
+  std::vector<NameRecord> names;
+  if (!GetScalar(payload, size, &pos, &count)) {
+    return false;
+  }
+  while (names.size() < count) {
+    NameRecord& name = names.emplace_back();
+    if (!GetScalar(payload, size, &pos, &name.file_object) ||
+        !GetScalar(payload, size, &pos, &name.system_id) ||
+        !GetScalar(payload, size, &pos, &len) || size - pos < len) {
+      return false;
+    }
+    name.path.assign(reinterpret_cast<const char*>(payload + pos), len);
+    pos += len;
+  }
+  if (server != nullptr) {
+    for (NameRecord& name : names) {
+      server->DeliverName(std::move(name));
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 void SpoolEncodeShipmentHead(std::vector<uint8_t>* out, const ShipmentHeader& h) {
@@ -77,40 +118,28 @@ void SpoolEncodeShipmentHead(std::vector<uint8_t>* out, const ShipmentHeader& h)
   PutScalar<uint64_t>(out, h.record_count);
 }
 
-bool SpoolDecodeShipment(const uint8_t* payload, size_t size, ShipmentHeader* header,
-                         std::vector<TraceRecord>* records) {
-  size_t pos = 0;
-  return GetShipmentHead(payload, size, &pos, header) &&
-         GetRecords(payload, size, &pos, header->record_count, records);
-}
-
-void SpoolEncodeRecordsHead(std::vector<uint8_t>* out, uint64_t record_count) {
-  PutScalar<uint64_t>(out, record_count);
-}
-
-bool SpoolDecodeRecords(const uint8_t* payload, size_t size, std::vector<TraceRecord>* records) {
-  size_t pos = 0;
-  uint64_t count = 0;
-  return GetScalar(payload, size, &pos, &count) && GetRecords(payload, size, &pos, count, records);
-}
-
-void SpoolEncodeNamePayload(std::vector<uint8_t>* out, const NameRecord& name) {
-  PutScalar<uint64_t>(out, name.file_object);
-  PutScalar<uint32_t>(out, name.system_id);
-  PutScalar<uint32_t>(out, static_cast<uint32_t>(name.path.size()));
-  out->insert(out->end(), name.path.begin(), name.path.end());
-}
-
-bool SpoolDecodeName(const uint8_t* payload, size_t size, NameRecord* name) {
-  size_t pos = 0;
-  uint32_t len = 0;
-  if (!GetScalar(payload, size, &pos, &name->file_object) ||
-      !GetScalar(payload, size, &pos, &name->system_id) ||
-      !GetScalar(payload, size, &pos, &len) || size - pos < len) {
-    return false;
+void SpoolNameBatch::Add(const NameRecord& name) {
+  payload.resize(std::max(payload.size(), sizeof(count)));  // Room for the head.
+  PutScalar<uint64_t>(&payload, name.file_object);
+  PutScalar<uint32_t>(&payload, name.system_id);
+  PutScalar<uint32_t>(&payload, static_cast<uint32_t>(name.path.size()));
+  PutBytes(&payload, name.path.data(), name.path.size());
+  ++count;
+  for (size_t i = 0; i < sizeof(count); ++i) {  // The head, kept current.
+    payload[i] = static_cast<uint8_t>(count >> (8 * i));
   }
-  name->path.assign(reinterpret_cast<const char*>(payload + pos), len);
-  return true;
+}
+
+bool SpoolDeliverFrame(uint16_t type, const uint8_t* payload, size_t size, CollectionServer* server,
+                       uint64_t* records) {
+  switch (static_cast<SpoolFrameType>(type)) {
+    case SpoolFrameType::kShipment:
+      return DecodeShipment(payload, size, server, records);
+    case SpoolFrameType::kNames:
+      return DecodeNames(payload, size, server);
+    default:
+      return true;
+  }
 }
 
 bool SpoolWriter::Open(const std::string& path, uint32_t system_id,
@@ -129,13 +158,25 @@ bool SpoolWriter::OpenAppend(const std::string& path, uint32_t system_id,
 
 bool SpoolWriter::WriteFrame(SpoolFrameType type, const void* head, size_t head_size,
                              const void* tail, size_t tail_size, bool checkpoint) {
-  if (!file_.Append(static_cast<uint16_t>(type), head, head_size, tail, tail_size,
-                    checkpoint)) {
+  if (!WriteNames() ||
+      !file_.Append(static_cast<uint16_t>(type), head, head_size, tail, tail_size, checkpoint)) {
     return false;
   }
   ++frames_written_;
   SpoolMetrics::Get().frames_written.Inc();
   return true;
+}
+
+bool SpoolWriter::WriteNames() {
+  if (names_.count == 0) {
+    return true;
+  }
+  const uint32_t count = std::exchange(names_.count, 0);  // The nested WriteFrame sees none.
+  const bool ok = WriteFrame(SpoolFrameType::kNames, names_.payload.data(), names_.payload.size(),
+                             nullptr, 0, /*checkpoint=*/false);
+  names_.payload.clear();
+  names_written_ += ok ? count : 0;
+  return ok;
 }
 
 bool SpoolWriter::AppendShipment(const ShipmentHeader& header,
@@ -153,26 +194,12 @@ bool SpoolWriter::AppendShipment(const ShipmentHeader& header,
   return true;
 }
 
-bool SpoolWriter::AppendRecords(const std::vector<TraceRecord>& records) {
-  scratch_.clear();
-  SpoolEncodeRecordsHead(&scratch_, records.size());
-  if (!WriteFrame(SpoolFrameType::kRecords, scratch_.data(), scratch_.size(), records.data(),
-                  records.size() * sizeof(TraceRecord), /*checkpoint=*/false)) {
-    return false;
-  }
-  records_written_ += records.size();
-  return true;
-}
-
 bool SpoolWriter::AppendName(const NameRecord& name) {
-  scratch_.clear();
-  SpoolEncodeNamePayload(&scratch_, name);
-  if (!WriteFrame(SpoolFrameType::kName, scratch_.data(), scratch_.size(), nullptr, 0,
-                  /*checkpoint=*/false)) {
+  if (!file_.ok()) {
     return false;
   }
-  ++names_written_;
-  return true;
+  names_.Add(name);
+  return !names_.full() || WriteNames();
 }
 
 bool SpoolWriter::AppendCompletion(const void* blob, size_t size) {
@@ -185,8 +212,11 @@ bool SpoolWriter::AppendRawFrame(uint16_t type, const void* payload, size_t size
     return false;
   }
   records_written_ += record_count;
-  if (static_cast<SpoolFrameType>(type) == SpoolFrameType::kName) {
-    ++names_written_;
+  size_t pos = 0;
+  uint32_t names = 0;
+  if (static_cast<SpoolFrameType>(type) == SpoolFrameType::kNames &&
+      GetScalar(static_cast<const uint8_t*>(payload), size, &pos, &names)) {
+    names_written_ += names;
   }
   return true;
 }
@@ -201,6 +231,9 @@ bool SpoolWriter::AppendManifestEntry(const SpoolManifestEntry& entry) {
 }
 
 bool SpoolWriter::Seal(uint64_t records_collected) {
+  if (!WriteNames()) {  // The totals count the staged names and their frame.
+    return false;
+  }
   scratch_.clear();
   PutScalar<uint64_t>(&scratch_, records_written_);
   PutScalar<uint64_t>(&scratch_, records_collected);
@@ -212,39 +245,19 @@ bool SpoolWriter::Seal(uint64_t records_collected) {
 
 namespace {
 
-// Decodes one intact frame into `result`. False means the payload is
-// shorter than its own structure claims -- corruption the CRC cannot have
-// missed unless the writer was broken, so the scan treats it as damage.
-bool DecodeSpoolFrame(const SpoolFrameView& view, SpoolReadResult* result) {
+// Decodes one intact frame into `result`, a delivery into `replay_into`.
+// False means the payload is shorter than its own structure claims --
+// corruption the CRC cannot have missed unless the writer was broken, so
+// the scan treats it as damage.
+bool DecodeSpoolFrame(const SpoolFrameView& view, SpoolReadResult* result,
+                      CollectionServer* replay_into) {
   const uint8_t* payload = view.payload;
   const size_t payload_size = view.payload_size;
+  if (!SpoolDeliverFrame(view.type, payload, payload_size, replay_into,
+                         &result->records_recovered)) {
+    return false;
+  }
   switch (static_cast<SpoolFrameType>(view.type)) {
-    case SpoolFrameType::kShipment: {
-      SpoolReadResult::Shipment s;
-      if (!SpoolDecodeShipment(payload, payload_size, &s.header, &s.records)) {
-        return false;
-      }
-      result->records_recovered += s.records.size();
-      result->shipments.push_back(std::move(s));
-      return true;
-    }
-    case SpoolFrameType::kRecords: {
-      std::vector<TraceRecord> records;
-      if (!SpoolDecodeRecords(payload, payload_size, &records)) {
-        return false;
-      }
-      result->records_recovered += records.size();
-      result->loose.push_back(std::move(records));
-      return true;
-    }
-    case SpoolFrameType::kName: {
-      NameRecord n;
-      if (!SpoolDecodeName(payload, payload_size, &n)) {
-        return false;
-      }
-      result->names.push_back(std::move(n));
-      return true;
-    }
     case SpoolFrameType::kCompletion:
       result->completion.assign(payload, payload + payload_size);
       return true;
@@ -269,22 +282,22 @@ bool DecodeSpoolFrame(const SpoolFrameView& view, SpoolReadResult* result) {
       return true;
     }
     default:
-      // Unknown type under a valid CRC: a future writer. Skip the frame
-      // but keep scanning -- forward compatibility within v1.
+      // A delivery, or an unknown type from a future writer under a valid
+      // CRC: skip the frame but keep scanning.
       return true;
   }
 }
 
 }  // namespace
 
-SpoolReadResult SpoolReader::Read(const std::string& path) {
+SpoolReadResult SpoolReader::Read(const std::string& path, CollectionServer* replay_into) {
   SpoolReadResult result;
   FrameFileReader file;
   if (file.Open(path, kSpoolMagic, kSpoolVersion, &ShipmentLostKnown)) {
     result.system_id = file.header().param;
     SpoolFrameView view;
     while (file.Next(&view)) {
-      if (!DecodeSpoolFrame(view, &result)) {
+      if (!DecodeSpoolFrame(view, &result, replay_into)) {
         file.Reject();
       } else if (static_cast<SpoolFrameType>(view.type) == SpoolFrameType::kSeal) {
         file.Seal();
@@ -303,24 +316,6 @@ SpoolReadResult SpoolReader::Read(const std::string& path) {
 
 std::string SpoolSegmentName(uint32_t system_id) {
   return "sys_" + std::to_string(system_id) + ".ntspool";
-}
-
-bool SpoolReplaySegment(SpoolReadResult* segment, uint32_t system_id, uint64_t config_fingerprint,
-                        CollectionServer* server) {
-  if (!segment->header_valid || segment->system_id != system_id ||
-      segment->config_fingerprint != config_fingerprint) {
-    return false;
-  }
-  for (SpoolReadResult::Shipment& s : segment->shipments) {
-    server->DeliverShipment(s.header, std::move(s.records));
-  }
-  for (std::vector<TraceRecord>& loose : segment->loose) {
-    server->DeliverRecords(std::move(loose));
-  }
-  for (NameRecord& n : segment->names) {
-    server->DeliverName(std::move(n));
-  }
-  return true;
 }
 
 }  // namespace ntrace

@@ -413,8 +413,8 @@ struct WorkerHeartbeat {
   std::atomic<bool> cancel{false};
 };
 
-// Wraps a shard's CollectionServer: every delivery is (optionally) appended
-// to the durable spool before it reaches the server, the worker heartbeat is
+// Wraps a shard's CollectionServer: every delivery is (optionally) handed to
+// the durable spool before it reaches the server, the worker heartbeat is
 // advanced, and an armed crash plan is evaluated against the running
 // delivered-record count -- a deterministic event clock, so the crash point
 // is independent of wall time, thread count and scheduling.
@@ -433,12 +433,9 @@ class SpoolingSink final : public TraceSink {
     Progress(n);
   }
   void DeliverRecords(std::vector<TraceRecord> records) override {
-    if (spool_ != nullptr) {
-      spool_->AppendRecords(records);
-    }
-    const uint64_t n = records.size();
-    inner_.DeliverRecords(std::move(records));
-    Progress(n);
+    ShipmentHeader header;  // Sequence 0: unsequenced.
+    header.record_count = records.size();
+    DeliverShipment(header, std::move(records));
   }
   void DeliverName(NameRecord name) override {
     if (spool_ != nullptr) {
@@ -746,13 +743,14 @@ bool RunSystemWithRecovery(const SystemOptions& options, SystemShard* shard,
 }
 
 // Attempts to restore one system from its spool segment instead of
-// simulating it. SpoolReplaySegment re-delivers the recovered frames in the
-// live run's delivery order, so dedup, sequence-gap and out-of-order
-// bookkeeping re-derive exactly the live counters, and the sort in
-// CompleteShard reproduces the identical stream.
+// simulating it. The reader replays the recovered frames in the live run's
+// delivery order, so dedup, sequence-gap and out-of-order bookkeeping
+// re-derive exactly the live counters, and the sort in CompleteShard
+// reproduces the identical stream.
 bool TryRestoreShard(const SystemOptions& options, SystemShard* shard, FleetRunContext* ctx,
                      const std::unordered_map<uint32_t, uint64_t>& manifest_collected) {
-  SpoolReadResult r = SpoolReader::Read(ctx->SegmentPath(options.system_id));
+  CollectionServer replayed;
+  const SpoolReadResult r = SpoolReader::Read(ctx->SegmentPath(options.system_id), &replayed);
   // The completion blob is written after the last shipment, so its presence
   // proves the whole delivery stream was recovered; without it the segment
   // is a partial, usable only under salvage, and only if it holds records.
@@ -762,9 +760,10 @@ bool TryRestoreShard(const SystemOptions& options, SystemShard* shard, FleetRunC
       !r.completion.empty() && DecodeCompletion(r.completion, &stats, &process_names) &&
       stats.system_id == options.system_id;
   if ((!have_stats && (!ctx->config.durability.salvage || r.records_recovered == 0)) ||
-      !SpoolReplaySegment(&r, options.system_id, ctx->fingerprint, &shard->server)) {
+      !r.Matches(options.system_id, ctx->fingerprint)) {
     return false;
   }
+  shard->server = std::move(replayed);
   const uint64_t collected = shard->server.set().records.size();
 
   // What did the original run collect? The seal is authoritative; for a
@@ -961,14 +960,15 @@ void DrainTransport(FleetRunContext* ctx, LoopbackTransport* net, FleetNetStats*
       // later crash cleared the session table without the agent ever
       // reconnecting. The sealed segment has the whole stream; without a
       // spool the system's data died with the service.
-      SpoolReadResult r = ctx->config.durability.enabled() ? SpoolReader::Read(ctx->SegmentPath(id))
-                                                           : SpoolReadResult();
-      CollectionServer server;
-      if (!r.sealed || !SpoolReplaySegment(&r, id, ctx->fingerprint, &server)) {
+      CollectionServer replayed;
+      const SpoolReadResult r = ctx->config.durability.enabled()
+                                    ? SpoolReader::Read(ctx->SegmentPath(id), &replayed)
+                                    : SpoolReadResult();
+      if (!r.sealed || !r.Matches(id, ctx->fingerprint)) {
         FailShard(ctx, &shard);
         continue;
       }
-      shard.server = std::move(server);
+      shard.server = std::move(replayed);
     }
     CompleteShard(ctx, &shard);
   }

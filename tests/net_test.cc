@@ -23,6 +23,7 @@
 #include "src/net/collection_service.h"
 #include "src/net/net_client.h"
 #include "src/net/net_protocol.h"
+#include "src/trace/collection_server.h"
 #include "src/trace/integrity.h"
 #include "src/trace/trace_buffer.h"
 #include "src/trace/trace_record.h"
@@ -128,11 +129,16 @@ TEST(NetProtocol, DataFrameCarriesInnerPayloadVerbatim) {
   ASSERT_EQ(isize, inner.size());
   EXPECT_EQ(std::memcmp(iback, inner.data(), isize), 0);
 
-  ShipmentHeader sh;
-  std::vector<TraceRecord> records;
-  ASSERT_TRUE(SpoolDecodeShipment(iback, isize, &sh, &records));
-  EXPECT_EQ(sh.sequence, 5u);
-  EXPECT_EQ(records.size(), 4u);
+  // The inner bytes are a spool payload: the one delivery decoder reads
+  // them back into a server.
+  CollectionServer server;
+  uint64_t records = 0;
+  ASSERT_TRUE(SpoolDeliverFrame(hback.inner_type, iback, isize, &server, &records));
+  EXPECT_EQ(records, 4u);
+  ASSERT_NE(server.StreamOf(3), nullptr);
+  EXPECT_TRUE(server.StreamOf(3)->Received(5));
+  EXPECT_EQ(server.StreamOf(3)->max_sequence, 5u);
+  EXPECT_EQ(server.set().records.size(), 4u);
 }
 
 TEST(NetProtocol, AssemblerReassemblesByteAtATime) {
@@ -391,6 +397,59 @@ TEST(NetClient, CleanStreamDeliversEverythingOnce) {
   ASSERT_EQ(session.server.set().names.size(), 1u);
   EXPECT_EQ(session.server.set().names[0].path, "C:/temp/net_test.dat");
   EXPECT_EQ(session.net_duplicate_frames, 0u);
+}
+
+// Names travel batched: each shipment's data frame follows at most one
+// kNames frame holding every name delivered since the previous frame, and
+// FinishStream sends the names staged after the last shipment.
+TEST(NetClient, NamesTravelAsOneFramePerShipment) {
+  CollectionService::Options options;
+  options.config = FastRetryConfig();
+  options.config.shards = 1;
+  options.config_fingerprint = 0x5A;
+  CollectionService service(std::move(options));
+  ASSERT_TRUE(service.Start());
+
+  NetAgentClient client(FastRetryConfig(), service.port(), 12, 0x5A);
+  NetSink sink(&client);
+  std::vector<NameRecord> names;
+  for (uint32_t i = 0; i < 250; ++i) {
+    NameRecord name;
+    name.file_object = 0x3000 + i;
+    name.system_id = 12;
+    name.path = "C:/temp/name" + std::to_string(i) + ".dat";
+    names.push_back(name);
+  }
+  // 100 names, shipment 1, 100 names, shipment 2, shipment 3, 50 names.
+  size_t next_name = 0;
+  auto deliver_names = [&](size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      sink.DeliverName(names[next_name++]);
+    }
+  };
+  deliver_names(100);
+  sink.DeliverShipment({12, 1, 1, 10}, MakeRecords(12, 0, 10));
+  deliver_names(100);
+  sink.DeliverShipment({12, 2, 1, 10}, MakeRecords(12, 10, 10));
+  sink.DeliverShipment({12, 3, 1, 10}, MakeRecords(12, 20, 10));
+  deliver_names(50);
+  uint64_t collected = 0;
+  ASSERT_TRUE(client.FinishStream(&collected));
+  EXPECT_EQ(collected, 30u);
+  EXPECT_LE(client.frames_sent(), 6u);
+
+  service.Stop();
+  NetSessionResult session;
+  ASSERT_TRUE(service.TakeSession(12, &session));
+  EXPECT_TRUE(session.sealed);
+  EXPECT_EQ(session.frames_delivered, client.frames_sent());
+  EXPECT_EQ(session.server.set().records.size(), 30u);
+  const std::vector<NameRecord>& got = session.server.set().names;
+  ASSERT_EQ(got.size(), names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(got[i].file_object, names[i].file_object) << i;
+    EXPECT_EQ(got[i].path, names[i].path) << i;
+  }
 }
 
 TEST(NetClient, StallTripsEvictionAndReconnectResumes) {

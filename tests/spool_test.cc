@@ -1,6 +1,9 @@
 // Trace-spool format and salvage contract (DESIGN.md §10):
-//  - lossless roundtrip of every frame type through a sealed segment;
-//  - the v1 on-disk bytes are pinned (golden layout + a byte-for-byte
+//  - lossless roundtrip of every frame type through a sealed segment,
+//    replayed into a CollectionServer;
+//  - names are batched: one kNames frame ahead of the next frame, written
+//    at Close, dropped at Abandon, split once a batch fills;
+//  - the on-disk bytes are pinned (golden layout + a byte-for-byte
 //    reconstruction from the documented format);
 //  - salvage is exactly the longest valid frame prefix: a truncation sweep
 //    over every byte length and a seeded bit-flip fuzz must never crash the
@@ -10,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -19,6 +23,7 @@
 #include "src/base/crc32c.h"
 #include "src/base/rng.h"
 #include "src/metrics/metrics.h"
+#include "src/trace/collection_server.h"
 #include "tests/test_util.h"
 
 namespace ntrace {
@@ -48,6 +53,59 @@ std::vector<TraceRecord> MakeRecords(uint32_t system_id, uint64_t base, size_t n
   return records;
 }
 
+NameRecord MakeName(uint32_t system_id, uint64_t file_object, const std::string& path) {
+  NameRecord name;
+  name.file_object = file_object;
+  name.system_id = system_id;
+  name.path = path;
+  return name;
+}
+
+// One frame of a segment file, found by walking the frame headers.
+struct WalkedFrame {
+  uint16_t type = 0;
+  size_t end = 0;  // File offset just past the frame.
+  std::vector<uint8_t> payload;
+};
+
+// Walks a segment's frames from the file header up to the first frame that
+// does not parse. Append calls do not mark frame ends (a name is written
+// with the frame after it), so tests find them here.
+std::vector<WalkedFrame> WalkFrames(const std::vector<uint8_t>& bytes) {
+  std::vector<WalkedFrame> frames;
+  size_t pos = kSpoolFileHeaderSize;
+  SpoolFrameView view;
+  size_t consumed = 0;
+  while (pos < bytes.size() &&
+         SpoolParseFrame(bytes.data() + pos, bytes.size() - pos, &view, &consumed) ==
+             SpoolFrameStatus::kOk) {
+    pos += consumed;
+    frames.push_back({view.type, pos, {view.payload, view.payload + view.payload_size}});
+  }
+  return frames;
+}
+
+uint16_t T(SpoolFrameType type) { return static_cast<uint16_t>(type); }
+
+// The head of a kShipment payload.
+ShipmentHeader HeadOf(const WalkedFrame& frame) {
+  const uint8_t* p = frame.payload.data();
+  const size_t n = frame.payload.size();
+  size_t pos = 0;
+  ShipmentHeader h;
+  EXPECT_TRUE(GetScalar(p, n, &pos, &h.system_id) && GetScalar(p, n, &pos, &h.sequence) &&
+              GetScalar(p, n, &pos, &h.attempt) && GetScalar(p, n, &pos, &h.record_count));
+  return h;
+}
+
+// The u32 head of a kNames payload.
+uint32_t NameCountOf(const WalkedFrame& frame) {
+  size_t pos = 0;
+  uint32_t count = 0;
+  EXPECT_TRUE(GetScalar(frame.payload.data(), frame.payload.size(), &pos, &count));
+  return count;
+}
+
 TEST(Spool, RoundTripSealedSegment) {
   const std::string path = ScratchPath("spool_roundtrip.ntspool");
   SpoolWriter writer;
@@ -56,46 +114,201 @@ TEST(Spool, RoundTripSealedSegment) {
   ShipmentHeader h1{7, 1, 1, 3};
   ShipmentHeader h2{7, 2, 2, 2};
   ASSERT_TRUE(writer.AppendShipment(h1, MakeRecords(7, 0, 3)));
-  NameRecord name;
-  name.file_object = 0x1000;
-  name.system_id = 7;
-  name.path = "C:\\temp\\build.log";
-  ASSERT_TRUE(writer.AppendName(name));
+  ASSERT_TRUE(writer.AppendName(MakeName(7, 0x1000, "C:\\temp\\build.log")));
   ASSERT_TRUE(writer.AppendShipment(h2, MakeRecords(7, 3, 2)));
-  ASSERT_TRUE(writer.AppendRecords(MakeRecords(7, 5, 1)));
   const std::string blob = "opaque-completion-blob";
   ASSERT_TRUE(writer.AppendCompletion(blob.data(), blob.size()));
-  ASSERT_TRUE(writer.Seal(6));
+  ASSERT_TRUE(writer.Seal(5));
   writer.Close();
 
-  const SpoolReadResult r = SpoolReader::Read(path);
+  CollectionServer server;
+  const SpoolReadResult r = SpoolReader::Read(path, &server);
   EXPECT_TRUE(r.file_opened);
   ASSERT_TRUE(r.header_valid);
   EXPECT_EQ(r.version, kSpoolVersion);
   EXPECT_EQ(r.system_id, 7u);
   EXPECT_EQ(r.config_fingerprint, 0xFEEDFACE12345678ULL);
+  EXPECT_TRUE(r.Matches(7, 0xFEEDFACE12345678ULL));
+  EXPECT_FALSE(r.Matches(8, 0xFEEDFACE12345678ULL));
+  EXPECT_FALSE(r.Matches(7, 0xFEEDFACE12345679ULL));
   EXPECT_TRUE(r.sealed);
-  EXPECT_EQ(r.seal.records_delivered, 6u);
-  EXPECT_EQ(r.seal.records_collected, 6u);
+  EXPECT_EQ(r.seal.records_delivered, 5u);
+  EXPECT_EQ(r.seal.records_collected, 5u);
   EXPECT_EQ(r.seal.name_count, 1u);
-  EXPECT_EQ(r.seal.frame_count, 5u);
+  EXPECT_EQ(r.seal.frame_count, 4u);
   EXPECT_EQ(r.frames_damaged, 0u);
   EXPECT_EQ(r.bytes_discarded, 0u);
-  EXPECT_EQ(r.records_recovered, 6u);
+  EXPECT_EQ(r.records_recovered, 5u);
 
-  ASSERT_EQ(r.shipments.size(), 2u);
-  EXPECT_EQ(r.shipments[0].header.sequence, 1u);
-  EXPECT_EQ(r.shipments[0].header.record_count, 3u);
-  ASSERT_EQ(r.shipments[0].records.size(), 3u);
-  EXPECT_EQ(std::memcmp(r.shipments[0].records.data(), MakeRecords(7, 0, 3).data(),
-                        3 * sizeof(TraceRecord)),
+  // The replay is the two shipments, byte for byte and in order, plus the
+  // name, with the stream bookkeeping of a live delivery.
+  const std::vector<TraceRecord> expected = MakeRecords(7, 0, 5);
+  ASSERT_EQ(server.set().records.size(), 5u);
+  EXPECT_EQ(std::memcmp(server.set().records.data(), expected.data(),
+                        expected.size() * sizeof(TraceRecord)),
             0);
-  EXPECT_EQ(r.shipments[1].header.attempt, 2u);
-  ASSERT_EQ(r.loose.size(), 1u);
-  EXPECT_EQ(r.loose[0].size(), 1u);
-  ASSERT_EQ(r.names.size(), 1u);
-  EXPECT_EQ(r.names[0].path, "C:\\temp\\build.log");
+  const CollectionServer::StreamState* stream = server.StreamOf(7);
+  ASSERT_NE(stream, nullptr);
+  EXPECT_EQ(stream->shipments_received, 2u);
+  EXPECT_TRUE(stream->Received(1));
+  EXPECT_TRUE(stream->Received(2));
+  EXPECT_EQ(stream->records_collected, 5u);
+  ASSERT_EQ(server.set().names.size(), 1u);
+  EXPECT_EQ(server.set().names[0].path, "C:\\temp\\build.log");
+  EXPECT_EQ(server.set().names[0].file_object, 0x1000u);
   EXPECT_EQ(std::string(r.completion.begin(), r.completion.end()), blob);
+
+  // The frames on disk, in order: the name rides ahead of the shipment
+  // after it, and each shipment head keeps its fields.
+  const std::vector<WalkedFrame> frames = WalkFrames(ReadFileBytes(path));
+  ASSERT_EQ(frames.size(), 5u);
+  EXPECT_EQ(frames[0].type, T(SpoolFrameType::kShipment));
+  EXPECT_EQ(frames[1].type, T(SpoolFrameType::kNames));
+  EXPECT_EQ(frames[2].type, T(SpoolFrameType::kShipment));
+  EXPECT_EQ(frames[3].type, T(SpoolFrameType::kCompletion));
+  EXPECT_EQ(frames[4].type, T(SpoolFrameType::kSeal));
+  const ShipmentHeader first = HeadOf(frames[0]);
+  EXPECT_EQ(first.sequence, 1u);
+  EXPECT_EQ(first.attempt, 1u);
+  EXPECT_EQ(first.record_count, 3u);
+  const ShipmentHeader second = HeadOf(frames[2]);
+  EXPECT_EQ(second.sequence, 2u);
+  EXPECT_EQ(second.attempt, 2u);
+  EXPECT_EQ(second.record_count, 2u);
+  std::remove(path.c_str());
+}
+
+// A DeliverRecords call reaches the spool as a shipment with sequence 0,
+// which a replay appends without stream bookkeeping.
+TEST(Spool, UnsequencedShipmentReplaysWithoutStreamBookkeeping) {
+  const std::string path = ScratchPath("spool_unsequenced.ntspool");
+  SpoolWriter writer;
+  ASSERT_TRUE(writer.Open(path, 7, 0x77));
+  ShipmentHeader unsequenced;
+  unsequenced.record_count = 2;
+  ASSERT_TRUE(writer.AppendShipment(unsequenced, MakeRecords(7, 0, 2)));
+  ASSERT_TRUE(writer.Seal(2));
+  writer.Close();
+
+  CollectionServer server;
+  const SpoolReadResult r = SpoolReader::Read(path, &server);
+  EXPECT_TRUE(r.sealed);
+  EXPECT_EQ(r.records_recovered, 2u);
+  EXPECT_EQ(server.set().records.size(), 2u);
+  EXPECT_EQ(server.deliveries(), 1u);
+  EXPECT_TRUE(server.streams().empty());
+  std::remove(path.c_str());
+}
+
+TEST(SpoolNames, NamesRideOneFrameAheadOfTheNextShipment) {
+  const std::string path = ScratchPath("spool_names_batch.ntspool");
+  constexpr uint32_t kNames = 9;
+  SpoolWriter writer;
+  ASSERT_TRUE(writer.Open(path, 3, 0x33));
+  for (uint32_t i = 0; i < kNames; ++i) {
+    ASSERT_TRUE(writer.AppendName(MakeName(3, 0x100 + i, "C:\\n" + std::to_string(i))));
+  }
+  ASSERT_TRUE(writer.AppendShipment({3, 1, 1, 4}, MakeRecords(3, 0, 4)));
+  ASSERT_TRUE(writer.Seal(4));
+  writer.Close();
+
+  const std::vector<WalkedFrame> frames = WalkFrames(ReadFileBytes(path));
+  ASSERT_EQ(frames.size(), 3u);
+  EXPECT_EQ(frames[0].type, T(SpoolFrameType::kNames));
+  EXPECT_EQ(frames[1].type, T(SpoolFrameType::kShipment));
+  EXPECT_EQ(frames[2].type, T(SpoolFrameType::kSeal));
+  EXPECT_EQ(NameCountOf(frames[0]), kNames);
+
+  CollectionServer server;
+  const SpoolReadResult r = SpoolReader::Read(path, &server);
+  EXPECT_TRUE(r.sealed);
+  EXPECT_EQ(r.seal.name_count, kNames);
+  EXPECT_EQ(r.seal.frame_count, 2u);
+  ASSERT_EQ(server.set().names.size(), kNames);
+  for (uint32_t i = 0; i < kNames; ++i) {
+    EXPECT_EQ(server.set().names[i].file_object, 0x100u + i);
+    EXPECT_EQ(server.set().names[i].path, "C:\\n" + std::to_string(i));
+  }
+  EXPECT_EQ(server.set().records.size(), 4u);
+  std::remove(path.c_str());
+}
+
+// Close writes the staged names; Abandon (a process death) drops them with
+// the rest of the unflushed tail.
+TEST(SpoolNames, StagedNamesReachTheFileAtCloseNotAtAbandon) {
+  const std::string closed = ScratchPath("spool_names_close.ntspool");
+  const std::string abandoned = ScratchPath("spool_names_abandon.ntspool");
+  for (const std::string& path : {closed, abandoned}) {
+    SpoolWriter writer;
+    ASSERT_TRUE(writer.Open(path, 5, 0x55));
+    writer.set_flush_threshold(0);  // The shipment is on disk at once.
+    ASSERT_TRUE(writer.AppendShipment({5, 1, 1, 2}, MakeRecords(5, 0, 2)));
+    ASSERT_TRUE(writer.AppendName(MakeName(5, 1, "C:\\a")));
+    ASSERT_TRUE(writer.AppendName(MakeName(5, 2, "C:\\b")));
+    if (path == closed) {
+      writer.Close();
+    } else {
+      writer.Abandon();
+    }
+  }
+
+  CollectionServer after_close;
+  const SpoolReadResult c = SpoolReader::Read(closed, &after_close);
+  EXPECT_EQ(c.frames_valid, 2u);
+  EXPECT_EQ(c.frames_damaged, 0u);
+  ASSERT_EQ(after_close.set().names.size(), 2u);
+  EXPECT_EQ(after_close.set().names[0].path, "C:\\a");
+  EXPECT_EQ(after_close.set().names[1].path, "C:\\b");
+  EXPECT_EQ(after_close.set().records.size(), 2u);
+
+  CollectionServer after_abandon;
+  const SpoolReadResult a = SpoolReader::Read(abandoned, &after_abandon);
+  EXPECT_EQ(a.frames_valid, 1u);
+  EXPECT_EQ(a.frames_damaged, 0u);
+  EXPECT_TRUE(after_abandon.set().names.empty());
+  EXPECT_EQ(after_abandon.set().records.size(), 2u);
+  std::remove(closed.c_str());
+  std::remove(abandoned.c_str());
+}
+
+TEST(SpoolNames, BatchPastItsBoundSplitsIntoFramesThatReplayTheSameNames) {
+  const std::string path = ScratchPath("spool_names_split.ntspool");
+  constexpr uint32_t kNames = 1500;  // ~220 bytes each: several full batches.
+  std::vector<NameRecord> names;
+  for (uint32_t i = 0; i < kNames; ++i) {
+    const std::string path(200, static_cast<char>('a' + i % 26));
+    names.push_back(MakeName(6, 0x5000 + i, path + std::to_string(i)));
+  }
+  SpoolWriter writer;
+  ASSERT_TRUE(writer.Open(path, 6, 0x66));
+  for (const NameRecord& n : names) {
+    ASSERT_TRUE(writer.AppendName(n));
+  }
+  ASSERT_TRUE(writer.Seal(0));
+  writer.Close();
+
+  const std::vector<WalkedFrame> frames = WalkFrames(ReadFileBytes(path));
+  ASSERT_GE(frames.size(), 5u);  // At least 4 batches, then the seal.
+  uint64_t staged = 0;
+  for (size_t i = 0; i + 1 < frames.size(); ++i) {
+    EXPECT_EQ(frames[i].type, T(SpoolFrameType::kNames)) << "frame " << i;
+    // A batch is written as soon as it reaches the bound, so it passes the
+    // bound by less than one name.
+    EXPECT_LT(frames[i].payload.size(), kSpoolNameBatchBytes + 256) << "frame " << i;
+    staged += NameCountOf(frames[i]);
+  }
+  EXPECT_EQ(frames.back().type, T(SpoolFrameType::kSeal));
+  EXPECT_EQ(staged, kNames);
+
+  CollectionServer server;
+  const SpoolReadResult r = SpoolReader::Read(path, &server);
+  EXPECT_TRUE(r.sealed);
+  EXPECT_EQ(r.seal.name_count, kNames);
+  ASSERT_EQ(server.set().names.size(), kNames);
+  for (uint32_t i = 0; i < kNames; ++i) {
+    EXPECT_EQ(server.set().names[i].file_object, names[i].file_object) << i;
+    EXPECT_EQ(server.set().names[i].path, names[i].path) << i;
+  }
   std::remove(path.c_str());
 }
 
@@ -161,24 +374,27 @@ TEST(Spool, BytesCounterCountsEveryByteOfASealedSegment) {
   std::remove(path.c_str());
 }
 
-// Pins the v1 on-disk format: the file header bytes are pinned literally,
-// and the whole segment must equal a byte-for-byte reconstruction from the
-// documented layout (with CRC-32C itself pinned by crc32c_test's RFC
-// vectors). If this test breaks, the format changed -- bump kSpoolVersion.
+// Pins the on-disk format (spool version 2 on the container's v1 frames):
+// the file header bytes are pinned literally, and the whole segment must
+// equal a byte-for-byte reconstruction from the documented layout (with
+// CRC-32C itself pinned by crc32c_test's RFC vectors). If this test breaks,
+// the format changed -- bump kSpoolVersion.
 TEST(Spool, GoldenV1Format) {
   const std::string path = ScratchPath("spool_golden.ntspool");
   SpoolWriter writer;
   ASSERT_TRUE(writer.Open(path, 0x0A0B0C0D, 0x1122334455667788ULL));
   ShipmentHeader h{0x0A0B0C0D, 9, 1, 2};
   ASSERT_TRUE(writer.AppendShipment(h, MakeRecords(0x0A0B0C0D, 0, 2)));
+  const NameRecord name = MakeName(0x0A0B0C0D, 0x0102030405060708ULL, "C:\\x.y");
+  ASSERT_TRUE(writer.AppendName(name));
   ASSERT_TRUE(writer.Seal(2));
   writer.Close();
   const std::vector<uint8_t> actual = ReadFileBytes(path);
 
-  // File header: magic "NTSPOOL1", version 1, system id, fingerprint (LE).
+  // File header: magic "NTSPOOL1", version 2, system id, fingerprint (LE).
   const uint8_t golden_header[kSpoolFileHeaderSize] = {
       'N', 'T', 'S', 'P', 'O', 'O', 'L', '1',          // u64 magic.
-      0x01, 0x00, 0x00, 0x00,                          // u32 version = 1.
+      0x02, 0x00, 0x00, 0x00,                          // u32 version = 2.
       0x0D, 0x0C, 0x0B, 0x0A,                          // u32 system_id.
       0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  // u64 fingerprint.
   };
@@ -229,6 +445,18 @@ TEST(Spool, GoldenV1Format) {
     put_frame(static_cast<uint16_t>(SpoolFrameType::kShipment), payload);
   }
   {
+    // The staged name, written ahead of the seal: u32 count, then u64
+    // file_object | u32 system_id | u32 path length | path bytes.
+    const std::vector<uint8_t> payload = {
+        0x01, 0x00, 0x00, 0x00,                          // u32 count = 1.
+        0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // u64 file_object.
+        0x0D, 0x0C, 0x0B, 0x0A,                          // u32 system_id.
+        0x06, 0x00, 0x00, 0x00,                          // u32 path length.
+        'C', ':', '\\', 'x', '.', 'y',                   // path bytes.
+    };
+    put_frame(static_cast<uint16_t>(SpoolFrameType::kNames), payload);
+  }
+  {
     std::vector<uint8_t> payload;
     auto p64 = [&payload](uint64_t v) {
       for (int i = 0; i < 8; ++i) {
@@ -237,8 +465,8 @@ TEST(Spool, GoldenV1Format) {
     };
     p64(2);  // records_delivered.
     p64(2);  // records_collected.
-    p64(0);  // name_count.
-    p64(1);  // frame_count before the seal.
+    p64(1);  // name_count.
+    p64(2);  // frame_count before the seal.
     put_frame(static_cast<uint16_t>(SpoolFrameType::kSeal), payload);
   }
   EXPECT_EQ(actual, expected);
@@ -246,43 +474,47 @@ TEST(Spool, GoldenV1Format) {
 }
 
 // Builds a multi-frame segment and returns (bytes, per-frame end offsets,
-// cumulative records at each frame end) for prefix-property checks.
+// cumulative records at each frame end) for prefix-property checks, plus
+// the deliveries it holds.
 struct GoldenSegment {
   std::vector<uint8_t> bytes;
   std::vector<size_t> frame_ends;
   std::vector<uint64_t> records_at;
-  std::vector<std::vector<TraceRecord>> shipment_records;
+  std::vector<TraceRecord> records;  // Every shipment's, concatenated.
+  std::vector<size_t> shipment_ends;  // Record counts at shipment boundaries.
+  std::vector<NameRecord> names;
 };
 
 GoldenSegment BuildSegment(const std::string& path) {
   GoldenSegment g;
   SpoolWriter writer;
   EXPECT_TRUE(writer.Open(path, 11, 0xBEEF));
-  uint64_t records = 0;
-  uint64_t base = 0;
+  g.shipment_ends.push_back(0);
   for (uint64_t sequence = 1; sequence <= 3; ++sequence) {
     const size_t n = 2 + static_cast<size_t>(sequence);
-    const std::vector<TraceRecord> batch = MakeRecords(11, base, n);
-    base += n;
+    const std::vector<TraceRecord> batch = MakeRecords(11, g.records.size(), n);
     ShipmentHeader h{11, sequence, 1, n};
     EXPECT_TRUE(writer.AppendShipment(h, batch));
-    g.shipment_records.push_back(batch);
-    records += n;
-    g.frame_ends.push_back(static_cast<size_t>(writer.bytes_written()));
-    g.records_at.push_back(records);
-    NameRecord name;
-    name.file_object = 0x2000 + sequence;
-    name.system_id = 11;
-    name.path = "C:\\users\\seq" + std::to_string(sequence);
-    EXPECT_TRUE(writer.AppendName(name));
-    g.frame_ends.push_back(static_cast<size_t>(writer.bytes_written()));
-    g.records_at.push_back(records);
+    g.records.insert(g.records.end(), batch.begin(), batch.end());
+    g.shipment_ends.push_back(g.records.size());
+    g.names.push_back(MakeName(11, 0x2000 + sequence, "C:\\users\\seq" + std::to_string(sequence)));
+    EXPECT_TRUE(writer.AppendName(g.names.back()));
   }
-  EXPECT_TRUE(writer.Seal(records));
-  g.frame_ends.push_back(static_cast<size_t>(writer.bytes_written()));
-  g.records_at.push_back(records);
+  EXPECT_TRUE(writer.Seal(g.records.size()));
   writer.Close();
   g.bytes = ReadFileBytes(path);
+
+  // Each name is written with the frame after it: shipment, names, ...,
+  // names, seal.
+  const std::vector<WalkedFrame> frames = WalkFrames(g.bytes);
+  EXPECT_EQ(frames.size(), 7u);
+  size_t shipments = 0;
+  for (const WalkedFrame& f : frames) {
+    shipments += f.type == T(SpoolFrameType::kShipment) ? 1 : 0;
+    g.frame_ends.push_back(f.end);
+    g.records_at.push_back(g.shipment_ends[shipments]);
+  }
+  EXPECT_EQ(frames.back().type, T(SpoolFrameType::kSeal));
   EXPECT_EQ(g.bytes.size(), g.frame_ends.back());
   return g;
 }
@@ -342,18 +574,28 @@ TEST(SpoolSalvage, BitFlipFuzzNeverCrashesAndYieldsOnlyPrefixes) {
       bytes.resize(static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(bytes.size()))));
     }
     WriteFileBytes(path, bytes);
-    const SpoolReadResult r = SpoolReader::Read(path);  // Must not crash/throw.
+    CollectionServer server;
+    const SpoolReadResult r = SpoolReader::Read(path, &server);  // Must not crash/throw.
 
     // Whatever survives must be a prefix of the original shipments with
-    // byte-identical payloads -- salvage never invents or reorders data.
-    ASSERT_LE(r.shipments.size(), g.shipment_records.size()) << "iter=" << iter;
-    for (size_t i = 0; i < r.shipments.size(); ++i) {
-      ASSERT_EQ(r.shipments[i].records.size(), g.shipment_records[i].size())
-          << "iter=" << iter << " shipment=" << i;
-      EXPECT_EQ(std::memcmp(r.shipments[i].records.data(), g.shipment_records[i].data(),
-                            g.shipment_records[i].size() * sizeof(TraceRecord)),
+    // byte-identical payloads, ending at a shipment boundary, plus a prefix
+    // of the original names -- salvage never invents or reorders data.
+    const std::vector<TraceRecord>& records = server.set().records;
+    ASSERT_LE(records.size(), g.records.size()) << "iter=" << iter;
+    EXPECT_NE(std::find(g.shipment_ends.begin(), g.shipment_ends.end(), records.size()),
+              g.shipment_ends.end())
+        << "iter=" << iter << " records=" << records.size();
+    EXPECT_EQ(records.size(), r.records_recovered) << "iter=" << iter;
+    if (!records.empty()) {
+      EXPECT_EQ(std::memcmp(records.data(), g.records.data(), records.size() * sizeof(TraceRecord)),
                 0)
-          << "iter=" << iter << " shipment=" << i;
+          << "iter=" << iter;
+    }
+    const std::vector<NameRecord>& names = server.set().names;
+    ASSERT_LE(names.size(), g.names.size()) << "iter=" << iter;
+    for (size_t i = 0; i < names.size(); ++i) {
+      EXPECT_EQ(names[i].file_object, g.names[i].file_object) << "iter=" << iter << " name=" << i;
+      EXPECT_EQ(names[i].path, g.names[i].path) << "iter=" << iter << " name=" << i;
     }
     if (r.header_valid && r.frames_damaged == 0 && bytes.size() == g.bytes.size()) {
       // All flips landed after the seal or in discarded tail bytes -- with a
@@ -383,10 +625,12 @@ TEST(SpoolSalvage, DamagedPayloadUnderIntactHeaderCountsKnownLoss) {
   bytes[second_frame_at + kSpoolFrameHeaderSize + 40] ^= 0x01;
   WriteFileBytes(path, bytes);
 
-  const SpoolReadResult r = SpoolReader::Read(path);
+  CollectionServer server;
+  const SpoolReadResult r = SpoolReader::Read(path, &server);
   ASSERT_TRUE(r.header_valid);
   EXPECT_FALSE(r.sealed);
-  EXPECT_EQ(r.shipments.size(), 1u);
+  ASSERT_NE(server.StreamOf(4), nullptr);
+  EXPECT_EQ(server.StreamOf(4)->shipments_received, 1u);
   EXPECT_EQ(r.records_recovered, 2u);
   EXPECT_EQ(r.frames_damaged, 1u);
   EXPECT_EQ(r.records_lost_known, 5u);
@@ -444,7 +688,7 @@ TEST(SpoolSalvage, PayloadEndingExactlyAtEofClassifiesByCrc) {
   std::memcpy(payload.data() + head_size, records.data(),
               records.size() * sizeof(TraceRecord));
 
-  auto with_last_frame = [&](bool corrupt_payload, size_t truncate_by) {
+  auto with_last_frame = [&](bool corrupt_payload, size_t truncate_by, CollectionServer* server) {
     std::vector<uint8_t> bytes = prefix;
     std::vector<uint8_t> body = payload;
     if (corrupt_payload) {
@@ -458,24 +702,30 @@ TEST(SpoolSalvage, PayloadEndingExactlyAtEofClassifiesByCrc) {
     bytes.insert(bytes.end(), body.begin(), body.end() - static_cast<ptrdiff_t>(truncate_by));
     const std::string path = ScratchPath("spool_eof_edge.ntspool");
     WriteFileBytes(path, bytes);
-    const SpoolReadResult r = SpoolReader::Read(path);
+    const SpoolReadResult r = SpoolReader::Read(path, server);
     std::remove(path.c_str());
     return r;
   };
+  auto shipments_of = [](const CollectionServer& server) {
+    const CollectionServer::StreamState* stream = server.StreamOf(9);
+    return stream == nullptr ? 0 : stream->shipments_received;
+  };
 
   // Payload complete and valid: the frame is simply the last valid frame.
-  const SpoolReadResult clean = with_last_frame(false, 0);
+  CollectionServer clean_server;
+  const SpoolReadResult clean = with_last_frame(false, 0, &clean_server);
   ASSERT_TRUE(clean.header_valid);
-  EXPECT_EQ(clean.shipments.size(), 2u);
+  EXPECT_EQ(shipments_of(clean_server), 2u);
   EXPECT_EQ(clean.records_recovered, 6u);
   EXPECT_EQ(clean.frames_damaged, 0u);
   EXPECT_EQ(clean.bytes_discarded, 0u);
 
   // Payload complete (exactly to EOF) but corrupt: damaged frame with an
   // intact header, so the loss is known, not silent.
-  const SpoolReadResult corrupt = with_last_frame(true, 0);
+  CollectionServer corrupt_server;
+  const SpoolReadResult corrupt = with_last_frame(true, 0, &corrupt_server);
   ASSERT_TRUE(corrupt.header_valid);
-  EXPECT_EQ(corrupt.shipments.size(), 1u);
+  EXPECT_EQ(shipments_of(corrupt_server), 1u);
   EXPECT_EQ(corrupt.records_recovered, 2u);
   EXPECT_EQ(corrupt.frames_damaged, 1u);
   EXPECT_EQ(corrupt.records_lost_known, 4u);
@@ -483,9 +733,10 @@ TEST(SpoolSalvage, PayloadEndingExactlyAtEofClassifiesByCrc) {
 
   // Declared length extends one byte past EOF: truncated payload under an
   // intact header gets the identical known-loss accounting.
-  const SpoolReadResult truncated = with_last_frame(false, 1);
+  CollectionServer truncated_server;
+  const SpoolReadResult truncated = with_last_frame(false, 1, &truncated_server);
   ASSERT_TRUE(truncated.header_valid);
-  EXPECT_EQ(truncated.shipments.size(), 1u);
+  EXPECT_EQ(shipments_of(truncated_server), 1u);
   EXPECT_EQ(truncated.records_recovered, 2u);
   EXPECT_EQ(truncated.frames_damaged, 1u);
   EXPECT_EQ(truncated.records_lost_known, 4u);
