@@ -1,8 +1,9 @@
-// Shared pieces of the bench binaries: StandardConfig(), the paper-scale
-// "standard study" (a scaled-down version of the paper's 45-system, 4-week
-// collection) that the reproduction driver and the performance benches
-// build on, strict environment-knob parsers, the counting allocation hook,
-// peak RSS, and the TraceScan fingerprint. Scale knobs via environment:
+// Shared pieces of the bench binaries and ntbench: StandardConfig(), the
+// paper-scale "standard study" (a scaled-down version of the paper's
+// 45-system, 4-week collection) that the reproduction driver builds on,
+// strict environment-knob parsers (the chaos campaign reads its knobs with
+// them too), and ntbench's counting allocation hook and TraceScan
+// fingerprint. Scale knobs via environment:
 //   NTRACE_SYSTEMS_SCALE  multiplies per-category system counts (default 1)
 //   NTRACE_DAYS           simulated days (default 1)
 //   NTRACE_ACTIVITY       burst-rate multiplier (default 0.75)
@@ -38,8 +39,6 @@
 
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
-
-#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
@@ -166,13 +165,14 @@ inline double EnvDouble(const char* name, double fallback) {
 // Full-width integer parse. EnvDouble/strtod round-trips through a double,
 // which silently corrupts values above 2^53 -- seeds must not go through
 // it. strtoull accepts a leading '-' (wrapping modulo 2^64); reject it.
-inline uint64_t EnvU64(const char* name, uint64_t fallback) {
+// `base` is strtoull's: 0 also accepts the 0x form.
+inline uint64_t EnvU64(const char* name, uint64_t fallback, int base = 10) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') {
     return fallback;
   }
   char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
+  const unsigned long long parsed = std::strtoull(v, &end, base);
   if (end == v || *end != '\0' || std::strchr(v, '-') != nullptr) {
     std::fprintf(stderr, "warning: %s=\"%s\" is not a non-negative integer; using default %llu\n",
                  name, v, static_cast<unsigned long long>(fallback));
@@ -181,9 +181,9 @@ inline uint64_t EnvU64(const char* name, uint64_t fallback) {
   return static_cast<uint64_t>(parsed);
 }
 
-// Strict bounded count knob (NTRACE_BENCH_PAIRS=5). atoi-style parsing
+// Strict bounded count knob (NTRACE_CHAOS_TRIALS=5). atoi-style parsing
 // reads "5x" as 5 and "abc" as 0 without a word of complaint; here the
-// whole value must parse and land in [min_value, max_value] or the bench
+// whole value must parse and land in [min_value, max_value] or the binary
 // warns and runs the default.
 inline int EnvInt(const char* name, int fallback, int min_value, int max_value) {
   const char* v = std::getenv(name);
@@ -198,56 +198,6 @@ inline int EnvInt(const char* name, int fallback, int min_value, int max_value) 
     return fallback;
   }
   return static_cast<int>(parsed);
-}
-
-// Strict comma-separated list of positive integers
-// (NTRACE_BENCH_THREADS="1,2,8"). One malformed element rejects the whole
-// value: a loose digit scan would happily pull {2, 8} out of "2x8" and
-// bench a sweep nobody asked for.
-inline std::vector<int> EnvIntList(const char* name, std::vector<int> fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') {
-    return fallback;
-  }
-  std::vector<int> values;
-  const char* p = v;
-  while (true) {
-    char* end = nullptr;
-    const long parsed = std::strtol(p, &end, 10);
-    if (end == p || parsed <= 0 || parsed > (1 << 16)) {
-      std::fprintf(stderr,
-                   "warning: %s=\"%s\" is not a comma-separated list of positive integers; "
-                   "using default\n",
-                   name, v);
-      return fallback;
-    }
-    values.push_back(static_cast<int>(parsed));
-    if (*end == '\0') {
-      break;
-    }
-    if (*end != ',') {
-      std::fprintf(stderr,
-                   "warning: %s=\"%s\" is not a comma-separated list of positive integers; "
-                   "using default\n",
-                   name, v);
-      return fallback;
-    }
-    p = end + 1;
-  }
-  return values;
-}
-
-// Peak resident set size of this process in bytes (getrusage ru_maxrss,
-// kilobytes on Linux). A high-water mark, not a gauge: it never decreases,
-// so a bench that wants "RSS of the out-of-core leg" must report the whole
-// process's peak and rely on that leg being the largest phase -- which is
-// exactly the property the out-of-core bound is asserting.
-inline uint64_t PeakRssBytes() {
-  struct rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) {
-    return 0;
-  }
-  return static_cast<uint64_t>(usage.ru_maxrss) * 1024;
 }
 
 // FNV-1a over every field of a TraceScan, CDF samples included. Used by the

@@ -6,40 +6,30 @@
 //
 // Default is a short deterministic campaign suitable for CI; the soak knobs
 // scale it up:
-//   NTRACE_CHAOS_TRIALS    trials to run (default 10)
-//   NTRACE_CHAOS_SEED      campaign seed (default 0xC4A0C4A0)
+//   NTRACE_CHAOS_TRIALS    trials to run, at least 1 (default 10)
+//   NTRACE_CHAOS_SEED      campaign seed, decimal or 0x hex (default 0xC4A0C4A0)
 //   NTRACE_CHAOS_ACTIVITY  trial fleet activity scale (default 0.05)
 //   NTRACE_CHAOS_VERBOSE   1 = per-trial progress lines (default 1)
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <string>
 
+#include "bench/bench_common.h"
 #include "src/fault/chaos.h"
-
-namespace {
-
-uint64_t EnvU64(const char* name, uint64_t fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0' ? std::strtoull(v, nullptr, 0) : fallback;
-}
-
-double EnvDouble(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0' ? std::strtod(v, nullptr) : fallback;
-}
-
-}  // namespace
 
 int main() {
   using namespace ntrace;
 
+  // Strict parsers: a malformed knob warns and runs the default, where a
+  // bare strtoull reads "abc" as 0 trials and "2OO" as 2. The seed also
+  // takes the 0x form the campaign prints.
   ChaosCampaignConfig config;
-  config.trials = static_cast<int>(EnvU64("NTRACE_CHAOS_TRIALS", 10));
-  config.seed = EnvU64("NTRACE_CHAOS_SEED", 0xC4A0C4A0ULL);
+  config.trials = EnvInt("NTRACE_CHAOS_TRIALS", 10, 1, std::numeric_limits<int>::max());
+  config.seed = EnvU64("NTRACE_CHAOS_SEED", 0xC4A0C4A0ULL, /*base=*/0);
   config.activity_scale = EnvDouble("NTRACE_CHAOS_ACTIVITY", 0.05);
-  config.verbose = EnvU64("NTRACE_CHAOS_VERBOSE", 1) != 0;
+  config.verbose = EnvInt("NTRACE_CHAOS_VERBOSE", 1, 0, 1) == 1;
   std::error_code ec;
   config.work_dir = (std::filesystem::temp_directory_path(ec) /
                      ("ntrace_chaos_" + std::to_string(static_cast<unsigned>(getpid()))))

@@ -744,18 +744,4 @@ bool FileSystemDriver::FastIoQueryStandardInfo(DeviceObject* device, FileObject&
   return true;
 }
 
-bool FileSystemDriver::FastIoCheckIfPossible(DeviceObject* device, FileObject& file,
-                                             uint64_t offset, uint32_t length, bool is_write) {
-  (void)device;
-  (void)offset;
-  (void)length;
-  if (!file.caching_initialized || file.no_intermediate_buffering) {
-    return false;
-  }
-  if (is_write && file.write_through) {
-    return false;
-  }
-  return true;
-}
-
 }  // namespace ntrace

@@ -77,8 +77,6 @@ class FileSystemDriver : public Driver {
   bool FastIoQueryBasicInfo(DeviceObject* device, FileObject& file, FileBasicInfo* out) override;
   bool FastIoQueryStandardInfo(DeviceObject* device, FileObject& file,
                                FileStandardInfo* out) override;
-  bool FastIoCheckIfPossible(DeviceObject* device, FileObject& file, uint64_t offset,
-                             uint32_t length, bool is_write) override;
 
   Volume& volume() { return *volume_; }
   const Volume& volume() const { return *volume_; }

@@ -24,11 +24,12 @@
 // is not read under a global lock.
 //
 // The registry is process-wide (`MetricsRegistry::Global()`) and cumulative.
-// Consumers that need per-run values (RunFleet, bench_fleet) snapshot
-// before and after and keep the delta -- see MetricsSnapshot::DeltaFrom.
-// `NTRACE_METRICS=0` (or SetMetricsEnabled(false)) turns every mutation
-// into an early return so the overhead of the layer itself is measurable
-// (bench_fleet reports it; budget < 3% of records/sec).
+// Consumers that need per-run values (RunFleet, TraceReplayer::Replay)
+// snapshot before and after and keep the delta -- see
+// MetricsSnapshot::DeltaFrom. `NTRACE_METRICS=0` (or
+// SetMetricsEnabled(false)) turns every mutation into an early return so
+// the overhead of the layer itself is measurable (budget < 3% of
+// records/sec; DESIGN.md §8 says how to measure it).
 
 #ifndef SRC_METRICS_METRICS_H_
 #define SRC_METRICS_METRICS_H_
@@ -48,8 +49,8 @@ namespace ntrace {
 namespace metrics_internal {
 
 // Runtime kill switch. Initialized from NTRACE_METRICS by
-// MetricsRegistry::Global(); flippable at any time (bench_fleet uses this
-// to measure the layer's own overhead).
+// MetricsRegistry::Global(); flippable at any time (fleet_determinism_test
+// flips it to prove the layer does not perturb a run).
 inline std::atomic<bool> g_enabled{true};
 
 // Dense per-thread slot id, assigned on a thread's first metric touch.

@@ -12,10 +12,6 @@ bool Driver::FastIoQueryStandardInfo(DeviceObject*, FileObject&, FileStandardInf
   return false;
 }
 
-bool Driver::FastIoCheckIfPossible(DeviceObject*, FileObject&, uint64_t, uint32_t, bool) {
-  return false;
-}
-
 NtStatus ForwardIrp(DeviceObject* device, Irp& irp) {
   DeviceObject* lower = device->lower();
   if (lower == nullptr) {
@@ -58,15 +54,6 @@ bool ForwardFastIoQueryStandardInfo(DeviceObject* device, FileObject& file,
     return false;
   }
   return lower->driver()->FastIoQueryStandardInfo(lower, file, out);
-}
-
-bool ForwardFastIoCheckIfPossible(DeviceObject* device, FileObject& file, uint64_t offset,
-                                  uint32_t length, bool is_write) {
-  DeviceObject* lower = device->lower();
-  if (lower == nullptr) {
-    return false;
-  }
-  return lower->driver()->FastIoCheckIfPossible(lower, file, offset, length, is_write);
 }
 
 }  // namespace ntrace

@@ -55,9 +55,6 @@ class Driver {
   virtual bool FastIoQueryBasicInfo(DeviceObject* device, FileObject& file, FileBasicInfo* out);
   virtual bool FastIoQueryStandardInfo(DeviceObject* device, FileObject& file,
                                        FileStandardInfo* out);
-  // CheckIfPossible: may the I/O manager use FastIO for this transfer?
-  virtual bool FastIoCheckIfPossible(DeviceObject* device, FileObject& file, uint64_t offset,
-                                     uint32_t length, bool is_write);
 };
 
 // A device object: one layer in a volume's driver stack.
@@ -88,8 +85,6 @@ FastIoResult ForwardFastIoWrite(DeviceObject* device, FileObject& file, uint64_t
 bool ForwardFastIoQueryBasicInfo(DeviceObject* device, FileObject& file, FileBasicInfo* out);
 bool ForwardFastIoQueryStandardInfo(DeviceObject* device, FileObject& file,
                                     FileStandardInfo* out);
-bool ForwardFastIoCheckIfPossible(DeviceObject* device, FileObject& file, uint64_t offset,
-                                  uint32_t length, bool is_write);
 
 }  // namespace ntrace
 

@@ -207,7 +207,8 @@ class ExtentStoreWriter {
   // [1, kMaxExtentRecords]; it is the flush granularity of AppendRecord(s).
   // With compress on (the default) every column picks the smallest of its
   // applicable encodings; compress=false restricts the choice to raw/const
-  // (the uncompressed baseline the benches size against).
+  // (the uncompressed baseline the scan-parity and format tests compare
+  // against).
   bool Open(const std::string& path, uint32_t extent_records,
             uint64_t config_fingerprint, bool compress = true);
 

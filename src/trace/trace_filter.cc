@@ -201,12 +201,4 @@ bool TraceFilterDriver::FastIoQueryStandardInfo(DeviceObject* device, FileObject
   return ok;
 }
 
-bool TraceFilterDriver::FastIoCheckIfPossible(DeviceObject* device, FileObject& file,
-                                              uint64_t offset, uint32_t length, bool is_write) {
-  if (!options_.passthrough_fastio) {
-    return false;
-  }
-  return ForwardFastIoCheckIfPossible(device, file, offset, length, is_write);
-}
-
 }  // namespace ntrace

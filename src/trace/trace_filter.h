@@ -54,8 +54,6 @@ class TraceFilterDriver final : public Driver {
   bool FastIoQueryBasicInfo(DeviceObject* device, FileObject& file, FileBasicInfo* out) override;
   bool FastIoQueryStandardInfo(DeviceObject* device, FileObject& file,
                                FileStandardInfo* out) override;
-  bool FastIoCheckIfPossible(DeviceObject* device, FileObject& file, uint64_t offset,
-                             uint32_t length, bool is_write) override;
 
   uint64_t irp_events() const { return irp_events_; }
   uint64_t fastio_events() const { return fastio_events_; }

@@ -50,7 +50,7 @@ enum class TraceEvent : uint16_t {
   kFastIoWrite,
   kFastIoQueryBasicInfo,
   kFastIoQueryStandardInfo,
-  kFastIoCheckIfPossible,
+  kFastIoCheckIfPossible,   // Never emitted; keeps its code so later events keep theirs.
   kFastIoReadNotPossible,   // Attempted, fell back to the IRP path.
   kFastIoWriteNotPossible,
 };

@@ -1,12 +1,11 @@
 // Strict parsing of the NTRACE_* bench knobs (bench/bench_common.h). A
 // typo'd knob must warn and fall back to the default -- never be silently
-// truncated (atoi-style "5x" -> 5) or silently scanned apart ("2x8" ->
-// {2, 8}) into a run whose recorded numbers look legitimate.
+// truncated (atoi-style "5x" -> 5, "abc" -> 0) into a run whose recorded
+// numbers look legitimate.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <vector>
 
 #include "bench/bench_common.h"
 
@@ -67,6 +66,18 @@ TEST_F(BenchEnvTest, U64RejectsGarbageAndNegatives) {
   EXPECT_EQ(EnvU64(kVar, 7), 7u);
 }
 
+TEST_F(BenchEnvTest, U64TakesTheHexFormOnlyWhenAskedTo) {
+  Set("0xC4A0C4A0");  // The chaos campaign's seed form.
+  EXPECT_EQ(EnvU64(kVar, 7, /*base=*/0), 0xC4A0C4A0u);
+  EXPECT_EQ(EnvU64(kVar, 7), 7u);
+  Set("1999");
+  EXPECT_EQ(EnvU64(kVar, 7, /*base=*/0), 1999u);
+  Set("0x");
+  EXPECT_EQ(EnvU64(kVar, 7, /*base=*/0), 7u);
+  Set("0xC4A0C4A0z");
+  EXPECT_EQ(EnvU64(kVar, 7, /*base=*/0), 7u);
+}
+
 TEST_F(BenchEnvTest, IntParsesAndBoundsChecks) {
   Set("5");
   EXPECT_EQ(EnvInt(kVar, 3, 1, 1000), 5);
@@ -78,34 +89,8 @@ TEST_F(BenchEnvTest, IntParsesAndBoundsChecks) {
   EXPECT_EQ(EnvInt(kVar, 3, 1, 1000), 3);
   Set("abc");  // atoi would have said 0.
   EXPECT_EQ(EnvInt(kVar, 3, 1, 1000), 3);
-}
-
-TEST_F(BenchEnvTest, IntListParsesCleanSweep) {
-  Set("1,2,8");
-  EXPECT_EQ(EnvIntList(kVar, {}), (std::vector<int>{1, 2, 8}));
-  Set("4");
-  EXPECT_EQ(EnvIntList(kVar, {}), (std::vector<int>{4}));
-}
-
-TEST_F(BenchEnvTest, IntListRejectsTheWholeValueOnOneBadElement) {
-  const std::vector<int> fallback = {1, 2};
-  Set("2x8");  // The old digit scan read this as {2, 8}.
-  EXPECT_EQ(EnvIntList(kVar, fallback), fallback);
-  Set("1,,2");
-  EXPECT_EQ(EnvIntList(kVar, fallback), fallback);
-  Set("1,2,");
-  EXPECT_EQ(EnvIntList(kVar, fallback), fallback);
-  Set("1;2");
-  EXPECT_EQ(EnvIntList(kVar, fallback), fallback);
-  Set("0,2");  // Zero threads is not a sweep point.
-  EXPECT_EQ(EnvIntList(kVar, fallback), fallback);
-  Set("-1,2");
-  EXPECT_EQ(EnvIntList(kVar, fallback), fallback);
-}
-
-TEST_F(BenchEnvTest, IntListUnsetFallsBackSilently) {
-  unsetenv(kVar);
-  EXPECT_EQ(EnvIntList(kVar, {1, 2, 4}), (std::vector<int>{1, 2, 4}));
+  Set("2OO");  // Letter O, not zero: strtoull would have said 2.
+  EXPECT_EQ(EnvInt(kVar, 3, 1, 1000), 3);
 }
 
 }  // namespace

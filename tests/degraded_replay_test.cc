@@ -193,6 +193,38 @@ TEST(DegradedReplay, MidStreamGapRecoversOrphanedSessions) {
   EXPECT_FALSE(strict.degraded.degraded);
 }
 
+// The shape a torn spool segment leaves in a merged stream: a contiguous
+// chunk, records [45 %, 55 %) of every system's interleaved records, gone.
+// The gap-tolerant replay absorbs every gap with the loss accounted, and
+// its counts are goldens: a refactor of the replayer or the simulator must
+// not move them.
+TEST(DegradedReplay, MidStreamChunkLossReplaysToGoldenCounts) {
+  const FleetResult fleet = RunFleet(SmallConfig());
+  const std::vector<TraceRecord>& records = fleet.trace.records;
+  ASSERT_EQ(records.size(), 114790u);
+  TraceSet salvaged;
+  salvaged.names = fleet.trace.names;
+  salvaged.process_names = fleet.trace.process_names;
+  salvaged.records.assign(records.begin(), records.begin() + records.size() * 45 / 100);
+  salvaged.records.insert(salvaged.records.end(), records.begin() + records.size() * 55 / 100,
+                          records.end());
+  ASSERT_EQ(salvaged.records.size(), 103311u);
+
+  ReplayOptions opts;
+  opts.tolerate_gaps = true;
+  opts.salvage.records_lost_known = 11479;
+  const TraceReplayer replayer(SmallConfig());
+  for (int threads : {1, 8}) {
+    const FleetReplayResult replay = replayer.Replay(salvaged, opts, threads);
+    EXPECT_TRUE(replay.degraded.degraded);
+    EXPECT_EQ(replay.degraded.records_lost_known, 11479u);
+    EXPECT_EQ(replay.degraded.synthesized_ops(), 45u) << "threads=" << threads;
+    EXPECT_EQ(replay.degraded.gaps_detected, 27u) << "threads=" << threads;
+    EXPECT_EQ(replay.divergence.missing_file_objects, 0u);
+    EXPECT_EQ(replay.divergence.missing_names, 0u);
+  }
+}
+
 // The real producer of salvaged traces: a fleet whose victim system
 // crashes on every attempt and is restored from its damaged spool prefix.
 // Whatever the crash kind tears, the degraded replay accounts the lost

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/metrics/metrics.h"
 #include "src/workload/fleet.h"
 #include "tests/test_util.h"
 
@@ -153,6 +154,38 @@ TEST(FleetDeterminism, DurableRunBitIdenticalToNonDurable) {
     ExpectSameIntegrity(result.integrity, reference.integrity);
     std::filesystem::remove_all(durable.durability.spool_dir);
   }
+}
+
+// Puts the metrics kill switch back however the test leaves, a failed
+// ASSERT included.
+class MetricsSwitchRestorer {
+ public:
+  MetricsSwitchRestorer() : saved_(MetricsEnabled()) {}
+  ~MetricsSwitchRestorer() { SetMetricsEnabled(saved_); }
+  MetricsSwitchRestorer(const MetricsSwitchRestorer&) = delete;
+  MetricsSwitchRestorer& operator=(const MetricsSwitchRestorer&) = delete;
+
+ private:
+  bool saved_;
+};
+
+TEST(FleetDeterminism, MetricsKillSwitchLeavesOutputBitIdentical) {
+  // The metrics layer (DESIGN.md §8) observes a run; it may not perturb
+  // it. A run with every metric mutation short-circuited produces the same
+  // records, names, process map and integrity report as an enabled run.
+  MetricsRegistry::Global();  // Applies NTRACE_METRICS before the switch is saved.
+  MetricsSwitchRestorer restorer;
+  SetMetricsEnabled(true);
+  const FleetResult enabled = RunFleet(SmallConfig());
+  SetMetricsEnabled(false);
+  const FleetResult disabled = RunFleet(SmallConfig());
+
+  // The switch took: the disabled run's registry delta counted nothing.
+  EXPECT_GT(enabled.metrics.CounterValue("ntrace_trace_records_emitted_total"), 0u);
+  EXPECT_EQ(disabled.metrics.CounterValue("ntrace_trace_records_emitted_total"), 0u);
+  EXPECT_TRUE(SerializedBytes(disabled.trace, "metrics_off") ==
+              SerializedBytes(enabled.trace, "metrics_on"));
+  ExpectSameIntegrity(disabled.integrity, enabled.integrity);
 }
 
 TEST(FleetDeterminism, HardwareConcurrencyDefaultMatchesSequential) {

@@ -34,6 +34,19 @@ FleetConfig SmallConfig() {
   return config;
 }
 
+// Goldens of the SmallConfig recording. The exact replays below reproduce
+// this recording at every worker count, so a change that moves any of these
+// moved the simulation, not only the replayer.
+constexpr size_t kGoldenRecords = 114790;
+constexpr size_t kGoldenNames = 10381;
+constexpr uint32_t kGoldenFingerprint = 0x43de2edd;
+
+void ExpectGoldenRecording(const FleetResult& fleet) {
+  EXPECT_EQ(fleet.trace.records.size(), kGoldenRecords);
+  EXPECT_EQ(fleet.trace.names.size(), kGoldenNames);
+  EXPECT_EQ(TraceFingerprint(fleet.trace), kGoldenFingerprint);
+}
+
 // Fault injection that keeps the collection complete: every shipment fault
 // loses only the ack (the payload arrives, the retry is a duplicate the
 // server dedupes) and the retry queue is deep enough that shedding never
@@ -142,16 +155,19 @@ void ExpectExactReplay(const FleetResult& fleet, const FleetConfig& config, int 
 TEST(ReplayFidelity, CleanRecordingSingleThread) {
   const FleetResult fleet = RunFleet(SmallConfig());
   ASSERT_FALSE(fleet.trace.records.empty());
+  ExpectGoldenRecording(fleet);
   ExpectExactReplay(fleet, SmallConfig(), 1);
 }
 
 TEST(ReplayFidelity, CleanRecordingTwoThreads) {
   const FleetResult fleet = RunFleet(SmallConfig());
+  ExpectGoldenRecording(fleet);
   ExpectExactReplay(fleet, SmallConfig(), 2);
 }
 
 TEST(ReplayFidelity, CleanRecordingEightThreads) {
   const FleetResult fleet = RunFleet(SmallConfig());
+  ExpectGoldenRecording(fleet);
   ExpectExactReplay(fleet, SmallConfig(), 8);
 }
 
