@@ -30,6 +30,9 @@ constexpr double kKB = 1024.0;
 
 // Every printed report, in print order: the rows REPRODUCE.json carries.
 std::vector<ComparisonReport> g_reports;
+// Systems the study fleets gave up, over every study: a run that lost any
+// is incomplete, and the driver exits non-zero.
+size_t g_failed_systems = 0;
 
 void Emit(const ComparisonReport& report) {
   report.Print();
@@ -79,6 +82,12 @@ std::unique_ptr<Study> RunStudy(const char* name, const StudyConfig& config) {
   std::printf("collected %zu trace records, %zu name records across %zu systems\n",
               study->trace().records.size(), study->trace().names.size(),
               study->systems().size());
+  const size_t failed = study->failed_system_ids().size();
+  if (failed > 0) {
+    std::printf("LOST %zu of %d systems in the %s study\n", failed, config.fleet.TotalSystems(),
+                name);
+    g_failed_systems += failed;
+  }
   return study;
 }
 
@@ -147,7 +156,7 @@ void Table1(Study& study) {
                 Band::AtLeast(1), "Hill estimator sweep");
   Emit(report);
   // The collection-pipeline accounting of the run behind the table.
-  PrintIntegrityReport(study.integrity());
+  PrintIntegrityReport(study.integrity(), study.failed_system_ids());
 }
 
 void PrintActivityRow(const char* label, const UserActivityRow& row) {
@@ -781,7 +790,8 @@ void Section5(Study& study, const StudyConfig& config) {
   Emit(report);
 }
 
-void Run() {
+// Returns the process exit status: 1 when a study fleet lost a system.
+int Run() {
   std::unique_ptr<Study> standard = RunStudy("standard", StandardConfig());
   for (auto section : {Table1, Table2, Table3, Figures1And2, Figures3And4, Figure5, Figures6And7,
                        Figure8, Figures9And10, Figures13And14, Section8, Section9,
@@ -804,12 +814,17 @@ void Run() {
   std::printf("\nwrote %s; fleet runs: %llu\n", path.c_str(),
               static_cast<unsigned long long>(
                   MetricsRegistry::Global().Snapshot().CounterValue("ntrace_fleet_runs_total")));
+  if (g_failed_systems > 0) {
+    std::fprintf(stderr, "reproduce: %zu system(s) lost; the tables above are incomplete\n",
+                 g_failed_systems);
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace
 }  // namespace ntrace
 
 int main() {
-  ntrace::Run();
-  return 0;
+  return ntrace::Run();
 }

@@ -204,12 +204,10 @@ void PrintArrivalComparison(const std::string& title, const std::vector<double>&
   }
 }
 
-void PrintIntegrityReport(const IntegrityReport& report) {
-  std::printf("\n=== Collection pipeline integrity ===\n");
-  if (report.systems.empty()) {
-    std::printf("  (no streams)\n");
-    return;
-  }
+namespace {
+
+// The per-system rows plus a totals row.
+void PrintIntegrityTable(const IntegrityReport& report) {
   auto row_of = [](const std::string& label, const SystemIntegrity& s) {
     return std::vector<std::string>{
         label,
@@ -240,6 +238,26 @@ void PrintIntegrityReport(const IntegrityReport& report) {
                                  "salvaged", "corrupt-lost", "coll%", "accounted"},
                                 rows)
                         .c_str());
+}
+
+}  // namespace
+
+void PrintIntegrityReport(const IntegrityReport& report,
+                          const std::vector<uint32_t>& failed_system_ids) {
+  std::printf("\n=== Collection pipeline integrity ===\n");
+  if (report.systems.empty()) {
+    std::printf("  (no streams)\n");
+  } else {
+    PrintIntegrityTable(report);
+  }
+  if (!failed_system_ids.empty()) {
+    std::string ids;
+    for (const uint32_t id : failed_system_ids) {
+      ids += " " + std::to_string(id);
+    }
+    std::printf("LOST %zu system(s), given up by the fleet (no row above, no records):%s\n",
+                failed_system_ids.size(), ids.c_str());
+  }
 }
 
 }  // namespace ntrace

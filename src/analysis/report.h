@@ -137,7 +137,10 @@ void PrintArrivalComparison(const std::string& title, const std::vector<double>&
 
 // Prints the per-system collection-pipeline accounting plus a totals row;
 // the final column flags any system whose records are not fully accounted.
-void PrintIntegrityReport(const IntegrityReport& report);
+// `failed_system_ids` (systems the fleet gave up, which have no row) are
+// listed under the table, so a run that lost whole systems says so.
+void PrintIntegrityReport(const IntegrityReport& report,
+                          const std::vector<uint32_t>& failed_system_ids);
 
 }  // namespace ntrace
 

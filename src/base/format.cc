@@ -1,7 +1,6 @@
 #include "src/base/format.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -73,7 +72,7 @@ std::string RenderTable(const std::vector<std::string>& header,
 std::string AsciiLower(std::string_view s) {
   std::string out(s);
   std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
+                 [](unsigned char c) { return static_cast<char>(AsciiFold(c)); });
   return out;
 }
 
@@ -82,8 +81,8 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
     return false;
   }
   for (size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
+    if (AsciiFold(static_cast<unsigned char>(a[i])) !=
+        AsciiFold(static_cast<unsigned char>(b[i]))) {
       return false;
     }
   }
@@ -117,6 +116,17 @@ std::vector<std::string> SplitPath(std::string_view path) {
     start = end + 1;
   }
   return parts;
+}
+
+size_t CountPathComponents(std::string_view path) {
+  size_t count = 0;
+  bool in_part = false;
+  for (const char c : path) {
+    const bool separator = c == '\\';
+    count += !separator && !in_part;
+    in_part = !separator;
+  }
+  return count;
 }
 
 std::string JoinPath(const std::vector<std::string>& components) {

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ntrace {
@@ -24,8 +25,13 @@ std::string FormatPct(double fraction, int precision = 1);
 std::string RenderTable(const std::vector<std::string>& header,
                         const std::vector<std::vector<std::string>>& rows);
 
-// Case-insensitive ASCII comparison helpers (NT file names are
-// case-insensitive; we need this for extension matching).
+// The one case fold for names (NT file names are case-insensitive): 'A'-'Z'
+// become 'a'-'z' and every other byte is left alone, which is all
+// std::tolower does in the "C" locale -- without a library call per byte.
+// CaseInsensitiveLess, EqualsIgnoreCase and AsciiLower all fold through it.
+constexpr unsigned char AsciiFold(unsigned char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<unsigned char>(c + ('a' - 'A')) : c;
+}
 std::string AsciiLower(std::string_view s);
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
@@ -34,6 +40,8 @@ std::string PathExtension(std::string_view path);
 
 // Splits a backslash-separated NT path into components, skipping empties.
 std::vector<std::string> SplitPath(std::string_view path);
+// SplitPath(path).size(), without building the components.
+size_t CountPathComponents(std::string_view path);
 
 // Joins components with backslashes.
 std::string JoinPath(const std::vector<std::string>& components);

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cctype>
 #include <string_view>
+
+#include "src/base/format.h"
 
 namespace ntrace {
 
@@ -35,8 +36,8 @@ bool NextPathPart(std::string_view* rest, std::string_view* part) {
 bool CaseInsensitiveLess::operator()(std::string_view a, std::string_view b) const {
   const size_t n = std::min(a.size(), b.size());
   for (size_t i = 0; i < n; ++i) {
-    const int ca = std::tolower(static_cast<unsigned char>(a[i]));
-    const int cb = std::tolower(static_cast<unsigned char>(b[i]));
+    const unsigned char ca = AsciiFold(static_cast<unsigned char>(a[i]));
+    const unsigned char cb = AsciiFold(static_cast<unsigned char>(b[i]));
     if (ca != cb) {
       return ca < cb;
     }
@@ -110,7 +111,7 @@ FileNode* Volume::Lookup(const std::string& relative_path) {
   return node;
 }
 
-FileNode* Volume::LookupParent(const std::string& relative_path, std::string* leaf) {
+FileNode* Volume::LookupParent(std::string_view relative_path, std::string_view* leaf) {
   std::string_view rest = relative_path;
   std::string_view current;
   if (!NextPathPart(&rest, &current)) {
@@ -131,15 +132,15 @@ FileNode* Volume::LookupParent(const std::string& relative_path, std::string* le
   if (!node->directory()) {
     return nullptr;
   }
-  leaf->assign(current.data(), current.size());
+  *leaf = current;
   return node;
 }
 
-FileNode* Volume::CreateNode(FileNode* parent, const std::string& name, bool directory,
+FileNode* Volume::CreateNode(FileNode* parent, std::string_view name, bool directory,
                              uint32_t attributes, SimTime now) {
   assert(parent != nullptr && parent->directory());
   assert(parent->FindChild(name) == nullptr);
-  auto node = std::make_unique<FileNode>(next_node_id_++, name, directory);
+  auto node = std::make_unique<FileNode>(next_node_id_++, std::string(name), directory);
   node->attributes = directory ? (attributes | kAttrDirectory) : attributes;
   node->creation_time = now;
   node->last_access_time = now;

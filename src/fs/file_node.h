@@ -134,12 +134,13 @@ class Volume {
   // component is missing. Empty path resolves to the root.
   FileNode* Lookup(const std::string& relative_path);
   // Resolves the parent directory of `relative_path`; sets `leaf` to the
-  // final component. Returns nullptr when an intermediate is missing or not
-  // a directory.
-  FileNode* LookupParent(const std::string& relative_path, std::string* leaf);
+  // final component, a view into `relative_path`. Returns nullptr when an
+  // intermediate is missing or not a directory.
+  FileNode* LookupParent(std::string_view relative_path, std::string_view* leaf);
 
-  // Creates a node under `parent`. `now` stamps all three times.
-  FileNode* CreateNode(FileNode* parent, const std::string& name, bool directory,
+  // Creates a node under `parent`. `now` stamps all three times. The node's
+  // name is the only string an open builds (DESIGN.md §9).
+  FileNode* CreateNode(FileNode* parent, std::string_view name, bool directory,
                        uint32_t attributes, SimTime now);
 
   // Convenience: creates all missing directories along the path, then the

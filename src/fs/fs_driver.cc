@@ -18,15 +18,13 @@ FileSystemDriver::FileSystemDriver(Engine& engine, CacheManager& cache,
       disk_(disk_profile),
       options_(options) {}
 
-std::string FileSystemDriver::RelativePath(const std::string& absolute) const {
+std::string_view FileSystemDriver::RelativePath(std::string_view absolute) const {
   if (absolute.size() <= prefix_.size()) {
-    return "";
+    return {};
   }
-  std::string rel = absolute.substr(prefix_.size());
-  while (!rel.empty() && rel.front() == '\\') {
-    rel.erase(rel.begin());
-  }
-  return rel;
+  std::string_view rel = absolute.substr(prefix_.size());
+  const size_t start = rel.find_first_not_of('\\');
+  return start == std::string_view::npos ? std::string_view() : rel.substr(start);
 }
 
 NtStatus FileSystemDriver::Complete(Irp& irp, NtStatus status, uint64_t information) {
@@ -108,9 +106,9 @@ NtStatus FileSystemDriver::DispatchIrp(DeviceObject* device, Irp& irp) {
 
 NtStatus FileSystemDriver::HandleCreate(Irp& irp) {
   FileObject& fo = *irp.file_object;
-  const std::string rel = RelativePath(irp.path);
-  const std::vector<std::string> parts = SplitPath(rel);
-  engine_.AdvanceBy(MetadataAccess(parts.size()));
+  const std::string_view rel = RelativePath(irp.path);
+  const size_t components = CountPathComponents(rel);
+  engine_.AdvanceBy(MetadataAccess(components));
 
   const SimTime now = engine_.Now();
   const IrpParameters& p = irp.params;
@@ -118,10 +116,10 @@ NtStatus FileSystemDriver::HandleCreate(Irp& irp) {
   const bool wants_file = (p.create_options & kOptNonDirectoryFile) != 0;
 
   FileNode* node = nullptr;
-  if (parts.empty()) {
+  if (components == 0) {
     node = volume_->root();  // Volume-root open.
   } else {
-    std::string leaf;
+    std::string_view leaf;
     FileNode* parent = volume_->LookupParent(rel, &leaf);
     if (parent == nullptr) {
       return Complete(irp, NtStatus::kObjectPathNotFound);
@@ -521,8 +519,8 @@ NtStatus FileSystemDriver::HandleSetInformation(Irp& irp) {
       return Complete(irp, NtStatus::kSuccess);
     }
     case FileInfoClass::kRename: {
-      const std::string target_rel = RelativePath(irp.params.rename_target);
-      std::string leaf;
+      const std::string_view target_rel = RelativePath(irp.params.rename_target);
+      std::string_view leaf;
       FileNode* new_parent = volume_->LookupParent(target_rel, &leaf);
       if (new_parent == nullptr) {
         return Complete(irp, NtStatus::kObjectPathNotFound);
@@ -536,9 +534,9 @@ NtStatus FileSystemDriver::HandleSetInformation(Irp& irp) {
       }
       std::unique_ptr<FileNode> detached = old_parent->DetachChild(node->name());
       assert(detached != nullptr);
-      detached->set_name(leaf);
+      detached->set_name(std::string(leaf));
       new_parent->AddChild(std::move(detached));
-      fo.set_path(prefix_ + "\\" + target_rel);
+      fo.set_path(prefix_ + "\\" + std::string(target_rel));
       return Complete(irp, NtStatus::kSuccess);
     }
     default:

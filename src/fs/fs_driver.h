@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "src/fault/fault.h"
 #include "src/fs/disk.h"
@@ -114,8 +115,8 @@ class FileSystemDriver : public Driver {
   NtStatus HandleQueryVolumeInformation(Irp& irp);
 
   // Strips the volume prefix from an absolute path; returns the relative
-  // part ("" for the volume root).
-  std::string RelativePath(const std::string& absolute) const;
+  // part ("" for the volume root), a view into `absolute`.
+  std::string_view RelativePath(std::string_view absolute) const;
   FileNode* NodeOf(FileObject& file) const {
     return static_cast<FileNode*>(file.fs_context);
   }

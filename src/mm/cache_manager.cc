@@ -500,6 +500,12 @@ void CacheManager::NodeDeleted(const void* node) {
     return;
   }
   ++map->generation;  // Invalidate any scheduled teardown/read-ahead work.
+  if (map->teardown_pending) {
+    // The count must drop with the map, or the lazy writer's idle path
+    // never holds again for this system.
+    assert(pending_teardowns_ > 0);
+    --pending_teardowns_;
+  }
   FileObject* holder = map->holder;
   maps_.erase(node);
   ++stats_.teardowns;

@@ -194,6 +194,7 @@ class CacheManager {
   PageStore& pages() { return pages_; }
   const CacheConfig& config() const { return config_; }
   size_t active_maps() const { return maps_.size(); }
+  size_t pending_teardowns() const { return pending_teardowns_; }
 
  private:
   // Per-file-object read-ahead tracking (NT: PrivateCacheMap).
@@ -238,7 +239,10 @@ class CacheManager {
   FlatMap<uint64_t, PrivateCacheMap> private_maps_;  // Keyed by file-object id.
   // Maps whose final close happened but whose teardown has not completed.
   // Lets the once-per-simulated-second scan skip entirely when there are no
-  // dirty pages and no teardowns to finish (the common idle case).
+  // dirty pages and no teardowns to finish (the common idle case). It must
+  // count exactly the maps in maps_ with teardown_pending set, so every
+  // path that clears the flag or erases such a map (FinishTeardown,
+  // resurrection in InitializeCacheMap, NodeDeleted) decrements it.
   uint64_t pending_teardowns_ = 0;
   // Scan scratch (reused: the scan runs once per simulated second and must
   // not allocate in the idle steady state).

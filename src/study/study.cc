@@ -56,6 +56,11 @@ const IntegrityReport& Study::integrity() const {
   return result_->integrity;
 }
 
+const std::vector<uint32_t>& Study::failed_system_ids() const {
+  assert(result_.has_value());
+  return result_->recovery.failed_system_ids;
+}
+
 const TraceScan& Study::Scan() {
   if (!scan_.has_value()) {
     scan_ = TraceScan::Run(trace());

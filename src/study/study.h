@@ -72,6 +72,9 @@ class Study {
   // parallel execution the report is merged across the per-system server
   // shards (faulted runs included) and is identical to a sequential run's.
   const IntegrityReport& integrity() const;
+  // Systems the fleet gave up (FleetRecoveryStats::failed_system_ids):
+  // integrity() has no row for them and the trace no record.
+  const std::vector<uint32_t>& failed_system_ids() const;
 
   // The shared single-pass record scan (DESIGN.md §9). Computed once over
   // the full trace and consumed by Operations(), FastIo() and Cache();

@@ -1171,6 +1171,11 @@ FleetResult RunFleet(const FleetConfig& config) {
   recovery.systems_resumed = ctx.systems_resumed.load();
   recovery.systems_salvaged = ctx.systems_salvaged.load();
   recovery.systems_failed = ctx.systems_failed.load();
+  for (size_t i = 0; i < ctx.shards.size(); ++i) {
+    if (ctx.shards[i].state == ShardState::kFailed) {
+      recovery.failed_system_ids.push_back(ctx.options[i].system_id);
+    }
+  }
   recovery.worker_crashes = ctx.worker_crashes.load();
   recovery.worker_restarts = ctx.worker_restarts.load();
   recovery.watchdog_cancellations = ctx.watchdog_cancellations.load();

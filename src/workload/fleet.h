@@ -63,6 +63,9 @@ struct FleetRecoveryStats {
   uint64_t systems_resumed = 0;      // Restored from sealed segments.
   uint64_t systems_salvaged = 0;     // Restored from damaged segments.
   uint64_t systems_failed = 0;       // Restarts exhausted; absent from output.
+  // The ids of those systems, ascending: no integrity row, record or name
+  // carries them, so a report must list them to show the run is incomplete.
+  std::vector<uint32_t> failed_system_ids;
   uint64_t worker_crashes = 0;       // Injected crashes observed.
   uint64_t worker_restarts = 0;
   uint64_t watchdog_cancellations = 0;

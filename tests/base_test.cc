@@ -208,6 +208,12 @@ TEST(Format, SplitAndJoinPath) {
   EXPECT_EQ(SplitPath("\\leading\\slash").size(), 2u);
 }
 
+TEST(Format, CountPathComponentsMatchesSplitPath) {
+  for (const char* path : {"", "\\", "a", "a\\b", "\\\\a\\\\\\b\\"}) {
+    EXPECT_EQ(CountPathComponents(path), SplitPath(path).size()) << path;
+  }
+}
+
 TEST(Format, RenderTableAligns) {
   const std::string out = RenderTable({"a", "bb"}, {{"1", "2"}, {"333", "4"}});
   EXPECT_NE(out.find("a    bb"), std::string::npos);

@@ -219,6 +219,38 @@ TEST(CacheManager, WriteThrottlingUnderDirtyPressure) {
   sys.io->CloseHandle(*fo);
 }
 
+// NodeDeleted erasing a map whose teardown is pending must drop the pending
+// count with it: the lazy writer's idle fast path needs the count to be
+// exactly the maps still waiting, or every later tick walks every map.
+TEST(CacheManager, DeleteOnCloseLeavesNoPendingTeardown) {
+  TestSystem sys;
+  FileObject* fo = sys.OpenRw("C:\\doomed.tmp", kOptDeleteOnClose);
+  sys.io->Write(*fo, 0, 8 * 1024);
+  ASSERT_EQ(sys.cache->active_maps(), 1u);
+  sys.io->CloseHandle(*fo);  // Cleanup starts the teardown, then deletes the node.
+  EXPECT_EQ(sys.cache->pending_teardowns(), 0u);
+  EXPECT_EQ(sys.cache->active_maps(), 0u);
+}
+
+TEST(CacheManager, SupersedeDuringPendingTeardownLeavesNoPendingTeardown) {
+  TestSystem sys;
+  FileObject* fo = sys.OpenRw("C:\\replaced.bin");
+  sys.io->Write(*fo, 0, 64 * 1024);
+  sys.io->CloseHandle(*fo);
+  // The dirty pages wait for the lazy writer, and so does the teardown.
+  ASSERT_EQ(sys.cache->pending_teardowns(), 1u);
+  CreateRequest req;
+  req.path = "C:\\replaced.bin";
+  req.disposition = CreateDisposition::kSupersede;
+  req.desired_access = kAccessReadData | kAccessWriteData;
+  req.process_id = sys.pid;
+  const CreateResult super = sys.io->Create(req);
+  ASSERT_EQ(super.action, CreateAction::kSuperseded);
+  EXPECT_EQ(sys.cache->pending_teardowns(), 0u);
+  EXPECT_EQ(sys.cache->active_maps(), 0u);
+  sys.io->CloseHandle(*super.file);
+}
+
 TEST(CacheManager, ResurrectionOnReopenDuringTeardown) {
   TestSystem sys;
   FileObject* fo = sys.OpenRw("C:\\resur.bin");

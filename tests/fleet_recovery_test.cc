@@ -213,6 +213,7 @@ TEST(FleetRecovery, ExhaustedRestartsDropSystemThenLaterRunRepairsIt) {
   EXPECT_EQ(crashed.recovery.worker_crashes, 2u);  // Initial + one restart.
   EXPECT_EQ(crashed.recovery.worker_restarts, 1u);
   EXPECT_EQ(crashed.recovery.systems_failed, 1u);
+  EXPECT_EQ(crashed.recovery.failed_system_ids, std::vector<uint32_t>{3});
   EXPECT_EQ(crashed.recovery.segments_sealed, 4u);
   ASSERT_EQ(crashed.integrity.systems.size(), 4u);
   for (const SystemIntegrity& s : crashed.integrity.systems) {

@@ -4,9 +4,38 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cctype>
+#include <cstdlib>
+#include <new>
+
+#include "src/base/format.h"
 #include "src/fs/disk.h"
 #include "src/fs/redirector.h"
 #include "tests/test_util.h"
+
+// Counting global operator new, as in sim_engine_test.cc: pins the heap
+// allocations of one open. Replacing the allocator in this TU affects the
+// whole test binary, but only FsCreate.ReopenDeepPathAllocations reads the
+// counter.
+namespace {
+std::atomic<size_t> g_alloc_count{0};
+
+void* CountedAlloc(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedAlloc(size); }
+void* operator new[](std::size_t size) { return CountedAlloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace ntrace {
 namespace {
@@ -32,6 +61,48 @@ TEST(VolumeTree, LookupIsCaseInsensitive) {
   EXPECT_NE(volume.Lookup("winnt\\system32\\kernel32.dll"), nullptr);
   EXPECT_NE(volume.Lookup("WINNT\\SYSTEM32\\KERNEL32.DLL"), nullptr);
   EXPECT_EQ(volume.Lookup("winnt\\missing.dll"), nullptr);
+}
+
+// The name fold is std::tolower in the "C" locale (nothing in the tree
+// calls setlocale), byte for byte, as a reference implementation of the
+// three helpers shows over every byte pair.
+bool ReferenceLess(std::string_view a, std::string_view b) {
+  const size_t n = std::min(a.size(), b.size());
+  for (size_t i = 0; i < n; ++i) {
+    const int ca = std::tolower(static_cast<unsigned char>(a[i]));
+    const int cb = std::tolower(static_cast<unsigned char>(b[i]));
+    if (ca != cb) {
+      return ca < cb;
+    }
+  }
+  return a.size() < b.size();
+}
+
+std::string ReferenceLower(std::string_view s) {
+  std::string out;
+  for (const char c : s) {
+    out += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return out;
+}
+
+TEST(VolumeTree, NameFoldMatchesCLocaleTolower) {
+  const CaseInsensitiveLess less;
+  for (int x = 0; x < 256; ++x) {
+    const std::string a(1, static_cast<char>(x));
+    ASSERT_EQ(AsciiLower(a), ReferenceLower(a)) << x;
+    for (int y = 0; y < 256; ++y) {
+      const std::string b(1, static_cast<char>(y));
+      // One byte each; equal prefixes that differ after them; lengths that
+      // differ after an equal-folding byte.
+      const std::pair<std::string, std::string> cases[] = {
+          {a, b}, {"Pre" + a, "pRE" + b}, {a, b + b}, {a + "Z", b}};
+      for (const auto& [s, t] : cases) {
+        ASSERT_EQ(less(s, t), ReferenceLess(s, t)) << x << " " << y;
+        ASSERT_EQ(EqualsIgnoreCase(s, t), ReferenceLower(s) == ReferenceLower(t)) << x << " " << y;
+      }
+    }
+  }
 }
 
 TEST(VolumeTree, RelativePathRoundTrip) {
@@ -143,6 +214,83 @@ TEST(FsCreate, SupersedeReplacesNode) {
   sys.io->QueryStandardInfo(*super.file, &info);
   EXPECT_EQ(info.end_of_file, 0u);
   sys.io->CloseHandle(*super.file);
+}
+
+// Redundant separators and a trailing one name the same node, at the same
+// metadata charge, as the canonical path; "C:" and "C:\\" both open the root.
+TEST(FsCreate, EquivalentPathFormsOpenTheSameNode) {
+  TestSystem sys;
+  CreateResult dir = Open(sys, "C:\\dir", CreateDisposition::kCreate, kAccessListDirectory,
+                          kOptDirectoryFile);
+  ASSERT_EQ(dir.status, NtStatus::kSuccess);
+  sys.io->CloseHandle(*dir.file);
+  CreateResult file = Open(sys, "C:\\dir\\file", CreateDisposition::kCreate);
+  ASSERT_EQ(file.status, NtStatus::kSuccess);
+  sys.io->CloseHandle(*file.file);
+
+  struct Reached {
+    void* node;
+    SimDuration elapsed;
+  };
+  auto open = [&sys](const std::string& path) {
+    const SimTime start = sys.engine.Now();
+    CreateResult r = Open(sys, path, CreateDisposition::kOpen, kAccessReadData);
+    EXPECT_EQ(r.status, NtStatus::kSuccess) << path;
+    if (r.file == nullptr) {
+      return Reached{nullptr, SimDuration()};
+    }
+    const Reached reached{r.file->fs_context, sys.engine.Now() - start};
+    sys.io->CloseHandle(*r.file);
+    return reached;
+  };
+  const Reached root = open("C:\\");
+  const Reached leaf = open("C:\\dir\\file");
+  ASSERT_NE(root.node, nullptr);
+  ASSERT_NE(leaf.node, nullptr);
+  EXPECT_EQ(root.node, sys.fs->volume().root());
+  const Reached bare = open("C:");
+  EXPECT_EQ(bare.node, root.node);
+  EXPECT_EQ(bare.elapsed, root.elapsed);
+  for (const char* path : {"C:\\\\dir\\\\\\file", "C:\\dir\\file\\"}) {
+    const Reached r = open(path);
+    EXPECT_EQ(r.node, leaf.node) << path;
+    EXPECT_EQ(r.elapsed, leaf.elapsed) << path;
+  }
+}
+
+// An open builds no path strings: reopening an existing file five
+// directories deep allocates only what the I/O manager and the trace filter
+// keep (the file object, its name and the traced name record).
+TEST(FsCreate, ReopenDeepPathAllocations) {
+  TestSystem sys;
+  std::string path = "C:";
+  for (const char* dir : {"\\first", "\\second", "\\third", "\\fourth", "\\fifth"}) {
+    path += dir;
+    CreateResult d = Open(sys, path, CreateDisposition::kCreate, kAccessListDirectory,
+                          kOptDirectoryFile);
+    ASSERT_EQ(d.status, NtStatus::kSuccess) << path;
+    sys.io->CloseHandle(*d.file);
+  }
+  path += "\\leaf.txt";
+  CreateRequest req;
+  req.path = path;
+  req.disposition = CreateDisposition::kOpenIf;
+  req.desired_access = kAccessReadData;
+  req.process_id = sys.pid;
+  // Two warm-up opens fill the IRP and file-object pools.
+  for (int i = 0; i < 2; ++i) {
+    CreateResult r = sys.io->Create(req);
+    ASSERT_EQ(r.status, NtStatus::kSuccess);
+    sys.io->CloseHandle(*r.file);
+  }
+  req.disposition = CreateDisposition::kOpen;
+  const size_t before = g_alloc_count.load(std::memory_order_relaxed);
+  CreateResult r = sys.io->Create(req);
+  const size_t allocations = g_alloc_count.load(std::memory_order_relaxed) - before;
+  ASSERT_EQ(r.status, NtStatus::kSuccess);
+  EXPECT_EQ(r.action, CreateAction::kOpened);
+  sys.io->CloseHandle(*r.file);
+  EXPECT_EQ(allocations, 3u);
 }
 
 TEST(FsCreate, DirectoryVsFileMismatch) {
@@ -301,6 +449,30 @@ TEST(FsDirectory, EnumerationChunksAndTerminates) {
   EXPECT_EQ(sys.io->QueryDirectory(*dir.file, false, "", &entries), NtStatus::kNoMoreFiles);
   // Restart rewinds the cursor.
   EXPECT_EQ(sys.io->QueryDirectory(*dir.file, true, "", &entries), NtStatus::kSuccess);
+  sys.io->CloseHandle(*dir.file);
+}
+
+// Enumeration order is the name fold's order: digits, '[', '_', then
+// letters regardless of case, then bytes >= 0x80.
+TEST(FsDirectory, EnumerationFollowsTheNameFold) {
+  TestSystem sys;
+  Open(sys, "C:\\order", CreateDisposition::kCreate, kAccessListDirectory, kOptDirectoryFile);
+  for (const char* name : {"b.txt", "\xE9t\xE9.txt", "A.txt", "_x.txt", "cB.txt", "[y.txt",
+                           "9.txt", "Ca.txt", "a1.TXT"}) {
+    CreateResult f = Open(sys, std::string("C:\\order\\") + name, CreateDisposition::kCreate);
+    ASSERT_EQ(f.status, NtStatus::kSuccess) << name;
+    sys.io->CloseHandle(*f.file);
+  }
+  CreateResult dir = Open(sys, "C:\\order", CreateDisposition::kOpen, kAccessListDirectory,
+                          kOptDirectoryFile);
+  std::vector<DirEntry> entries;
+  EXPECT_EQ(sys.io->QueryDirectory(*dir.file, true, "", &entries), NtStatus::kSuccess);
+  std::vector<std::string> names;
+  for (const DirEntry& e : entries) {
+    names.push_back(e.name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"9.txt", "[y.txt", "_x.txt", "A.txt", "a1.TXT",
+                                             "b.txt", "Ca.txt", "cB.txt", "\xE9t\xE9.txt"}));
   sys.io->CloseHandle(*dir.file);
 }
 
