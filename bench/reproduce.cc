@@ -105,11 +105,13 @@ double FractionAt(const WeightedCdf& cdf, double x) {
   return cdf.empty() ? 0 : cdf.Fraction(x);
 }
 
+// NaN marks a figure with nothing to measure (an empty CDF).
 std::string Unit(double value, int precision, const char* unit) {
-  return FormatF(value, precision) + unit;
+  return std::isnan(value) ? "n/a" : FormatF(value, precision) + unit;
 }
 
-// A banded row whose text is `value` at `precision`, then `unit`.
+// A banded row whose text is `value` at `precision`, then `unit`, or "n/a"
+// for NaN, which no band contains.
 void AddNumber(ComparisonReport& report, const std::string& metric, const std::string& paper,
                double value, int precision, const char* unit, const Band& band,
                const std::string& note = "", const std::optional<Shape>& shape = std::nullopt) {
@@ -708,9 +710,8 @@ void Figures11And12(Study& study) {
     report.AddPercent("control sessions closed within 10ms", 90,
                       s.session_control_ms.Fraction(10.0));
   }
-  report.AddRow("1-second intervals containing opens", "<=24%",
-                FormatPct(s.seconds_with_opens_fraction), 100 * s.seconds_with_opens_fraction,
-                Band::AtMost(24), "burstiness");
+  AddNumber(report, "1-second intervals containing opens", "<=24%",
+            100 * s.seconds_with_opens_fraction, 1, "%", Band::AtMost(24), "burstiness");
   if (!s.close_gap_read_us.empty() && !s.close_gap_write_us.empty()) {
     // Section 8.1: a write-cached file's close waits for the lazy writer.
     const double read_us = s.close_gap_read_us.Percentile(0.5);

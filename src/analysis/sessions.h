@@ -6,6 +6,7 @@
 #define SRC_ANALYSIS_SESSIONS_H_
 
 #include <cstdint>
+#include <limits>
 
 #include "src/stats/descriptive.h"
 #include "src/trace/trace_set.h"
@@ -13,26 +14,31 @@
 
 namespace ntrace {
 
+// A figure with nothing to measure (an empty CDF, a trace with no opens) is
+// NaN, never 0: a paper band never contains NaN, so such a row cannot read
+// as agreement.
 struct SessionResult {
+  static constexpr double kNone = std::numeric_limits<double>::quiet_NaN();
+
   // Figure 5: open durations of data sessions (milliseconds), overall and
   // split by volume locality.
   WeightedCdf open_time_all_ms;
   WeightedCdf open_time_local_ms;
   WeightedCdf open_time_network_ms;
-  double data_open_p75_ms = 0;  // Paper: ~10 ms (vs 250 ms in Sprite).
+  double data_open_p75_ms = kNone;  // Paper: ~10 ms (vs 250 ms in Sprite).
 
   // Figure 11: open-request inter-arrival (milliseconds), by purpose.
   WeightedCdf open_interarrival_io_ms;
   WeightedCdf open_interarrival_control_ms;
-  double interarrival_p40_ms = 0;  // Paper: 40% within 1 ms.
-  double interarrival_p90_ms = 0;  // Paper: 90% within 30 ms.
+  double interarrival_p40_ms = kNone;  // Paper: 40% within 1 ms.
+  double interarrival_p90_ms = kNone;  // Paper: 90% within 30 ms.
 
   // Figure 12: session lifetime (ms) by usage type.
   WeightedCdf session_all_ms;
   WeightedCdf session_control_ms;
   WeightedCdf session_data_ms;
-  double session_p40_ms = 0;  // Paper: 40% close within 1 ms.
-  double session_p90_ms = 0;  // Paper: 90% within 1 s.
+  double session_p40_ms = kNone;  // Paper: 40% close within 1 ms.
+  double session_p90_ms = kNone;  // Paper: 90% within 1 s.
 
   // Section 8.1: cleanup -> close gap (microseconds).
   WeightedCdf close_gap_read_us;   // Read-cached: 4-50 us.
@@ -45,7 +51,7 @@ struct SessionResult {
 
   // Fraction of 1-second intervals of the trace that contain any open
   // request ("only up to 24% ... have open requests recorded").
-  double seconds_with_opens_fraction = 0;
+  double seconds_with_opens_fraction = kNone;
 };
 
 class SessionAnalyzer {

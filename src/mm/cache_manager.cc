@@ -192,7 +192,7 @@ void CacheManager::IssuePagingRead(SharedCacheMap& map, uint64_t offset, uint64_
   const uint64_t first = PageIndex(offset);
   const uint64_t span = PageSpan(offset, length);
   for (uint64_t p = first; p < first + span; ++p) {
-    pages_.Insert(map.node, p, engine_.Now());
+    pages_.Insert(map.node, p);
   }
 }
 
@@ -424,7 +424,7 @@ uint64_t CacheManager::CopyWrite(FileObject& file, uint64_t offset, uint32_t len
       CcMetrics::Get().fault_bytes.Inc(kPageSize);
       IssuePagingRead(*map, page_start, kPageSize, 0);
     }
-    pages_.MarkDirty(map->node, p, engine_.Now());
+    pages_.MarkDirty(map->node, p);
   }
   engine_.AdvanceBy(CopyCost(length));
   return length;

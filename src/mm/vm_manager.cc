@@ -82,7 +82,7 @@ uint64_t VmManager::FaultRange(uint64_t section_id, uint64_t offset, uint64_t le
     const uint64_t run = std::max<uint64_t>(1, cluster_end - p);
     IssuePagingRead(s, p * kPageSize, run * kPageSize);
     for (uint64_t q = p; q < p + run; ++q) {
-      pages.Insert(s.node, q, engine_.Now());
+      pages.Insert(s.node, q);
     }
     hard_faults += run;
     stats_.pages_faulted += run;
@@ -100,7 +100,7 @@ void VmManager::DirtyRange(uint64_t section_id, uint64_t offset, uint64_t length
   const uint64_t first = PageIndex(offset);
   const uint64_t span = PageSpan(offset, length);
   for (uint64_t p = first; p < first + span; ++p) {
-    pages.MarkDirty(s.node, p, engine_.Now());
+    pages.MarkDirty(s.node, p);
   }
 }
 

@@ -705,7 +705,7 @@ void ReplaySystem::ReplayPagingIo(size_t index) {
       }
     }
     for (uint64_t q = first; q < last; ++q) {
-      sys_.cache().pages().Insert(node, q, sys_.engine().Now());
+      sys_.cache().pages().Insert(node, q);
     }
   } else {
     // VmManager::DeleteSection writes back mapped-writer dirty pages one

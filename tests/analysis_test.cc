@@ -3,12 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "src/analysis/access_patterns.h"
 #include "src/analysis/burstiness.h"
 #include "src/analysis/fastio.h"
 #include "src/analysis/lifetimes.h"
 #include "src/analysis/operations.h"
 #include "src/analysis/patterns.h"
+#include "src/analysis/report.h"
 #include "src/analysis/sessions.h"
 #include "src/analysis/snapshot_analysis.h"
 #include "src/analysis/user_activity.h"
@@ -235,6 +238,45 @@ TEST(AnalyzersEndToEnd, SessionsLifetimesOperations) {
 
   const FastIoResultAnalysis fastio = FastIoAnalyzer::Analyze(trace);
   EXPECT_GT(fastio.fastio_write_share, 0.0);
+}
+
+// A trace without a single open has no inter-arrival or session CDF: the
+// figures read NaN, not 0, so no row built on them in its paper band (the
+// bands `reproduce` gives figures 11-12 and table 1) can read as agreement.
+TEST(AnalyzersEndToEnd, NoOpensGiveNoAgreeingSessionRows) {
+  TraceSet trace;
+  TraceRecord read;
+  read.event = static_cast<uint16_t>(TraceEvent::kIrpRead);
+  read.system_id = 1;
+  read.file_object = 7;
+  read.length = 4096;
+  read.start_ticks = 3 * SimDuration::kTicksPerSecond;
+  read.complete_ticks = read.start_ticks + 100;
+  trace.records.push_back(read);
+  const InstanceTable table = InstanceTable::Build(trace);
+  const SessionResult s = SessionAnalyzer::Analyze(trace, table);
+  EXPECT_TRUE(std::isnan(s.interarrival_p40_ms));
+  EXPECT_TRUE(std::isnan(s.interarrival_p90_ms));
+  EXPECT_TRUE(std::isnan(s.session_p40_ms));
+  EXPECT_TRUE(std::isnan(s.session_p90_ms));
+  EXPECT_TRUE(std::isnan(s.seconds_with_opens_fraction));
+  EXPECT_TRUE(std::isnan(s.data_open_p75_ms));
+
+  ComparisonReport report("Figures 11-12 / section 8.1");
+  report.AddRow("40% of opens arrive within", "1ms", "n/a", s.interarrival_p40_ms,
+                Band::AtMost(1));
+  report.AddRow("90% of opens arrive within", "30ms", "n/a", s.interarrival_p90_ms,
+                Band::AtMost(30));
+  report.AddRow("40% of sessions close within", "1ms", "n/a", s.session_p40_ms, Band::AtMost(1));
+  report.AddRow("90% of sessions close within", "1s (1000ms)", "n/a", s.session_p90_ms,
+                Band::AtMost(1000));
+  report.AddRow("1-second intervals containing opens", "<=24%", "n/a",
+                100 * s.seconds_with_opens_fraction, Band::AtMost(24));
+  report.AddRow("75% of data opens shorter than", "10ms", "n/a", s.data_open_p75_ms,
+                Band::AtMost(10));
+  for (const ComparisonRow& row : report.rows()) {
+    EXPECT_EQ(row.verdict, Verdict::kDeviation) << row.metric;
+  }
 }
 
 // --- Snapshot analysis ------------------------------------------------------------------
