@@ -5,7 +5,8 @@
 // them too), and ntbench's counting allocation hook and TraceScan
 // fingerprint. Scale knobs via environment:
 //   NTRACE_SYSTEMS_SCALE  multiplies per-category system counts (default 1)
-//   NTRACE_DAYS           simulated days (default 1)
+//   NTRACE_DAYS           simulated days, a whole number in [1, 365]
+//                         (default 1)
 //   NTRACE_ACTIVITY       burst-rate multiplier (default 0.75)
 //   NTRACE_CONTENT        initial-content multiplier (default 0.12)
 //   NTRACE_SEED           fleet seed (default 1999)
@@ -274,7 +275,7 @@ inline StudyConfig StandardConfig() {
   config.fleet.personal = std::max(1, static_cast<int>(14 * sys_scale));
   config.fleet.administrative = std::max(1, static_cast<int>(5 * sys_scale));
   config.fleet.scientific = std::max(1, static_cast<int>(4 * sys_scale));
-  config.fleet.days = static_cast<int>(EnvDouble("NTRACE_DAYS", 1));
+  config.fleet.days = EnvInt("NTRACE_DAYS", 1, 1, 365);
   config.fleet.seed = EnvU64("NTRACE_SEED", 1999);
   config.fleet.activity_scale = EnvDouble("NTRACE_ACTIVITY", 0.75);
   config.fleet.content_scale = EnvDouble("NTRACE_CONTENT", 0.12);

@@ -72,8 +72,15 @@ StudyConfig SmallConfig() {
   return Fleet(1, 1, 1, 0, 0);
 }
 
-// Runs one study configuration, reporting its scale on stdout.
-std::unique_ptr<Study> RunStudy(const char* name, const StudyConfig& config) {
+// Runs one study configuration, reporting its scale on stdout. A durable
+// run spools each study into its own subdirectory, <spool dir>/<name>:
+// segments and the manifest are trusted only under their own study's
+// fleet fingerprint, so studies sharing one directory would overwrite each
+// other's and a rerun could resume only what the last writer left.
+std::unique_ptr<Study> RunStudy(const char* name, StudyConfig config) {
+  if (config.fleet.durability.enabled()) {
+    config.fleet.durability.spool_dir += std::string("/") + name;
+  }
   std::printf("ntrace %s study: %d systems, %d day(s), activity x%.2f, seed %llu\n", name,
               config.fleet.TotalSystems(), config.fleet.days, config.fleet.activity_scale,
               static_cast<unsigned long long>(config.fleet.seed));
@@ -807,6 +814,10 @@ int Run() {
   Figures11And12(*RunStudy("busy", busy));
   StudyConfig content = Fleet(1, 1, 1, 1, 1);
   content.fleet.days = 2;
+  // Section 5 reads every system's snapshot series, which spool segments do
+  // not carry (a resumed system reports none), so this study re-simulates
+  // on a rerun instead of resuming.
+  content.fleet.durability.resume = false;
   Section5(*RunStudy("content", content), content);
   const char* json_env = std::getenv("NTRACE_BENCH_JSON");
   const std::string path =

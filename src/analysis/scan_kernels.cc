@@ -304,12 +304,10 @@ TraceScan ScanAccumulator::Finish() {
 
 TraceScan TraceScan::Run(const ColumnarTraceSet& trace) {
   ScanAccumulator acc;
-  if (trace.disk_backed()) {
-    // Out-of-core scan: the store streams extent by extent, so the CDF
-    // samples are what's left of peak RSS -- spill them beside the store
-    // (pid-suffixed so concurrent scans of one store never collide).
-    acc.SpillCdfsTo(trace.spill_path() + ".cdfspill." + std::to_string(getpid()));
-  }
+  // Out-of-core scan: the store streams extent by extent, so the CDF samples
+  // are what's left of peak RSS -- spill them beside the store (pid-suffixed
+  // so concurrent scans of one store never collide).
+  acc.SpillCdfsTo(trace.spill_path() + ".cdfspill." + std::to_string(getpid()));
   for (const auto& [pid, name] : trace.process_names) {
     acc.AddProcessName(pid, name);
   }

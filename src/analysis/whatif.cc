@@ -14,16 +14,6 @@ const WhatIfRow* WhatIfReport::FindRow(const std::string& knob, const std::strin
   return nullptr;
 }
 
-std::vector<const WhatIfRow*> WhatIfReport::RowsForKnob(const std::string& knob) const {
-  std::vector<const WhatIfRow*> out;
-  for (const WhatIfRow& row : rows) {
-    if (row.knob == knob) {
-      out.push_back(&row);
-    }
-  }
-  return out;
-}
-
 std::string WhatIfReport::FormatTable() const {
   std::string out;
   char line[256];

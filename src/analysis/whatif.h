@@ -50,7 +50,6 @@ struct WhatIfReport {
   std::vector<WhatIfRow> rows;  // Grid points, in sweep order.
 
   const WhatIfRow* FindRow(const std::string& knob, const std::string& value) const;
-  std::vector<const WhatIfRow*> RowsForKnob(const std::string& knob) const;
 
   // Fixed-width table with per-row deltas against the baseline.
   std::string FormatTable() const;

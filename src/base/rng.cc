@@ -80,23 +80,6 @@ double Rng::NextGaussian() {
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
 }
 
-size_t Rng::WeightedIndex(const std::vector<double>& weights) {
-  assert(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    total += w;
-  }
-  assert(total > 0.0);
-  double x = NextDouble() * total;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    x -= weights[i];
-    if (x < 0.0) {
-      return i;
-    }
-  }
-  return weights.size() - 1;
-}
-
 Rng Rng::Fork() { return Rng(NextU64()); }
 
 }  // namespace ntrace

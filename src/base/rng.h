@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace ntrace {
 
@@ -39,10 +38,6 @@ class Rng {
 
   // Standard normal via Box-Muller (no cached spare; stateless draws).
   double NextGaussian();
-
-  // Index in [0, weights.size()) drawn proportionally to weights.
-  // Requires a non-empty vector with a positive total weight.
-  size_t WeightedIndex(const std::vector<double>& weights);
 
   // Derive an independent child generator (for per-component streams).
   Rng Fork();

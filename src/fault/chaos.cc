@@ -404,9 +404,7 @@ ChaosTrialResult RunChaosTrial(const ChaosPlan& plan, const ChaosCampaignConfig&
     }
   }
 
-  if (!config.keep_artifacts) {
-    fs::remove_all(trial_dir, ec);
-  }
+  fs::remove_all(trial_dir, ec);
   return out;
 }
 

@@ -117,13 +117,12 @@ struct ChaosCampaignConfig {
   // trial's cost) on every Nth trial; 0 disables it.
   int determinism_every = 5;
   // Scratch directory for spool/columnar stores; one subdirectory per
-  // trial, removed after the trial unless keep_artifacts.
+  // trial, removed after the trial.
   std::string work_dir;
   // Workload intensity of the trial fleets (the trial budget knob).
   double activity_scale = 0.05;
   // Trial re-runs the shrinker may spend reducing a failing plan.
   int shrink_budget = 32;
-  bool keep_artifacts = false;
   // Test hook: any plan whose crash kind matches fails a fake "sabotage"
   // invariant, demonstrating failure reporting + shrinking on a healthy
   // tree. kNone (the default) disables the hook.
@@ -164,9 +163,8 @@ struct ChaosCampaignResult {
 // at least one active family per plan.
 ChaosPlan DrawChaosPlan(uint64_t campaign_seed, int trial_index);
 
-// Runs one plan end to end in `trial_dir` (created; removed unless
-// config.keep_artifacts) and checks invariants A, B, D -- plus C when
-// check_determinism is set.
+// Runs one plan end to end in `trial_dir` (created, then removed) and
+// checks invariants A, B, D -- plus C when check_determinism is set.
 ChaosTrialResult RunChaosTrial(const ChaosPlan& plan, const ChaosCampaignConfig& config,
                                const std::string& trial_dir, bool check_determinism);
 

@@ -6,18 +6,6 @@
 
 namespace ntrace {
 
-std::string_view FaultSiteName(FaultSite site) {
-  switch (site) {
-    case FaultSite::kShipment:
-      return "shipment";
-    case FaultSite::kDiskRead:
-      return "disk-read";
-    case FaultSite::kDiskWrite:
-      return "disk-write";
-  }
-  return "unknown";
-}
-
 std::string_view CrashKindName(CrashKind kind) {
   switch (kind) {
     case CrashKind::kNone:
@@ -30,26 +18,6 @@ std::string_view CrashKindName(CrashKind kind) {
       return "bit-flip";
     case CrashKind::kHang:
       return "hang";
-  }
-  return "unknown";
-}
-
-std::string_view TransportFaultKindName(TransportFaultKind kind) {
-  switch (kind) {
-    case TransportFaultKind::kNone:
-      return "none";
-    case TransportFaultKind::kReset:
-      return "reset";
-    case TransportFaultKind::kPartialWrite:
-      return "partial-write";
-    case TransportFaultKind::kDelay:
-      return "delay";
-    case TransportFaultKind::kDuplicate:
-      return "duplicate";
-    case TransportFaultKind::kReorder:
-      return "reorder";
-    case TransportFaultKind::kStall:
-      return "stall";
   }
   return "unknown";
 }

@@ -34,8 +34,6 @@ enum class FaultSite : uint8_t {
 };
 constexpr int kNumFaultSites = 3;
 
-std::string_view FaultSiteName(FaultSite site);
-
 // The fault schedule of one site.
 struct FaultPlan {
   // Base per-operation failure probability.
@@ -99,8 +97,6 @@ enum class TransportFaultKind : uint8_t {
                   // (agent send timeout / server slow-client eviction).
 };
 constexpr int kNumTransportFaultKinds = 6;  // Excluding kNone.
-
-std::string_view TransportFaultKindName(TransportFaultKind kind);
 
 // Per-connection transport fault schedule. Each kind fires independently
 // with its own per-frame probability; evaluation order is fixed (reset,

@@ -14,7 +14,6 @@ FileSystemDriver::FileSystemDriver(Engine& engine, CacheManager& cache,
       cache_(cache),
       volume_(std::move(volume)),
       prefix_(std::move(prefix)),
-      name_("fs:" + prefix_),
       disk_(disk_profile),
       options_(options) {}
 
@@ -125,7 +124,7 @@ NtStatus FileSystemDriver::HandleCreate(Irp& irp) {
       return Complete(irp, NtStatus::kObjectPathNotFound);
     }
     node = parent->FindChild(leaf);
-    if (node != nullptr && !node->directory() && options_.enforce_share_access &&
+    if (node != nullptr && !node->directory() &&
         !ShareAccessPermits(*node, p.desired_access, p.share_access)) {
       return Complete(irp, NtStatus::kSharingViolation);
     }
@@ -226,7 +225,7 @@ NtStatus FileSystemDriver::HandleCreate(Irp& irp) {
   fo.fcb = node;
   fo.is_directory = node->directory();
   ++node->open_count;
-  if (!node->directory() && options_.enforce_share_access) {
+  if (!node->directory()) {
     GrantShareAccess(node, fo.desired_access, fo.share_access);
   }
   if (volume_->maintain_access_times()) {
@@ -636,7 +635,7 @@ NtStatus FileSystemDriver::HandleCleanup(Irp& irp) {
   engine_.AdvanceBy(options_.control_op_cost);
   assert(node->open_count > 0);
   --node->open_count;
-  if (!node->directory() && options_.enforce_share_access) {
+  if (!node->directory()) {
     ReleaseShareAccess(node, fo.desired_access, fo.share_access);
   }
   // Byte-range locks die with the handle.

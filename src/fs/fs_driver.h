@@ -33,10 +33,10 @@
 
 namespace ntrace {
 
+// The driver enforces NT share-access semantics (IoCheckShareAccess):
+// concurrent opens must be mutually compatible or fail with a sharing
+// violation.
 struct FsOptions {
-  // Enforce NT share-access semantics (IoCheckShareAccess): concurrent
-  // opens must be mutually compatible or fail with a sharing violation.
-  bool enforce_share_access = true;
   // CPU cost of resolving one path component / touching metadata.
   SimDuration metadata_cost_per_component = SimDuration::Micros(4);
   SimDuration control_op_cost = SimDuration::Micros(6);
@@ -68,7 +68,6 @@ class FileSystemDriver : public Driver {
   FileSystemDriver(Engine& engine, CacheManager& cache, std::unique_ptr<Volume> volume,
                    std::string prefix, DiskProfile disk_profile, FsOptions options = {});
 
-  std::string_view Name() const override { return name_; }
   NtStatus DispatchIrp(DeviceObject* device, Irp& irp) override;
 
   FastIoResult FastIoRead(DeviceObject* device, FileObject& file, uint64_t offset,
@@ -136,7 +135,6 @@ class FileSystemDriver : public Driver {
 
   std::unique_ptr<Volume> volume_;
   std::string prefix_;
-  std::string name_;
   Disk disk_;
   FsOptions options_;
   FsStats stats_;

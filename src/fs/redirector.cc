@@ -5,8 +5,8 @@ namespace ntrace {
 RedirectorDriver::RedirectorDriver(Engine& engine, CacheManager& cache,
                                    std::unique_ptr<Volume> volume, std::string prefix,
                                    NetworkProfile network, FsOptions options)
-    : FileSystemDriver(engine, cache, std::move(volume), prefix, network.server_disk, options),
-      name_("rdr:" + prefix),
+    : FileSystemDriver(engine, cache, std::move(volume), std::move(prefix), network.server_disk,
+                       options),
       network_(network),
       server_disk_(network.server_disk, /*rng_seed=*/0x5E17E),
       rng_(0xCAFE) {}

@@ -35,8 +35,6 @@ class RedirectorDriver final : public FileSystemDriver {
   RedirectorDriver(Engine& engine, CacheManager& cache, std::unique_ptr<Volume> volume,
                    std::string prefix, NetworkProfile network, FsOptions options = {});
 
-  std::string_view Name() const override { return name_; }
-
   uint64_t wire_requests() const { return wire_requests_; }
   uint64_t wire_bytes() const { return wire_bytes_; }
 
@@ -45,7 +43,6 @@ class RedirectorDriver final : public FileSystemDriver {
   SimDuration MetadataAccess(size_t path_components) override;
 
  private:
-  std::string name_;
   NetworkProfile network_;
   Disk server_disk_;
   Rng rng_;

@@ -104,10 +104,8 @@ CacheManager::CacheManager(Engine& engine, IoManager& io, CacheConfig config, ui
 void CacheManager::Start() {
   assert(!started_);
   started_ = true;
-  if (config_.lazy_write_enabled) {
-    engine_.SchedulePeriodic(config_.lazy_write_period, config_.lazy_write_period,
-                             [this] { LazyWriterScan(); });
-  }
+  engine_.SchedulePeriodic(config_.lazy_write_period, config_.lazy_write_period,
+                           [this] { LazyWriterScan(); });
 }
 
 SimDuration CacheManager::CopyCost(uint32_t bytes) const {
@@ -150,10 +148,6 @@ void CacheManager::InitializeCacheMap(FileObject& file, const void* node, uint64
   file.shared_cache_map = map;
   file.caching_initialized = true;
   private_maps_.emplace(file.id(), PrivateCacheMap{});
-}
-
-bool CacheManager::IsCachingInitialized(const void* node) const {
-  return maps_.count(node) != 0;
 }
 
 SharedCacheMap* CacheManager::FindMap(const void* node) {
@@ -264,6 +258,11 @@ uint64_t CacheManager::FaultMissingPages(SharedCacheMap& map, uint64_t offset, u
   return faulted;
 }
 
+// Read-ahead runs on a cache-manager worker thread. The hop onto that thread
+// is far below the granularity of a workload callback, and a deferred event
+// cannot run until the callback returns -- after the session's own close has
+// invalidated the map -- so the prefetch issues inline, ahead of the next
+// copy read.
 void CacheManager::TrackReadAhead(SharedCacheMap& map, FileObject& file, uint64_t offset,
                                   uint32_t length) {
   if (!config_.read_ahead_enabled) {
@@ -298,7 +297,7 @@ void CacheManager::TrackReadAhead(SharedCacheMap& map, FileObject& file, uint64_
     priv.high_water = std::max(priv.high_water, end);
     if (ra_goal > ra_start) {
       ++map.readahead_ops;
-      ScheduleReadAhead(map, ra_start, ra_goal - ra_start);
+      FaultMissingPages(map, ra_start, ra_goal - ra_start, kIrpReadAhead);
       priv.high_water = std::max(priv.high_water, ra_goal);
     }
     return;
@@ -313,33 +312,10 @@ void CacheManager::TrackReadAhead(SharedCacheMap& map, FileObject& file, uint64_
     const uint64_t ra_goal = std::min<uint64_t>(map.file_size, ra_start + gran);
     if (ra_goal > ra_start) {
       ++map.readahead_ops;
-      ScheduleReadAhead(map, ra_start, ra_goal - ra_start);
+      FaultMissingPages(map, ra_start, ra_goal - ra_start, kIrpReadAhead);
       priv.high_water = ra_goal;
     }
   }
-}
-
-void CacheManager::ScheduleReadAhead(SharedCacheMap& map, uint64_t offset, uint64_t length) {
-  // Read-ahead runs on a cache-manager worker thread. The hop onto that
-  // thread is far below the granularity of a workload callback, and a
-  // deferred event cannot run until the callback returns -- after the
-  // session's own close has invalidated the map -- so the zero-delay
-  // default issues the prefetch inline, ahead of the next copy read.
-  if (config_.read_ahead_dispatch_delay.ticks() == 0) {
-    FaultMissingPages(map, offset, length, kIrpReadAhead);
-    return;
-  }
-  // Nonzero delay: a near-future event guarded against teardown by the map
-  // generation (an ablation knob for measuring dispatch-latency loss).
-  const void* node = map.node;
-  const uint64_t gen = map.generation;
-  engine_.Schedule(config_.read_ahead_dispatch_delay, [this, node, gen, offset, length] {
-    SharedCacheMap* m = FindMap(node);
-    if (m == nullptr || m->generation != gen) {
-      return;
-    }
-    FaultMissingPages(*m, offset, length, kIrpReadAhead);
-  });
 }
 
 CacheManager::CopyResult CacheManager::CopyRead(FileObject& file, uint64_t offset,
@@ -499,7 +475,7 @@ void CacheManager::NodeDeleted(const void* node) {
   if (map == nullptr) {
     return;
   }
-  ++map->generation;  // Invalidate any scheduled teardown/read-ahead work.
+  ++map->generation;  // Invalidate any scheduled teardown work.
   if (map->teardown_pending) {
     // The count must drop with the map, or the lazy writer's idle path
     // never holds again for this system.

@@ -52,17 +52,10 @@ struct CacheConfig {
   int sequential_detect_count = 3;       // Read-ahead on the 3rd sequential request.
   uint32_t fuzzy_mask = 0x7F;            // Low bits ignored in sequential matching.
   bool read_ahead_enabled = true;        // Ablation knob.
-  // Worker-thread hop before the prefetch issues. Zero = inline with the
-  // triggering copy read. A nonzero delay defers to an engine event, which
-  // cannot run until the current workload callback returns -- after the
-  // session's close has already torn the map down -- so deferred dispatch
-  // degenerates read-ahead to a no-op; keep it as an ablation knob only.
-  SimDuration read_ahead_dispatch_delay = SimDuration::Micros(0);
   // Write-behind.
   SimDuration lazy_write_period = SimDuration::Seconds(1);
   double lazy_write_fraction = 1.0 / 8.0;  // Portion of a node's dirty pages per scan.
   uint32_t max_write_run_bytes = 65536;    // Coalescing limit per lazy-write IRP.
-  bool lazy_write_enabled = true;          // Ablation knob (false = write-through world).
   // Close latency after cleanup for read-cached files.
   SimDuration read_close_delay_min = SimDuration::Micros(4);
   SimDuration read_close_delay_max = SimDuration::Micros(50);
@@ -146,7 +139,6 @@ class CacheManager {
   // Subsequent reads/writes through any file object of the node share pages.
   void InitializeCacheMap(FileObject& file, const void* node, uint64_t file_size);
 
-  bool IsCachingInitialized(const void* node) const;
   SharedCacheMap* FindMap(const void* node);
 
   struct CopyResult {
@@ -219,7 +211,6 @@ class CacheManager {
   uint64_t FaultMissingPages(SharedCacheMap& map, uint64_t offset, uint64_t length,
                              uint32_t extra_flags);
   void TrackReadAhead(SharedCacheMap& map, FileObject& file, uint64_t offset, uint32_t length);
-  void ScheduleReadAhead(SharedCacheMap& map, uint64_t offset, uint64_t length);
   void LazyWriterScan();
   // Writes up to `max_pages` dirty pages of the node in coalesced runs.
   // Returns pages written.

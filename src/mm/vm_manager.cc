@@ -133,9 +133,4 @@ void VmManager::DeleteSection(uint64_t section_id) {
   io_.DereferenceFileObject(*file);
 }
 
-const VmManager::Section* VmManager::FindSection(uint64_t section_id) const {
-  auto it = sections_.find(section_id);
-  return it == sections_.end() ? nullptr : &it->second;
-}
-
 }  // namespace ntrace

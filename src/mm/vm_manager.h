@@ -81,7 +81,6 @@ class VmManager {
   // released.
   void DeleteSection(uint64_t section_id);
 
-  const Section* FindSection(uint64_t section_id) const;
   const VmStats& stats() const { return stats_; }
 
  private:

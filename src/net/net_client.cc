@@ -488,12 +488,6 @@ void NetSink::DeliverShipment(const ShipmentHeader& header, std::vector<TraceRec
                      staging_.size());
 }
 
-void NetSink::DeliverRecords(std::vector<TraceRecord> records) {
-  ShipmentHeader header;  // Sequence 0: unsequenced.
-  header.record_count = records.size();
-  DeliverShipment(header, std::move(records));
-}
-
 void NetSink::DeliverName(NameRecord name) { client_->SendName(name); }
 
 bool NetSink::SendCompletion(const void* blob, size_t size) {

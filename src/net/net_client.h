@@ -117,7 +117,6 @@ class NetSink final : public TraceSink {
   explicit NetSink(NetAgentClient* client) : client_(client) {}
 
   void DeliverShipment(const ShipmentHeader& header, std::vector<TraceRecord> records) override;
-  void DeliverRecords(std::vector<TraceRecord> records) override;
   void DeliverName(NameRecord name) override;
 
   // Ships the run-summary blob as a kCompletion data frame (persisted

@@ -40,8 +40,6 @@ class Driver {
  public:
   virtual ~Driver() = default;
 
-  virtual std::string_view Name() const = 0;
-
   // The packet path. The driver must fill irp.result before returning. The
   // returned status duplicates irp.result.status for caller convenience.
   virtual NtStatus DispatchIrp(DeviceObject* device, Irp& irp) = 0;

@@ -37,18 +37,6 @@ struct ReplayMetrics {
 
 }  // namespace
 
-std::string_view ReplayModeName(ReplayMode mode) {
-  switch (mode) {
-    case ReplayMode::kOpenLoop:
-      return "open-loop";
-    case ReplayMode::kClosedLoop:
-      return "closed-loop";
-    case ReplayMode::kThinkScaled:
-      return "think-scaled";
-  }
-  return "?";
-}
-
 void ReplayDivergence::Accumulate(const ReplayDivergence& other) {
   late_ops += other.late_ops;
   id_mismatches += other.id_mismatches;
@@ -151,41 +139,27 @@ void ReplaySystem::ExtractBursts() {
   }
 }
 
-int64_t ReplaySystem::ScaledDue(int64_t due) const {
-  if (replay_.mode != ReplayMode::kThinkScaled) {
-    return due;
-  }
-  return static_cast<int64_t>(static_cast<double>(due) * replay_.think_scale);
-}
-
 SystemReplayResult ReplaySystem::Run() {
   end_ticks_ = SimDuration::Days(sys_.options().days).ticks();
   Engine& engine = sys_.engine();
 
-  if (replay_.mode == ReplayMode::kClosedLoop) {
-    for (size_t i = 0; i < bursts_.size(); ++i) {
-      RunBurst(i);
-      engine.RunUntil(engine.Now());  // Drain work the burst made due.
+  // Bursts due exactly at end-of-run ran inline after the recording's
+  // RunUntil(end) returned (end-of-session teardown); everything else is
+  // an ordinary engine callback. Pre-scheduling at time zero gives replay
+  // bursts the lowest sequence numbers, so at equal dues they dispatch
+  // before the live stack's background events -- matching the recording,
+  // where the operation's callback was the one that advanced the clock.
+  std::vector<size_t> end_bursts;
+  for (size_t i = 0; i < bursts_.size(); ++i) {
+    if (bursts_[i].due == end_ticks_) {
+      end_bursts.push_back(i);
+    } else {
+      engine.ScheduleAt(SimTime(bursts_[i].due), [this, i] { RunBurst(i); });
     }
-  } else {
-    // Bursts due exactly at end-of-run ran inline after the recording's
-    // RunUntil(end) returned (end-of-session teardown); everything else is
-    // an ordinary engine callback. Pre-scheduling at time zero gives replay
-    // bursts the lowest sequence numbers, so at equal dues they dispatch
-    // before the live stack's background events -- matching the recording,
-    // where the operation's callback was the one that advanced the clock.
-    std::vector<size_t> end_bursts;
-    for (size_t i = 0; i < bursts_.size(); ++i) {
-      if (bursts_[i].due == end_ticks_) {
-        end_bursts.push_back(i);
-      } else {
-        engine.ScheduleAt(SimTime(ScaledDue(bursts_[i].due)), [this, i] { RunBurst(i); });
-      }
-    }
-    engine.RunUntil(SimTime(ScaledDue(end_ticks_)));
-    for (size_t i : end_bursts) {
-      RunBurst(i);
-    }
+  }
+  engine.RunUntil(SimTime(end_ticks_));
+  for (size_t i : end_bursts) {
+    RunBurst(i);
   }
 
   if (replay_.tolerate_gaps && (replay_.salvage.lossy() || deg_.degraded)) {
@@ -233,37 +207,28 @@ SystemReplayResult ReplaySystem::Run() {
 void ReplaySystem::RunBurst(size_t burst_index) {
   const Burst& b = bursts_[burst_index];
   ++fired_bursts_;
-  burst_due_ = b.due;
-  burst_anchor_ = sys_.engine().Now().ticks();
   for (size_t i = b.begin; i < b.end; ++i) {
     ReplayRecord(i);
   }
 }
 
 void ReplaySystem::PaceTo(int64_t target_ticks) {
-  if (replay_.mode == ReplayMode::kClosedLoop) {
-    return;
-  }
-  // Open loop paces to the absolute recorded time: if the burst dispatched
-  // late (its callback's due had already been overtaken by synchronous work,
-  // in the recording and the replay alike), the recorded issue times already
-  // carry that lateness. Think-scaled mode re-bases the recorded offsets on
-  // the shifted dispatch anchor instead.
-  const int64_t target = replay_.mode == ReplayMode::kOpenLoop
-                             ? target_ticks + anchor_offset_
-                             : burst_anchor_ + (target_ticks - burst_due_);
+  // Pace to the absolute recorded time: if the burst dispatched late (its
+  // callback's due had already been overtaken by synchronous work, in the
+  // recording and the replay alike), the recorded issue times already carry
+  // that lateness.
+  const int64_t target = target_ticks + anchor_offset_;
   const int64_t now = sys_.engine().Now().ticks();
   if (target > now) {
     sys_.engine().AdvanceBy(SimDuration(target - now));
   } else if (target < now) {
-    // Gap-tolerant open loop (DESIGN.md §16): when the live clock has
+    // Gap-tolerant pacing (DESIGN.md §16): when the live clock has
     // overtaken the recorded timeline past the drift bound -- synthetic
     // session repair did work the recording never paid for -- re-anchor the
     // timeline to the live clock. Later ops keep their recorded spacing,
     // shifted by the accumulated offset, instead of issuing as a wall of
     // instantly-due operations until the clock catches up.
-    if (replay_.tolerate_gaps && replay_.mode == ReplayMode::kOpenLoop &&
-        now - target > replay_.gap_reanchor_ticks) {
+    if (replay_.tolerate_gaps && now - target > replay_.gap_reanchor_ticks) {
       anchor_offset_ += now - target;
       ++deg_.reanchors;
       if (anchor_offset_ > deg_.max_drift_ticks) {

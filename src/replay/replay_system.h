@@ -37,14 +37,6 @@
 
 namespace ntrace {
 
-enum class ReplayMode : uint8_t {
-  kOpenLoop,     // Original timestamps: every op paced to its recorded issue time.
-  kClosedLoop,   // As fast as possible: dependency (stream) order, no pacing.
-  kThinkScaled,  // Inter-burst gaps scaled by think_scale; intra-burst timing kept.
-};
-
-std::string_view ReplayModeName(ReplayMode mode);
-
 // What the storage layers know was lost from a salvaged input (DESIGN.md
 // §16). The replayer treats this as evidence that records missing from the
 // stream are storage loss, not a defect of its own reconstruction.
@@ -54,9 +46,8 @@ struct ReplaySalvageInfo {
   bool lossy() const { return records_lost_known > 0 || names_lost; }
 };
 
+// Replay is open-loop: every operation is paced to its recorded issue time.
 struct ReplayOptions {
-  ReplayMode mode = ReplayMode::kOpenLoop;
-  double think_scale = 1.0;  // kThinkScaled only; must be > 0.
   // Replace the recording-time cache/FastIO policies with `policy`. Off =
   // replay the machine exactly as recorded (the fidelity configuration).
   bool apply_policy = false;
@@ -162,7 +153,6 @@ class ReplaySystem {
   void BuildNameCursors();
   void BuildVolumeIdMap();
   void ExtractBursts();
-  int64_t ScaledDue(int64_t due) const;
 
   void RunBurst(size_t burst_index);
   void ReplayRecord(size_t index);
@@ -194,8 +184,6 @@ class ReplaySystem {
   std::vector<Burst> bursts_;
   int64_t end_ticks_ = 0;
   size_t fired_bursts_ = 0;
-  int64_t burst_due_ = 0;      // Recorded due of the running burst.
-  int64_t burst_anchor_ = 0;   // Live clock at burst entry (kThinkScaled pacing).
   size_t skip_index_ = SIZE_MAX;  // Fallback IRP already issued by its NP anchor.
   size_t cur_index_ = SIZE_MAX;   // Op index ReplayRecord is working on.
   size_t last_orphan_index_ = SIZE_MAX;  // Clusters orphan evidence into gaps.

@@ -55,72 +55,6 @@ void StreamingStats::Merge(const StreamingStats& other) {
   max_ = std::max(max_, other.max_);
 }
 
-LogHistogram::LogHistogram(double min_value, double max_value, int buckets_per_decade) {
-  assert(min_value > 0.0 && max_value > min_value && buckets_per_decade > 0);
-  log_min_ = std::log10(min_value);
-  log_max_ = std::log10(max_value);
-  bucket_width_ = 1.0 / buckets_per_decade;
-  const size_t n = static_cast<size_t>(std::ceil((log_max_ - log_min_) / bucket_width_)) + 1;
-  counts_.assign(n, 0.0);
-}
-
-size_t LogHistogram::BucketFor(double value) const {
-  if (value <= 0.0) {
-    return 0;
-  }
-  const double lg = std::log10(value);
-  if (lg <= log_min_) {
-    return 0;
-  }
-  const size_t i = static_cast<size_t>((lg - log_min_) / bucket_width_);
-  return std::min(i, counts_.size() - 1);
-}
-
-void LogHistogram::Add(double value, double weight) {
-  counts_[BucketFor(value)] += weight;
-  total_ += weight;
-}
-
-double LogHistogram::BucketLow(size_t i) const {
-  return std::pow(10.0, log_min_ + i * bucket_width_);
-}
-
-double LogHistogram::BucketHigh(size_t i) const {
-  return std::pow(10.0, log_min_ + (i + 1) * bucket_width_);
-}
-
-double LogHistogram::BucketMid(size_t i) const {
-  return std::pow(10.0, log_min_ + (i + 0.5) * bucket_width_);
-}
-
-double LogHistogram::CdfAt(double value) const {
-  if (total_ <= 0.0) {
-    return 0.0;
-  }
-  const size_t b = BucketFor(value);
-  double acc = 0.0;
-  for (size_t i = 0; i <= b; ++i) {
-    acc += counts_[i];
-  }
-  return acc / total_;
-}
-
-double LogHistogram::Percentile(double p) const {
-  assert(p >= 0.0 && p <= 1.0);
-  if (total_ <= 0.0) {
-    return 0.0;
-  }
-  const double target = p * total_;
-  double acc = 0.0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    acc += counts_[i];
-    if (acc >= target) {
-      return BucketHigh(i);
-    }
-  }
-  return BucketHigh(counts_.size() - 1);
-}
-
 namespace {
 
 // Order-preserving u64 key of an IEEE double: bit-invert negatives, flip the
@@ -402,15 +336,6 @@ double WeightedCdf::Percentile(double p) const {
   return samples_[idx].first;
 }
 
-std::vector<double> WeightedCdf::Evaluate(const std::vector<double>& points) const {
-  std::vector<double> out;
-  out.reserve(points.size());
-  for (double p : points) {
-    out.push_back(Fraction(p));
-  }
-  return out;
-}
-
 IntervalSeries::IntervalSeries(double interval_seconds) : interval_seconds_(interval_seconds) {
   assert(interval_seconds > 0.0);
 }
@@ -440,14 +365,6 @@ std::vector<double> IntervalSeries::Dense() const {
     out[i] = counts_[i];
   }
   return out;
-}
-
-StreamingStats IntervalSeries::IntervalStats() const {
-  StreamingStats s;
-  for (size_t i = 0; i < NumIntervals(); ++i) {
-    s.Add(CountAt(i));
-  }
-  return s;
 }
 
 double PearsonCorrelation(const std::vector<double>& x, const std::vector<double>& y) {

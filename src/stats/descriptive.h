@@ -1,5 +1,5 @@
-// Descriptive statistics: streaming moments, log-bucket histograms, weighted
-// empirical CDFs, and fixed-width interval aggregation.
+// Descriptive statistics: streaming moments, weighted empirical CDFs, and
+// fixed-width interval aggregation.
 //
 // These are the workhorses behind every table and figure reproduction: the
 // paper reports means with standard deviations (table 2), cumulative
@@ -45,38 +45,6 @@ class StreamingStats {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-// Histogram over logarithmically spaced buckets, suitable for quantities that
-// span many orders of magnitude (latencies, sizes, lifetimes).
-class LogHistogram {
- public:
-  // Buckets cover [min_value, max_value] with `buckets_per_decade` buckets in
-  // each factor-of-ten span; values outside are clamped into the end buckets.
-  LogHistogram(double min_value, double max_value, int buckets_per_decade = 10);
-
-  void Add(double value, double weight = 1.0);
-
-  size_t bucket_count() const { return counts_.size(); }
-  // Geometric midpoint of bucket i.
-  double BucketMid(size_t i) const;
-  double BucketLow(size_t i) const;
-  double BucketHigh(size_t i) const;
-  double CountAt(size_t i) const { return counts_[i]; }
-  double total() const { return total_; }
-
-  // Cumulative fraction of weight at or below `value`.
-  double CdfAt(double value) const;
-  // Smallest bucket-boundary value v such that CdfAt(v) >= p.
-  double Percentile(double p) const;
-
- private:
-  size_t BucketFor(double value) const;
-  double log_min_;
-  double log_max_;
-  double bucket_width_;  // In log10 space.
-  std::vector<double> counts_;
-  double total_ = 0.0;
 };
 
 // Stable LSD radix sort of (value, weight) pairs by value, over the
@@ -144,9 +112,6 @@ class WeightedCdf {
   // Smallest sample value v with Fraction(v) >= p. Requires Finalize().
   double Percentile(double p) const;
 
-  // Evaluate the CDF at each of the given points (for figure series).
-  std::vector<double> Evaluate(const std::vector<double>& points) const;
-
   // The underlying sorted values (post-Finalize) for tail analysis.
   const std::vector<std::pair<double, double>>& samples() const { return samples_; }
 
@@ -180,9 +145,6 @@ class IntervalSeries {
 
   // Per-interval counts as a dense vector (zero-filled gaps included).
   std::vector<double> Dense() const;
-
-  // Index of last non-empty interval + 1, 0 if empty.
-  StreamingStats IntervalStats() const;
 
  private:
   double interval_seconds_;

@@ -88,101 +88,8 @@ double ExponentialDistribution::Sample(Rng& rng) const {
 
 double ExponentialDistribution::Mean() const { return 1.0 / lambda_; }
 
-UniformDistribution::UniformDistribution(double lo, double hi) : lo_(lo), hi_(hi) {
-  assert(lo <= hi);
-}
-
-double UniformDistribution::Sample(Rng& rng) const { return rng.UniformReal(lo_, hi_); }
-
-double UniformDistribution::Mean() const { return (lo_ + hi_) / 2.0; }
-
-ConstantDistribution::ConstantDistribution(double value) : value_(value) {}
-
-double ConstantDistribution::Sample(Rng&) const { return value_; }
-
-double ConstantDistribution::Mean() const { return value_; }
-
-MixtureDistribution::MixtureDistribution(std::vector<Component> components)
-    : components_(std::move(components)) {
-  assert(!components_.empty());
-  weights_.reserve(components_.size());
-  for (const auto& c : components_) {
-    assert(c.weight >= 0.0 && c.dist != nullptr);
-    weights_.push_back(c.weight);
-  }
-}
-
-double MixtureDistribution::Sample(Rng& rng) const {
-  const size_t i = rng.WeightedIndex(weights_);
-  return components_[i].dist->Sample(rng);
-}
-
-double MixtureDistribution::Mean() const {
-  double total_w = 0.0;
-  double acc = 0.0;
-  for (const auto& c : components_) {
-    total_w += c.weight;
-    acc += c.weight * c.dist->Mean();
-  }
-  return acc / total_w;
-}
-
-DiscreteDistribution::DiscreteDistribution(std::vector<Entry> entries)
-    : entries_(std::move(entries)) {
-  assert(!entries_.empty());
-  weights_.reserve(entries_.size());
-  for (const auto& e : entries_) {
-    assert(e.weight >= 0.0);
-    weights_.push_back(e.weight);
-  }
-}
-
-double DiscreteDistribution::Sample(Rng& rng) const {
-  return entries_[rng.WeightedIndex(weights_)].value;
-}
-
-double DiscreteDistribution::Mean() const {
-  double total_w = 0.0;
-  double acc = 0.0;
-  for (const auto& e : entries_) {
-    total_w += e.weight;
-    acc += e.weight * e.value;
-  }
-  return acc / total_w;
-}
-
-ZipfDistribution::ZipfDistribution(size_t n, double s) {
-  assert(n > 0);
-  cdf_.resize(n);
-  double acc = 0.0;
-  for (size_t k = 0; k < n; ++k) {
-    acc += 1.0 / std::pow(static_cast<double>(k + 1), s);
-    cdf_[k] = acc;
-  }
-  for (auto& v : cdf_) {
-    v /= acc;
-  }
-}
-
-size_t ZipfDistribution::Sample(Rng& rng) const {
-  const double u = rng.NextDouble();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<size_t>(std::distance(cdf_.begin(), it == cdf_.end() ? it - 1 : it));
-}
-
 PoissonProcess::PoissonProcess(double rate_per_second) : gap_(rate_per_second) {}
 
 double PoissonProcess::NextGapSeconds(Rng& rng) const { return gap_.Sample(rng); }
-
-std::vector<double> PoissonProcess::GenerateArrivals(Rng& rng, size_t count) const {
-  std::vector<double> arrivals;
-  arrivals.reserve(count);
-  double t = 0.0;
-  for (size_t i = 0; i < count; ++i) {
-    t += gap_.Sample(rng);
-    arrivals.push_back(t);
-  }
-  return arrivals;
-}
 
 }  // namespace ntrace

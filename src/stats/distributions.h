@@ -4,15 +4,13 @@
 // traced quantity -- inter-arrival times, session lengths, request sizes,
 // file sizes -- is heavy-tailed: P[X > x] ~ x^-alpha with 1.2 <= alpha <= 1.7.
 // The workload layer therefore needs first-class Pareto / bounded-Pareto /
-// lognormal / Zipf sources next to the usual exponential/Poisson baselines
-// (the baselines are what figure 8 synthesizes for comparison).
+// lognormal sources next to the usual exponential/Poisson baselines (the
+// baselines are what figure 8 synthesizes for comparison).
 
 #ifndef SRC_STATS_DISTRIBUTIONS_H_
 #define SRC_STATS_DISTRIBUTIONS_H_
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "src/base/rng.h"
 
@@ -86,75 +84,6 @@ class ExponentialDistribution final : public Distribution {
   double lambda_;
 };
 
-// Uniform on [lo, hi).
-class UniformDistribution final : public Distribution {
- public:
-  UniformDistribution(double lo, double hi);
-  double Sample(Rng& rng) const override;
-  double Mean() const override;
-
- private:
-  double lo_;
-  double hi_;
-};
-
-// A fixed value. Handy for degenerate workload knobs.
-class ConstantDistribution final : public Distribution {
- public:
-  explicit ConstantDistribution(double value);
-  double Sample(Rng& rng) const override;
-  double Mean() const override;
-
- private:
-  double value_;
-};
-
-// Mixture of component distributions with given weights.
-class MixtureDistribution final : public Distribution {
- public:
-  struct Component {
-    double weight;
-    std::shared_ptr<const Distribution> dist;
-  };
-  explicit MixtureDistribution(std::vector<Component> components);
-  double Sample(Rng& rng) const override;
-  double Mean() const override;
-
- private:
-  std::vector<Component> components_;
-  std::vector<double> weights_;
-};
-
-// Discrete distribution over explicit values (e.g. the 512/4096-byte request
-// size modes of section 8.2).
-class DiscreteDistribution final : public Distribution {
- public:
-  struct Entry {
-    double value;
-    double weight;
-  };
-  explicit DiscreteDistribution(std::vector<Entry> entries);
-  double Sample(Rng& rng) const override;
-  double Mean() const override;
-
- private:
-  std::vector<Entry> entries_;
-  std::vector<double> weights_;
-};
-
-// Zipf over ranks 1..n with exponent s: P[rank k] ~ k^-s. Used for file
-// popularity (which files get re-opened).
-class ZipfDistribution final {
- public:
-  ZipfDistribution(size_t n, double s);
-  // Returns a rank in [0, n).
-  size_t Sample(Rng& rng) const;
-  size_t n() const { return cdf_.size(); }
-
- private:
-  std::vector<double> cdf_;  // Normalized cumulative weights.
-};
-
 // Homogeneous Poisson arrival process with the given rate (events/second):
 // exponential gaps. Used to synthesize the figure-8 comparison sample.
 class PoissonProcess {
@@ -162,8 +91,6 @@ class PoissonProcess {
   explicit PoissonProcess(double rate_per_second);
   // Seconds until the next arrival.
   double NextGapSeconds(Rng& rng) const;
-  // Generate `count` absolute arrival times (seconds), starting at 0.
-  std::vector<double> GenerateArrivals(Rng& rng, size_t count) const;
 
  private:
   ExponentialDistribution gap_;

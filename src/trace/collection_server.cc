@@ -42,12 +42,6 @@ struct IngestMetrics {
 
 }  // namespace
 
-void CollectionServer::DeliverRecords(std::vector<TraceRecord> records) {
-  ShipmentHeader header;  // Sequence 0: unsequenced.
-  header.record_count = records.size();
-  DeliverShipment(header, std::move(records));
-}
-
 void CollectionServer::DeliverShipment(const ShipmentHeader& header,
                                        std::vector<TraceRecord> records) {
   ++deliveries_;

@@ -56,7 +56,6 @@ class CollectionServer final : public TraceSink {
   // underestimate only means the vector resumes geometric growth.
   void ReserveRecords(size_t expected) { set_.records.reserve(expected); }
 
-  void DeliverRecords(std::vector<TraceRecord> records) override;
   void DeliverName(NameRecord name) override;
   void DeliverShipment(const ShipmentHeader& header,
                        std::vector<TraceRecord> records) override;

@@ -781,21 +781,8 @@ bool ExtentStreamReader::NextExtent(ColumnarExtent* out, uint32_t column_mask) {
 // ColumnarTraceSet
 // ---------------------------------------------------------------------------
 
-void ColumnarTraceSet::AddExtent(ColumnarExtent extent) {
-  record_count_ += extent.size();
-  extents_.push_back(std::move(extent));
-}
-
 void ColumnarTraceSet::ForEachBatch(const std::function<void(const ColumnBatch&)>& fn,
                                     uint32_t column_mask) const {
-  if (!disk_backed()) {
-    for (const ColumnarExtent& e : extents_) {
-      if (!e.empty()) {
-        fn(ColumnBatch::Of(e));
-      }
-    }
-    return;
-  }
   ExtentStreamReader reader;
   if (!reader.Open(spill_path_)) {
     return;
@@ -806,33 +793,6 @@ void ColumnarTraceSet::ForEachBatch(const std::function<void(const ColumnBatch&)
       fn(ColumnBatch::Of(extent));
     }
   }
-}
-
-ColumnarTraceSet ColumnarTraceSet::FromRows(const TraceSet& rows, uint32_t extent_records) {
-  ColumnarTraceSet out;
-  const uint32_t cap = std::max<uint32_t>(1, std::min(extent_records, kMaxExtentRecords));
-  ColumnarExtent extent;
-  extent.Reserve(std::min<size_t>(cap, rows.records.size()));
-  for (const TraceRecord& r : rows.records) {
-    extent.AppendRow(r);
-    if (extent.size() >= cap) {
-      out.AddExtent(std::move(extent));
-      extent = ColumnarExtent();
-      extent.Reserve(cap);
-    }
-  }
-  if (!extent.empty()) {
-    out.AddExtent(std::move(extent));
-  }
-  out.names = rows.names;
-  // NOTE: iteration order of an unordered_map is not its insertion order;
-  // FromRows preserves *content*, which is all the analysis layer reads.
-  // The fleet's columnar path records true insertion order itself.
-  out.process_names.reserve(rows.process_names.size());
-  for (const auto& [pid, name] : rows.process_names) {
-    out.process_names.emplace_back(pid, name);
-  }
-  return out;
 }
 
 ColumnarTraceSet ColumnarTraceSet::FromFile(const std::string& path) {

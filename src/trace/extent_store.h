@@ -298,38 +298,29 @@ class ExtentStreamReader {
   std::vector<std::pair<uint32_t, std::string>> process_names_;
 };
 
-// A trace in columnar form: either resident (extents in memory) or
-// disk-backed (extents stream from `spill_path`). This is TraceSet's
-// columnar twin: FromRows/ToRows convert exactly (every column round-trips
-// bit-for-bit, names and process tables included), and the analysis layer
-// consumes it through ForEachBatch without ever materializing rows.
+// A trace in columnar form, backed by a store file whose extents stream
+// from `spill_path`. This is TraceSet's columnar twin: ToRows converts
+// exactly (every column round-trips bit-for-bit, names and process tables
+// included), and the analysis layer consumes it through ForEachBatch
+// without ever materializing rows.
 class ColumnarTraceSet {
  public:
-  // Name/process tables (resident in either mode; they are consulted per
-  // lookup, not per record). process_names preserves insertion order so a
-  // row-mode rebuild reproduces TraceSet::process_names exactly.
+  // Name/process tables (resident; they are consulted per lookup, not per
+  // record). process_names preserves insertion order so a row-mode rebuild
+  // reproduces TraceSet::process_names exactly.
   std::vector<NameRecord> names;
   std::vector<std::pair<uint32_t, std::string>> process_names;
 
   uint64_t record_count() const { return record_count_; }
-  bool disk_backed() const { return !spill_path_.empty(); }
   const std::string& spill_path() const { return spill_path_; }
   const ExtentReadStats& read_stats() const { return read_stats_; }
 
-  // Resident extents (empty when disk-backed).
-  const std::vector<ColumnarExtent>& extents() const { return extents_; }
-
-  // Invokes fn over every record batch in stream order. Disk-backed stores
-  // decode one extent at a time; resident stores iterate in place.
-  // column_mask projects the disk-backed decode (see NextExtent): batches
+  // Invokes fn over every record batch in stream order, decoding one extent
+  // at a time. column_mask projects the decode (see NextExtent): batches
   // expose valid pointers only for the selected columns plus `event`.
-  // Resident stores hold full columns, so the mask is a no-op there.
   void ForEachBatch(const std::function<void(const ColumnBatch&)>& fn,
                     uint32_t column_mask = kExtentColumnMaskAll) const;
 
-  // Transpose of a row trace (resident). extent_records bounds batch size.
-  static ColumnarTraceSet FromRows(const TraceSet& rows,
-                                   uint32_t extent_records = kDefaultExtentRecords);
   // Opens a sealed (or salvageable) store file without loading extents;
   // name/process tables and the record count are read up front. Never
   // fails hard: a damaged file yields its longest intact prefix and
@@ -339,8 +330,6 @@ class ColumnarTraceSet {
   // Full row materialization (the parity oracle; memory O(records)).
   TraceSet ToRows() const;
 
-  // Appends a resident extent (used by FromRows and tests).
-  void AddExtent(ColumnarExtent extent);
   void set_spill(std::string path, uint64_t record_count, ExtentReadStats stats) {
     spill_path_ = std::move(path);
     record_count_ = record_count;
@@ -348,7 +337,6 @@ class ColumnarTraceSet {
   }
 
  private:
-  std::vector<ColumnarExtent> extents_;
   std::string spill_path_;
   uint64_t record_count_ = 0;
   ExtentReadStats read_stats_;

@@ -69,14 +69,14 @@ struct ShipmentPolicy {
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
-  virtual void DeliverRecords(std::vector<TraceRecord> records) = 0;
+  // Sequence-numbered delivery.
+  virtual void DeliverShipment(const ShipmentHeader& header, std::vector<TraceRecord> records) = 0;
   virtual void DeliverName(NameRecord name) = 0;
-  // Sequence-numbered delivery; sinks that do not track integrity inherit
-  // this forward to DeliverRecords.
-  virtual void DeliverShipment(const ShipmentHeader& header,
-                               std::vector<TraceRecord> records) {
-    (void)header;
-    DeliverRecords(std::move(records));
+  // Unsequenced delivery: a shipment with sequence 0.
+  virtual void DeliverRecords(std::vector<TraceRecord> records) {
+    ShipmentHeader header;
+    header.record_count = records.size();
+    DeliverShipment(header, std::move(records));
   }
 };
 

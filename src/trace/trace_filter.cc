@@ -7,8 +7,7 @@ TraceFilterDriver::TraceFilterDriver(Engine& engine, TraceBuffer& buffer, uint32
     : engine_(engine),
       buffer_(buffer),
       system_id_(system_id),
-      options_(options),
-      name_("tracefilter") {}
+      options_(options) {}
 
 TraceRecord TraceFilterDriver::BaseRecord(const FileObject& file) const {
   TraceRecord r;
@@ -124,9 +123,6 @@ FastIoResult TraceFilterDriver::FastIoRead(DeviceObject* device, FileObject& fil
   }
   const SimTime start = engine_.Now();
   const FastIoResult result = ForwardFastIoRead(device, file, offset, length);
-  if (!result.possible && !options_.record_fastio_failures) {
-    return result;
-  }
   TraceRecord r = BaseRecord(file);
   r.event = static_cast<uint16_t>(result.possible ? TraceEvent::kFastIoRead
                                                   : TraceEvent::kFastIoReadNotPossible);
@@ -148,9 +144,6 @@ FastIoResult TraceFilterDriver::FastIoWrite(DeviceObject* device, FileObject& fi
   }
   const SimTime start = engine_.Now();
   const FastIoResult result = ForwardFastIoWrite(device, file, offset, length);
-  if (!result.possible && !options_.record_fastio_failures) {
-    return result;
-  }
   TraceRecord r = BaseRecord(file);
   r.event = static_cast<uint16_t>(result.possible ? TraceEvent::kFastIoWrite
                                                   : TraceEvent::kFastIoWriteNotPossible);

@@ -18,7 +18,6 @@
 #define SRC_TRACE_TRACE_FILTER_H_
 
 #include <cstdint>
-#include <string>
 
 #include "src/ntio/driver.h"
 #include "src/sim/engine.h"
@@ -27,9 +26,9 @@
 
 namespace ntrace {
 
+// FastIO attempts that return "not possible" are recorded as their own
+// events.
 struct TraceFilterOptions {
-  // Record FastIO attempts that returned "not possible" as their own events.
-  bool record_fastio_failures = true;
   // When false, the filter has no FastIO dispatch table: every FastIO call
   // reports not-possible without reaching the file system (the section-10
   // handicap; ablation only).
@@ -44,7 +43,6 @@ class TraceFilterDriver final : public Driver {
   TraceFilterDriver(Engine& engine, TraceBuffer& buffer, uint32_t system_id,
                     TraceFilterOptions options = {});
 
-  std::string_view Name() const override { return name_; }
 
   NtStatus DispatchIrp(DeviceObject* device, Irp& irp) override;
   FastIoResult FastIoRead(DeviceObject* device, FileObject& file, uint64_t offset,
@@ -66,7 +64,6 @@ class TraceFilterDriver final : public Driver {
   TraceBuffer& buffer_;
   uint32_t system_id_;
   TraceFilterOptions options_;
-  std::string name_;
   uint64_t irp_events_ = 0;
   uint64_t fastio_events_ = 0;
 };

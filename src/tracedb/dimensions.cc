@@ -38,20 +38,6 @@ std::string_view FileCategoryName(FileCategory c) {
   return "unknown";
 }
 
-std::string_view FileClassName(FileClass c) {
-  switch (c) {
-    case FileClass::kSystemFiles:
-      return "system files";
-    case FileClass::kApplicationFiles:
-      return "application files";
-    case FileClass::kDevelopmentFiles:
-      return "development files";
-    case FileClass::kOtherFiles:
-      return "other files";
-  }
-  return "unknown";
-}
-
 FileCategory FileTypeDimension::CategoryOfExtension(std::string_view ext_lower) {
   static const std::unordered_map<std::string_view, FileCategory> kMap = {
       {".exe", FileCategory::kExecutable}, {".dll", FileCategory::kExecutable},
@@ -133,22 +119,6 @@ FileTypeKey FileTypeDimension::Categorize(std::string_view path) {
   return key;
 }
 
-std::string_view OperationGroupName(OperationGroup g) {
-  switch (g) {
-    case OperationGroup::kDataTransfer:
-      return "data";
-    case OperationGroup::kControl:
-      return "control";
-    case OperationGroup::kDirectory:
-      return "directory";
-    case OperationGroup::kLifecycle:
-      return "lifecycle";
-    case OperationGroup::kPaging:
-      return "paging";
-  }
-  return "unknown";
-}
-
 OperationGroup OperationDimension::GroupOf(const TraceRecord& r) {
   if (r.IsPagingIo()) {
     return OperationGroup::kPaging;
@@ -179,22 +149,6 @@ TimeKey TimeDimension::Bucketize(SimTime t) {
   key.hour = static_cast<int>((seconds / 3600) % 24);
   key.day = seconds / 86400;
   return key;
-}
-
-std::string_view ProcessClassName(ProcessClass c) {
-  switch (c) {
-    case ProcessClass::kInteractive:
-      return "interactive";
-    case ProcessClass::kService:
-      return "service";
-    case ProcessClass::kDevelopment:
-      return "development";
-    case ProcessClass::kSystem:
-      return "system";
-    case ProcessClass::kOther:
-      return "other";
-  }
-  return "unknown";
 }
 
 ProcessClass ProcessDimension::Classify(std::string_view image_name) {

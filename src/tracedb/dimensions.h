@@ -59,7 +59,6 @@ struct FileTypeKey {
 };
 
 std::string_view FileCategoryName(FileCategory c);
-std::string_view FileClassName(FileClass c);
 
 class FileTypeDimension {
  public:
@@ -79,8 +78,6 @@ enum class OperationGroup : uint8_t {
   kPaging,        // VM/cache-originated paging transfers.
 };
 constexpr int kNumOperationGroups = 5;
-
-std::string_view OperationGroupName(OperationGroup g);
 
 class OperationDimension {
  public:
@@ -112,8 +109,6 @@ enum class ProcessClass : uint8_t {
   kOther,
 };
 constexpr int kNumProcessClasses = 5;
-
-std::string_view ProcessClassName(ProcessClass c);
 
 class ProcessDimension {
  public:

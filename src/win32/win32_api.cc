@@ -191,22 +191,6 @@ std::optional<FileBasicInfo> Win32Api::GetFileAttributes(const std::string& path
   return info;
 }
 
-bool Win32Api::SetFileAttributes(const std::string& path, const FileBasicInfo& info,
-                                 uint32_t process_id) {
-  CreateRequest req;
-  req.path = path;
-  req.disposition = CreateDisposition::kOpen;
-  req.desired_access = kAccessWriteAttributes;
-  req.process_id = process_id;
-  CreateResult open = io_.Create(req);
-  if (open.file == nullptr) {
-    return false;
-  }
-  const NtStatus status = io_.SetBasicInfo(*open.file, info);
-  io_.CloseHandle(*open.file);
-  return NtSuccess(status);
-}
-
 std::optional<uint64_t> Win32Api::GetFileSize(const std::string& path, uint32_t process_id) {
   CreateRequest req;
   req.path = path;

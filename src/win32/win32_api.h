@@ -84,10 +84,6 @@ class Win32Api {
   // data -- one of the paper's "control-only" open sessions.
   std::optional<FileBasicInfo> GetFileAttributes(const std::string& path, uint32_t process_id);
 
-  // SetFileTimes/attributes (installers back-dating creation times).
-  bool SetFileAttributes(const std::string& path, const FileBasicInfo& info,
-                         uint32_t process_id);
-
   std::optional<uint64_t> GetFileSize(const std::string& path, uint32_t process_id);
 
   // CreateDirectory / RemoveDirectory.

@@ -176,7 +176,7 @@ struct Fingerprint {
 
 uint64_t FleetConfigFingerprint(const FleetConfig& c) {
   Fingerprint f;
-  f.Mix(0x4E54464C54563031ULL);  // Fingerprint schema tag, bump on change.
+  f.Mix(0x4E54464C54563032ULL);  // Fingerprint schema tag, bump on change.
   f.Mix(static_cast<uint64_t>(c.walk_up));
   f.Mix(static_cast<uint64_t>(c.pool));
   f.Mix(static_cast<uint64_t>(c.personal));
@@ -186,8 +186,6 @@ uint64_t FleetConfigFingerprint(const FleetConfig& c) {
   f.Mix(c.seed);
   f.MixDouble(c.activity_scale);
   f.MixDouble(c.content_scale);
-  f.Mix(c.with_share ? 1 : 0);
-  f.Mix(c.daily_snapshots ? 1 : 0);
 
   const CacheConfig& cc = c.cache_config;
   f.Mix(cc.capacity_pages);
@@ -197,24 +195,20 @@ uint64_t FleetConfigFingerprint(const FleetConfig& c) {
   f.Mix(static_cast<uint64_t>(cc.sequential_detect_count));
   f.Mix(cc.fuzzy_mask);
   f.Mix(cc.read_ahead_enabled ? 1 : 0);
-  f.Mix(static_cast<uint64_t>(cc.read_ahead_dispatch_delay.ticks()));
   f.Mix(static_cast<uint64_t>(cc.lazy_write_period.ticks()));
   f.MixDouble(cc.lazy_write_fraction);
   f.Mix(cc.max_write_run_bytes);
-  f.Mix(cc.lazy_write_enabled ? 1 : 0);
   f.Mix(static_cast<uint64_t>(cc.read_close_delay_min.ticks()));
   f.Mix(static_cast<uint64_t>(cc.read_close_delay_max.ticks()));
   f.Mix(static_cast<uint64_t>(cc.copy_fixed.ticks()));
   f.MixDouble(cc.copy_ns_per_byte);
 
   const FsOptions& fo = c.fs_options;
-  f.Mix(fo.enforce_share_access ? 1 : 0);
   f.Mix(static_cast<uint64_t>(fo.metadata_cost_per_component.ticks()));
   f.Mix(static_cast<uint64_t>(fo.control_op_cost.ticks()));
   f.Mix(fo.directory_chunk);
 
   const TraceFilterOptions& tf = c.filter_options;
-  f.Mix(tf.record_fastio_failures ? 1 : 0);
   f.Mix(tf.passthrough_fastio ? 1 : 0);
   f.Mix(static_cast<uint64_t>(tf.record_cost.ticks()));
 
@@ -431,11 +425,6 @@ class SpoolingSink final : public TraceSink {
     const uint64_t n = records.size();
     inner_.DeliverShipment(header, std::move(records));
     Progress(n);
-  }
-  void DeliverRecords(std::vector<TraceRecord> records) override {
-    ShipmentHeader header;  // Sequence 0: unsequenced.
-    header.record_count = records.size();
-    DeliverShipment(header, std::move(records));
   }
   void DeliverName(NameRecord name) override {
     if (spool_ != nullptr) {
@@ -1136,8 +1125,6 @@ std::vector<SystemOptions> FleetSystemOptions(const FleetConfig& config) {
       options.cache_config = config.cache_config;
       options.fs_options = config.fs_options;
       options.filter_options = config.filter_options;
-      options.with_share = config.with_share;
-      options.daily_snapshots = config.daily_snapshots;
       options.fault_config = config.fault_config;
       options.shipment_policy = config.shipment_policy;
       all_options.push_back(options);

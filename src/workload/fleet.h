@@ -121,8 +121,6 @@ struct FleetConfig {
   CacheConfig cache_config;
   FsOptions fs_options;
   TraceFilterOptions filter_options;
-  bool with_share = true;
-  bool daily_snapshots = true;
   // Fault schedule applied to every system (each machine gets its own
   // injector stream derived from fault_config.seed + system_id, so results
   // are reproducible per system). Disabled by default.

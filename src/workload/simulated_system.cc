@@ -63,13 +63,11 @@ void SimulatedSystem::BuildStacks() {
   io_->RegisterVolume("C:", devices_.back().get());
 
   const std::string share = "\\\\server\\user" + std::to_string(options_.system_id);
-  if (options_.with_share) {
-    auto share_volume = std::make_unique<Volume>(share, 2ull << 30);
-    remote_fs_ = std::make_unique<RedirectorDriver>(engine_, *cache_, std::move(share_volume),
-                                                    share, NetworkProfile{}, options_.fs_options);
-    devices_.push_back(std::make_unique<DeviceObject>("rdr:" + share, remote_fs_.get()));
-    io_->RegisterVolume(share, devices_.back().get());
-  }
+  auto share_volume = std::make_unique<Volume>(share, 2ull << 30);
+  remote_fs_ = std::make_unique<RedirectorDriver>(engine_, *cache_, std::move(share_volume), share,
+                                                  NetworkProfile{}, options_.fs_options);
+  devices_.push_back(std::make_unique<DeviceObject>("rdr:" + share, remote_fs_.get()));
+  io_->RegisterVolume(share, devices_.back().get());
 
   // Initial content.
   FsImageOptions image_options;
@@ -84,9 +82,7 @@ void SimulatedSystem::BuildStacks() {
   // Keep initial fullness at or below ~72% whatever the content scale
   // produced (the study's volumes were 54-87% full).
   local_fs_->volume().EnsureCapacity(local_fs_->volume().used_bytes() * 25 / 18);
-  if (options_.with_share) {
-    builder.BuildShare(remote_fs_->volume(), share, engine_.Now(), &catalog_);
-  }
+  builder.BuildShare(remote_fs_->volume(), share, engine_.Now(), &catalog_);
 
   // Fault injection (opt-in): each system gets an independent fault stream
   // derived from the fault seed and its id, decoupled from the workload RNG
@@ -104,13 +100,9 @@ void SimulatedSystem::BuildStacks() {
   agent_ = std::make_unique<TraceAgent>(engine_, *io_, sink_, options_.system_id,
                                         options_.filter_options, options_.shipment_policy,
                                         fault_injector_.get());
-  agent_->AttachToVolume("C:", options_.daily_snapshots ? local_fs_.get() : nullptr);
-  if (options_.with_share) {
-    agent_->AttachToVolume(share, nullptr);
-  }
-  if (options_.daily_snapshots) {
-    agent_->ScheduleDailySnapshots();
-  }
+  agent_->AttachToVolume("C:", local_fs_.get());
+  agent_->AttachToVolume(share, nullptr);
+  agent_->ScheduleDailySnapshots();
 
   ctx_ = SystemContext{&engine_, io_.get(), win32_.get(), vm_.get(),
                        &processes_, &catalog_, options_.system_id};
@@ -237,9 +229,7 @@ SystemRunStats SimulatedSystem::Run() {
   stats.cache = cache_->stats();
   stats.vm = vm_->stats();
   stats.local_fs = local_fs_->stats();
-  if (remote_fs_ != nullptr) {
-    stats.remote_fs = remote_fs_->stats();
-  }
+  stats.remote_fs = remote_fs_->stats();
   stats.fastio_read_attempts = io_->fastio_read_attempts();
   stats.fastio_read_hits = io_->fastio_read_hits();
   stats.fastio_write_attempts = io_->fastio_write_attempts();

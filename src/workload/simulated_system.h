@@ -53,8 +53,6 @@ struct SystemOptions {
   CacheConfig cache_config;  // capacity_pages of 0 selects per-category default.
   FsOptions fs_options;
   TraceFilterOptions filter_options;
-  bool with_share = true;
-  bool daily_snapshots = true;
   // Fault schedule (strictly opt-in; a disabled config is byte-identical to
   // no fault layer at all) and the shipment link's retry/shedding policy.
   FaultConfig fault_config;

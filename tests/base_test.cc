@@ -152,17 +152,6 @@ TEST(Rng, GaussianMoments) {
   EXPECT_NEAR(sum2 / n, 1.0, 0.03);
 }
 
-TEST(Rng, WeightedIndexRespectsWeights) {
-  Rng rng(7);
-  const std::vector<double> weights = {1.0, 0.0, 3.0};
-  int counts[3] = {0, 0, 0};
-  for (int i = 0; i < 40000; ++i) {
-    ++counts[rng.WeightedIndex(weights)];
-  }
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.25);
-}
-
 TEST(Rng, ForkProducesIndependentStream) {
   Rng parent(9);
   Rng child = parent.Fork();

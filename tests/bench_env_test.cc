@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "bench/bench_common.h"
 
@@ -91,6 +92,24 @@ TEST_F(BenchEnvTest, IntParsesAndBoundsChecks) {
   EXPECT_EQ(EnvInt(kVar, 3, 1, 1000), 3);
   Set("2OO");  // Letter O, not zero: strtoull would have said 2.
   EXPECT_EQ(EnvInt(kVar, 3, 1, 1000), 3);
+}
+
+// NTRACE_DAYS is a whole number of days: a fraction is not truncated and a
+// non-positive count does not run a study of no days.
+TEST_F(BenchEnvTest, DaysRejectsFractionsAndNonPositiveCounts) {
+  for (const char* bad : {"1.9", "-1", "0"}) {
+    setenv("NTRACE_DAYS", bad, /*overwrite=*/1);
+    testing::internal::CaptureStderr();
+    const int days = StandardConfig().fleet.days;
+    const std::string warning = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(days, 1) << bad;
+    EXPECT_NE(warning.find("NTRACE_DAYS"), std::string::npos) << bad;
+  }
+  setenv("NTRACE_DAYS", "28", /*overwrite=*/1);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(StandardConfig().fleet.days, 28);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+  unsetenv("NTRACE_DAYS");
 }
 
 }  // namespace

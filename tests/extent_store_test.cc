@@ -116,7 +116,7 @@ TEST(ExtentStore, RoundTripRowsNamesAndProcesses) {
   writer.Close();
 
   const ColumnarTraceSet store = ColumnarTraceSet::FromFile(path);
-  EXPECT_TRUE(store.disk_backed());
+  EXPECT_EQ(store.spill_path(), path);
   EXPECT_EQ(store.record_count(), records.size());
   EXPECT_TRUE(store.read_stats().sealed);
   EXPECT_EQ(store.read_stats().frames_damaged, 0u);
@@ -170,16 +170,17 @@ TEST(ExtentStore, FromRowsToRowsIsExact) {
   rows.names.push_back(name);
   rows.process_names.emplace(40, "explorer.exe");
 
-  const ColumnarTraceSet columnar = ColumnarTraceSet::FromRows(rows, 100);
-  EXPECT_FALSE(columnar.disk_backed());
+  const std::string path = ScratchPath("extent_from_rows.ntx");
+  const ColumnarTraceSet columnar = WriteColumnarStore(rows, path, 100);
   EXPECT_EQ(columnar.record_count(), rows.records.size());
-  EXPECT_EQ(columnar.extents().size(), 8u);  // ceil(777 / 100).
+  EXPECT_EQ(columnar.read_stats().extents_recovered, 8u);  // ceil(777 / 100).
 
   const TraceSet back = columnar.ToRows();
   ExpectRecordsEqual(back.records, rows.records);
   ASSERT_EQ(back.names.size(), 1u);
   EXPECT_EQ(back.names[0].path, "C:\\users\\doc.txt");
   EXPECT_EQ(back.process_names.at(40), "explorer.exe");
+  std::remove(path.c_str());
 }
 
 // Pins the v1 on-disk format byte for byte: the 24-byte file header, one
@@ -706,6 +707,63 @@ TEST(ExtentSalvage, DamagedExtentUnderIntactHeaderCountsKnownLoss) {
   EXPECT_EQ(stats.frames_damaged, 1u);
   EXPECT_EQ(stats.records_lost_known, g.extent_counts[1]);
   std::remove(path.c_str());
+}
+
+// A frame whose CRCs pass but whose payload does not decode was written by
+// a broken writer: the reader rejects it as damage and stops after the
+// extents before it, though intact frames follow.
+TEST(ExtentSalvage, UndecodableExtentUnderValidCrcsIsRejected) {
+  const std::string build_path = ScratchPath("extent_reject_src.ntx");
+  const GoldenStore g = BuildStore(build_path);
+  const std::string path = ScratchPath("extent_reject.ntx");
+  {
+    MetricsRegistry& registry = MetricsRegistry::Global();
+    Counter& bytes = registry.GetCounter("ntrace_extent_test_reject_bytes_total", "Test bytes");
+    FrameFileWriter file;
+    ASSERT_TRUE(file.Open(path, {kExtentStoreMagic, kExtentStoreVersion, 8, 0xBEEF}, &bytes));
+    size_t begin = kExtentStoreHeaderSize;
+    for (size_t i = 0; i < g.frame_ends.size(); ++i) {
+      SpoolFrameView view;
+      size_t consumed = 0;
+      const SpoolFrameStatus status =
+          SpoolParseFrame(g.bytes.data() + begin, g.bytes.size() - begin, &view, &consumed);
+      ASSERT_EQ(status, SpoolFrameStatus::kOk);
+      std::vector<uint8_t> payload(view.payload, view.payload + view.payload_size);
+      if (i == 1) {
+        // The second extent's first column: u32 record count and four i64
+        // tick bounds, then u8 encoding | u32 encoded_bytes. Its length now
+        // runs past the payload.
+        const size_t length_at = sizeof(uint32_t) + 4 * sizeof(int64_t) + 1;
+        const uint32_t past_end = static_cast<uint32_t>(payload.size());
+        std::memcpy(payload.data() + length_at, &past_end, sizeof(past_end));
+      }
+      ASSERT_TRUE(file.Append(view.type, payload.data(), payload.size(), nullptr, 0, false));
+      begin = g.frame_ends[i];
+    }
+    file.Close();
+  }
+  ASSERT_EQ(ReadFileBytes(path).size(), g.bytes.size());
+  const auto first_end = g.records.begin() + static_cast<ptrdiff_t>(g.extent_counts[0]);
+  const std::vector<TraceRecord> first_extent(g.records.begin(), first_end);
+
+  ExtentReadStats stats;
+  const std::vector<TraceRecord> rows = RecoveredRows(path, &stats);
+  ASSERT_TRUE(stats.header_valid);
+  EXPECT_FALSE(stats.sealed);
+  EXPECT_EQ(stats.frames_valid, 1u);
+  EXPECT_EQ(stats.frames_damaged, 1u);
+  EXPECT_EQ(stats.bytes_discarded, g.bytes.size() - g.frame_ends[0]);
+  EXPECT_EQ(stats.extents_recovered, 1u);
+  ExpectRecordsEqual(rows, first_extent);
+
+  const ColumnarTraceSet store = ColumnarTraceSet::FromFile(path);
+  EXPECT_EQ(store.record_count(), first_extent.size());
+  EXPECT_EQ(store.read_stats().frames_valid, 1u);
+  EXPECT_EQ(store.read_stats().frames_damaged, 1u);
+  EXPECT_EQ(store.read_stats().bytes_discarded, g.bytes.size() - g.frame_ends[0]);
+  ExpectRecordsEqual(store.ToRows().records, first_extent);
+  std::remove(path.c_str());
+  std::remove(build_path.c_str());
 }
 
 TEST(ExtentSalvage, MissingAndEmptyFiles) {

@@ -199,7 +199,6 @@ TEST(ProcessTable, PidsAreMultiplesOfFourAndUnique) {
 TEST(Driver, ForwardingWithoutLowerDeviceFailsIrp) {
   class NullDriver final : public Driver {
    public:
-    std::string_view Name() const override { return "null"; }
     NtStatus DispatchIrp(DeviceObject* device, Irp& irp) override {
       return ForwardIrp(device, irp);
     }

@@ -215,32 +215,5 @@ TEST(PolicySweep, FleetWithoutSystemsStillReportsEveryPoint) {
   EXPECT_EQ(report.rows.back().knob, "fastio");
 }
 
-TEST(PolicySweep, ClosedLoopAndThinkScaledRegenerateEveryOperation) {
-  const FleetConfig config = SweepConfig();
-  const FleetResult fleet = RunFleet(config);
-  TraceReplayer replayer(config);
-
-  uint64_t recorded_creates = 0;
-  for (const TraceRecord& r : fleet.trace.records) {
-    recorded_creates += r.Event() == TraceEvent::kIrpCreate;
-  }
-  ASSERT_GT(recorded_creates, 0u);
-
-  for (ReplayMode mode : {ReplayMode::kClosedLoop, ReplayMode::kThinkScaled}) {
-    ReplayOptions options;
-    options.mode = mode;
-    options.think_scale = 0.5;
-    const FleetReplayResult replay = replayer.Replay(fleet.trace, options, 2);
-    uint64_t replayed_creates = 0;
-    for (const TraceRecord& r : replay.trace.records) {
-      replayed_creates += r.Event() == TraceEvent::kIrpCreate;
-    }
-    // Timing-compressed modes change timestamps and cache outcomes, never
-    // the set of application operations driven through the stack.
-    EXPECT_EQ(replayed_creates, recorded_creates) << ReplayModeName(mode);
-    EXPECT_GT(replay.records_in, 0u);
-  }
-}
-
 }  // namespace
 }  // namespace ntrace

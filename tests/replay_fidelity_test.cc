@@ -186,12 +186,14 @@ TEST(ReplayFidelity, FaultedRecordingReplaysExactly) {
 
 TEST(ReplayFidelity, ColumnarInputReplaysExactly) {
   const FleetResult fleet = RunFleet(SmallConfig());
-  ColumnarTraceSet columnar = ColumnarTraceSet::FromRows(fleet.trace);
+  const std::string path = ScratchPath("replay_fidelity_columnar.ntx");
+  const ColumnarTraceSet columnar = WriteColumnarStore(fleet.trace, path);
   TraceReplayer replayer(SmallConfig());
   const FleetReplayResult replay = replayer.Replay(columnar, ReplayOptions{}, 2);
   const FidelityReport report = CheckFidelity(fleet.trace, replay.trace);
   EXPECT_TRUE(report.exact()) << report.detail;
   EXPECT_EQ(replay.divergence.total(), 0u);
+  std::remove(path.c_str());
 }
 
 TEST(ReplayFidelity, ReplayOutputSerializesIdentically) {

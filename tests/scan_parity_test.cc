@@ -126,10 +126,11 @@ TEST(ScanParity, BatchEqualsRowsOnSeededFleets) {
     const FleetResult result = RunFleet(SmallConfig(seed));
     ASSERT_GT(result.trace.records.size(), 1000u) << "seed=" << seed;
     const TraceScan oracle = TraceScan::Run(result.trace);
-    ExpectScanEqual(TraceScan::Run(ColumnarTraceSet::FromRows(result.trace)), oracle);
-    // A resident columnar transpose with small extents (many batch seams).
-    ExpectScanEqual(
-        TraceScan::Run(ColumnarTraceSet::FromRows(result.trace, 1024)), oracle);
+    const std::string path = ScratchPath("scan_parity_seeded.ntx");
+    ExpectScanEqual(TraceScan::Run(WriteColumnarStore(result.trace, path)), oracle);
+    // Small extents (many batch seams).
+    ExpectScanEqual(TraceScan::Run(WriteColumnarStore(result.trace, path, 1024)), oracle);
+    std::remove(path.c_str());
   }
 }
 
@@ -137,7 +138,9 @@ TEST(ScanParity, BatchEqualsRowsOnFaultInjectedFleet) {
   const FleetResult result = RunFleet(FaultyConfig(7));
   ASSERT_GT(result.trace.records.size(), 100u);
   const TraceScan oracle = TraceScan::Run(result.trace);
-  ExpectScanEqual(TraceScan::Run(ColumnarTraceSet::FromRows(result.trace)), oracle);
+  const std::string path = ScratchPath("scan_parity_faulted.ntx");
+  ExpectScanEqual(TraceScan::Run(WriteColumnarStore(result.trace, path)), oracle);
+  std::remove(path.c_str());
 }
 
 // The out-of-core fleet mode: per-system extent spill + k-way extent merge,
@@ -203,7 +206,7 @@ TEST(ScanParity, CompressedStoreScanMatchesUncompressedStore) {
 
     const ColumnarTraceSet compressed = ColumnarTraceSet::FromFile(cpath);
     const ColumnarTraceSet uncompressed = ColumnarTraceSet::FromFile(rpath);
-    ASSERT_TRUE(compressed.disk_backed());
+    ASSERT_EQ(compressed.spill_path(), cpath);
     EXPECT_EQ(compressed.record_count(), row_result.trace.records.size());
     EXPECT_EQ(compressed.read_stats().frames_damaged, 0u);
 
@@ -281,10 +284,12 @@ TEST(ScanParity, RandomizedAdversarialRecords) {
   }
 
   const TraceScan oracle = TraceScan::Run(trace);
-  ExpectScanEqual(TraceScan::Run(ColumnarTraceSet::FromRows(trace)), oracle);
+  const std::string path = ScratchPath("scan_parity_random.ntx");
+  ExpectScanEqual(TraceScan::Run(WriteColumnarStore(trace, path)), oracle);
   // Batch-boundary independence: a 333-record extent chops every run chain
   // and tally differently from one big batch; results must not move.
-  ExpectScanEqual(TraceScan::Run(ColumnarTraceSet::FromRows(trace, 333)), oracle);
+  ExpectScanEqual(TraceScan::Run(WriteColumnarStore(trace, path, 333)), oracle);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -89,18 +89,6 @@ TEST(ShareAccess, DeleteWhileOpenWithoutShareDeleteFails) {
   sys.io->CloseHandle(*deleter.file);
 }
 
-TEST(ShareAccess, EnforcementCanBeDisabled) {
-  FsOptions options;
-  options.enforce_share_access = false;
-  TestSystem sys(CacheConfig{}, options);
-  CreateResult owner = Open(sys, "C:\\any.dat", kAccessReadData | kAccessWriteData, 0);
-  CreateResult intruder = Open(sys, "C:\\any.dat", kAccessWriteData, 0);
-  EXPECT_EQ(owner.status, NtStatus::kSuccess);
-  EXPECT_EQ(intruder.status, NtStatus::kSuccess);
-  sys.io->CloseHandle(*owner.file);
-  sys.io->CloseHandle(*intruder.file);
-}
-
 TEST(ByteRangeLocks, ConflictingLockRefused) {
   TestSystem sys;
   CreateResult a = Open(sys, "C:\\db.mdb", kAccessReadData | kAccessWriteData,

@@ -637,6 +637,48 @@ TEST(SpoolSalvage, DamagedPayloadUnderIntactHeaderCountsKnownLoss) {
   std::remove(path.c_str());
 }
 
+// A frame whose CRCs pass but whose payload does not decode was written by
+// a broken writer: the reader rejects it as damage, keeps the frames before
+// it and discards it with everything after it.
+TEST(SpoolSalvage, UndecodableShipmentUnderValidCrcsIsRejected) {
+  const std::string path = ScratchPath("spool_reject.ntspool");
+  const std::vector<TraceRecord> first = MakeRecords(6, 0, 3);
+  const std::vector<TraceRecord> second = MakeRecords(6, 3, 2);
+  {
+    MetricsRegistry& registry = MetricsRegistry::Global();
+    Counter& bytes = registry.GetCounter("ntrace_spool_test_reject_bytes_total", "Test bytes");
+    FrameFileWriter file;
+    ASSERT_TRUE(file.Open(path, {kSpoolMagic, kSpoolVersion, 6, 0x66}, &bytes));
+    const auto type = static_cast<uint16_t>(SpoolFrameType::kShipment);
+    std::vector<uint8_t> head;
+    SpoolEncodeShipmentHead(&head, {6, 1, 1, first.size()});
+    const size_t first_bytes = first.size() * sizeof(TraceRecord);
+    ASSERT_TRUE(file.Append(type, head.data(), head.size(), first.data(), first_bytes, false));
+    // The second shipment claims one record more than its payload holds.
+    head.clear();
+    SpoolEncodeShipmentHead(&head, {6, 2, 1, second.size() + 1});
+    const size_t second_bytes = second.size() * sizeof(TraceRecord);
+    ASSERT_TRUE(file.Append(type, head.data(), head.size(), second.data(), second_bytes, false));
+    file.Close();
+  }
+  const std::vector<uint8_t> bytes = ReadFileBytes(path);
+  const std::vector<WalkedFrame> frames = WalkFrames(bytes);
+  ASSERT_EQ(frames.size(), 2u);  // Both frames parse: their CRCs are valid.
+
+  CollectionServer server;
+  const SpoolReadResult r = SpoolReader::Read(path, &server);
+  ASSERT_TRUE(r.header_valid);
+  EXPECT_FALSE(r.sealed);
+  EXPECT_EQ(r.frames_valid, 1u);
+  EXPECT_EQ(r.frames_damaged, 1u);
+  EXPECT_EQ(r.bytes_discarded, bytes.size() - frames[0].end);
+  EXPECT_EQ(r.records_recovered, first.size());
+  const std::vector<TraceRecord>& got = server.set().records;
+  ASSERT_EQ(got.size(), first.size());
+  EXPECT_EQ(std::memcmp(got.data(), first.data(), got.size() * sizeof(TraceRecord)), 0);
+  std::remove(path.c_str());
+}
+
 TEST(SpoolSalvage, GarbageAfterSealIsDiscarded) {
   const std::string path = ScratchPath("spool_tail.ntspool");
   SpoolWriter writer;

@@ -21,6 +21,7 @@
 #include "src/ntio/io_manager.h"
 #include "src/sim/engine.h"
 #include "src/trace/collection_server.h"
+#include "src/trace/extent_store.h"
 #include "src/trace/trace_agent.h"
 
 namespace ntrace {
@@ -70,6 +71,25 @@ inline std::vector<uint8_t> SerializedBytes(const TraceSet& trace, const std::st
   std::vector<uint8_t> bytes = ReadFileBytes(path);
   std::remove(path.c_str());
   return bytes;
+}
+
+// Writes `trace` to a columnar store at `path` in extents of
+// `extent_records` records and opens it: the columnar form of a row trace.
+// The caller removes `path`.
+inline ColumnarTraceSet WriteColumnarStore(const TraceSet& trace, const std::string& path,
+                                           uint32_t extent_records = kDefaultExtentRecords) {
+  ExtentStoreWriter writer;
+  EXPECT_TRUE(writer.Open(path, extent_records, /*config_fingerprint=*/0)) << path;
+  EXPECT_TRUE(writer.AppendRecords(trace.records.data(), trace.records.size())) << path;
+  for (const NameRecord& n : trace.names) {
+    writer.AddName(n);
+  }
+  for (const auto& [pid, name] : trace.process_names) {
+    writer.AddProcessName(pid, name);
+  }
+  EXPECT_TRUE(writer.Seal()) << path;
+  writer.Close();
+  return ColumnarTraceSet::FromFile(path);
 }
 
 // One traced machine with a "C:" volume. Members are public on purpose:

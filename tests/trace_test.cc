@@ -62,7 +62,7 @@ TEST(TraceRecordSemantics, EventNames) {
 
 class CountingSink final : public TraceSink {
  public:
-  void DeliverRecords(std::vector<TraceRecord> records) override {
+  void DeliverShipment(const ShipmentHeader&, std::vector<TraceRecord> records) override {
     delivered += records.size();
     ++deliveries;
   }
