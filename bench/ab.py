@@ -3,6 +3,7 @@
 
 Usage:
     python3 bench/ab.py BASE CHANGE --workload W [--pairs 10] [--seed S] [--seconds 10]
+                        [--out FILE]
     python3 bench/ab.py --selftest
 
 BASE and CHANGE are checkout roots. Each pair runs `ntbench/run.py --trace 0`
@@ -20,15 +21,27 @@ resampling seed), and one verdict:
   worse     the change's median is worse than the base's by more than the
             metric's bound
   no claim  anything else
-BENCHMARK.json gives each metric's direction and bound; nothing is written.
+BENCHMARK.json gives each metric's direction and bound.
 
---selftest checks the statistics on canned pairs.
+--out FILE also writes the comparison as a JSON record: each tree's id (a
+SHA-256 over the sources ntbench builds, src/ and ntbench/, so the same
+commit gives the same id in any checkout), the workload, seed, seconds and
+pairs, ntbench's hardware_concurrency, and per metric both sides' quartiles
+and per-pair values, the pairs won, the median ratio with its interval and
+the verdict. A change commits its record at the repository root as
+BENCH_<name>.json.
+
+--selftest checks the statistics on canned pairs and the shape of every
+BENCH_*.json at the repository root.
 """
 
 import argparse
+import glob
+import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -80,9 +93,22 @@ def compare(base, change, better, bound):
         "wins": wins,
         "pairs": len(base),
         "ratio": median(ratios),
-        "interval": bootstrap_interval(ratios),
+        "interval": list(bootstrap_interval(ratios)),
         "verdict": verdict,
     }
+
+
+def tree_id(tree):
+    """SHA-256 over the relative path and bytes of every file under src/ and ntbench/."""
+    digest = hashlib.sha256()
+    files = []
+    for top in ("src", "ntbench"):
+        for root, _, names in os.walk(os.path.join(tree, top)):
+            files += [os.path.join(root, n) for n in names]
+    for path in sorted(os.path.relpath(f, tree).replace(os.sep, "/") for f in files):
+        with open(os.path.join(tree, path), "rb") as f:
+            digest.update(path.encode() + b"\0" + hashlib.sha256(f.read()).digest())
+    return digest.hexdigest()
 
 
 def run_once(tree, args):
@@ -103,6 +129,8 @@ def run_once(tree, args):
     elif result.get("failed", 1) > 0:
         why = "%s failed operations" % result.get("failed")
     else:
+        found = re.search(r"^# nproc=\S+ hardware_concurrency=(\d+)", proc.stdout, re.M)
+        result["hardware_concurrency"] = int(found.group(1)) if found else None
         return result
     sys.stderr.write(proc.stderr[-4000:])
     print("ab: %s: %s" % (tree, why), file=sys.stderr)
@@ -113,15 +141,26 @@ def fmt(v):
     return "%.4g" % v
 
 
-def report(metrics, runs):
+def summarize(metrics, runs):
+    """compare() per metric, with both sides' per-pair values."""
+    out = {}
+    for m in metrics:
+        name = m["name"]
+        base = [r[0]["metrics"][name]["value"] for r in runs]
+        change = [r[1]["metrics"][name]["value"] for r in runs]
+        out[name] = dict(compare(base, change, m["better"], m["bound"]), unit=m["unit"],
+                         better=m["better"], bound=m["bound"], base_values=base,
+                         change_values=change)
+    return out
+
+
+def report(metrics, stats):
     header = ["metric", "better", "base q1/med/q3", "change q1/med/q3", "won",
               "ratio [95% CI]", "bound", "verdict"]
     rows = []
     for m in metrics:
         name = m["name"]
-        base = [r[0]["metrics"][name]["value"] for r in runs]
-        change = [r[1]["metrics"][name]["value"] for r in runs]
-        s = compare(base, change, m["better"], m["bound"])
+        s = stats[name]
         rows.append([
             "%s (%s)" % (name, m["unit"]), m["better"],
             "/".join(fmt(v) for v in s["base"]), "/".join(fmt(v) for v in s["change"]),
@@ -141,6 +180,7 @@ def main(argv):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=int, default=10)
+    parser.add_argument("--out")
     parser.add_argument("--selftest", action="store_true")
     args = parser.parse_args(argv)
     if args.selftest:
@@ -166,8 +206,61 @@ def main(argv):
             "; ".join("%s %s -> %s" % (m["name"], fmt(pair[0]["metrics"][m["name"]]["value"]),
                                        fmt(pair[1]["metrics"][m["name"]]["value"]))
                       for m in metrics)), flush=True)
-    report(metrics, runs)
+    stats = summarize(metrics, runs)
+    report(metrics, stats)
+    if args.out:
+        record = {
+            "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+            "pairs": args.pairs, "hardware_concurrency": runs[0][0]["hardware_concurrency"],
+            "base": {"tree": tree_id(trees[0])}, "change": {"tree": tree_id(trees[1])},
+            "metrics": stats,
+        }
+        with open(args.out, "w") as f:
+            json.dump(record, f, indent=1, sort_keys=True)
+            f.write("\n")
     return 0
+
+
+def record_problems(record):
+    """What is wrong with the shape of one --out record; empty when nothing is."""
+    problems = []
+
+    def need(ok, what):
+        if not ok:
+            problems.append(what)
+
+    def numbers(v, n):
+        return (isinstance(v, list) and len(v) == n and
+                all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v))
+
+    need(isinstance(record, dict), "not an object")
+    if problems:
+        return problems
+    need(isinstance(record.get("workload"), str), "workload")
+    for key in ("seed", "seconds", "pairs", "hardware_concurrency"):
+        need(isinstance(record.get(key), int) and record[key] >= 0, key)
+    pairs = record.get("pairs")
+    for side in ("base", "change"):
+        tree = record.get(side, {}).get("tree") if isinstance(record.get(side), dict) else None
+        need(isinstance(tree, str) and re.fullmatch(r"[0-9a-f]{64}", tree) is not None,
+             side + ".tree")
+    metrics = record.get("metrics")
+    need(isinstance(metrics, dict) and metrics, "metrics")
+    for name, m in (metrics.items() if isinstance(metrics, dict) else []):
+        if not isinstance(m, dict):
+            problems.append(name)
+            continue
+        need(m.get("better") in ("higher", "lower"), name + ".better")
+        need(isinstance(m.get("unit"), str), name + ".unit")
+        need(numbers([m.get("bound")], 1), name + ".bound")
+        need(numbers(m.get("base"), 3) and numbers(m.get("change"), 3), name + " quartiles")
+        need(numbers(m.get("base_values"), pairs) and numbers(m.get("change_values"), pairs),
+             name + " per-pair values")
+        need(isinstance(m.get("wins"), int) and m.get("pairs") == pairs and
+             0 <= m["wins"] <= pairs, name + ".wins")
+        need(numbers([m.get("ratio")], 1) and numbers(m.get("interval"), 2), name + ".ratio")
+        need(m.get("verdict") in ("gain", "worse", "no claim"), name + ".verdict")
+    return problems
 
 
 def selftest():
@@ -202,6 +295,21 @@ def selftest():
     check(s["verdict"] == "gain", "throughput gain: %r" % s)
     s = compare(base, [1.3 * b for b in base], "lower", 0.25)
     check(s["verdict"] == "worse", "cost rise past the bound: %r" % s)
+    # The record shape --out writes, and every committed one.
+    metric = {"name": "m", "unit": "s", "better": "lower", "bound": 0.25}
+    runs = [[{"metrics": {"m": {"value": b}}}, {"metrics": {"m": {"value": 0.8 * b}}}]
+            for b in base]
+    record = {"workload": "w", "seed": 1, "seconds": 10, "pairs": len(base),
+              "hardware_concurrency": 4, "base": {"tree": "0" * 64},
+              "change": {"tree": "f" * 64}, "metrics": summarize([metric], runs)}
+    check(record_problems(json.loads(json.dumps(record))) == [], "record shape")
+    record["metrics"]["m"]["wins"] = len(base) + 1
+    check(record_problems(record) == ["m.wins"], "a bad record passes")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    for path in sorted(glob.glob(os.path.join(root, "BENCH_*.json"))):
+        with open(path) as f:
+            problems = record_problems(json.load(f))
+        check(not problems, "%s: %s" % (os.path.basename(path), ", ".join(problems)))
     print("ab selftest: ok")
     return 0
 

@@ -564,7 +564,8 @@ void CollectionService::HandleFrame(Shard* shard, Connection* conn, const SpoolF
       if (s->expected_seq >= bye.frames_sent) {
         if (!s->sealed) {
           s->sealed = true;
-          // Sort on the shard thread so the merge only k-way merges.
+          // Sort on the shard thread, so the fleet's drain finds the
+          // stream sorted.
           s->server.Finish();
           if (s->spool.ok()) {
             s->spool.Seal(s->server.set().records.size());

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <queue>
 #include <utility>
 
 #include "src/metrics/metrics.h"
@@ -395,38 +394,6 @@ void ColumnarExtent::AppendRow(const TraceRecord& r) {
 #undef NTRACE_X
 }
 
-void ColumnarExtent::AppendRange(const ColumnarExtent& src, size_t begin, size_t end) {
-  if (begin >= end) {
-    return;
-  }
-  const bool was_empty = empty();
-#define NTRACE_X(name, type) \
-  name.insert(name.end(), src.name.begin() + begin, src.name.begin() + end);
-  NTRACE_EXTENT_COLUMNS(NTRACE_X)
-#undef NTRACE_X
-  int64_t mn_s = src.start_ticks[begin];
-  int64_t mx_s = mn_s;
-  int64_t mn_c = src.complete_ticks[begin];
-  int64_t mx_c = mn_c;
-  for (size_t i = begin + 1; i < end; ++i) {
-    mn_s = std::min(mn_s, src.start_ticks[i]);
-    mx_s = std::max(mx_s, src.start_ticks[i]);
-    mn_c = std::min(mn_c, src.complete_ticks[i]);
-    mx_c = std::max(mx_c, src.complete_ticks[i]);
-  }
-  if (was_empty) {
-    min_start_ticks = mn_s;
-    max_start_ticks = mx_s;
-    min_complete_ticks = mn_c;
-    max_complete_ticks = mx_c;
-  } else {
-    min_start_ticks = std::min(min_start_ticks, mn_s);
-    max_start_ticks = std::max(max_start_ticks, mx_s);
-    min_complete_ticks = std::min(min_complete_ticks, mn_c);
-    max_complete_ticks = std::max(max_complete_ticks, mx_c);
-  }
-}
-
 TraceRecord ColumnarExtent::RowAt(size_t i) const {
   TraceRecord r;
 #define NTRACE_X(name, type) r.name = name[i];
@@ -471,7 +438,6 @@ bool ExtentStoreWriter::Open(const std::string& path, uint32_t extent_records,
 }
 
 bool ExtentStoreWriter::WriteFrame(ExtentFrameType type) {
-  // The payload rides as the tail: a full extent is never staged.
   return file_.Append(static_cast<uint16_t>(type), nullptr, 0, payload_.data(), payload_.size(),
                       /*checkpoint=*/type == ExtentFrameType::kSeal);
 }
@@ -489,16 +455,28 @@ bool ExtentStoreWriter::FlushExtent() {
 #define NTRACE_X(name, type) PutColumn<type>(&payload_, pending_.name, compress_);
   NTRACE_EXTENT_COLUMNS(NTRACE_X)
 #undef NTRACE_X
-  if (!WriteFrame(ExtentFrameType::kExtent)) {
+  const auto records = static_cast<uint32_t>(pending_.size());
+  pending_.Clear();
+  return WriteExtent(payload_.data(), payload_.size(), records);
+}
+
+bool ExtentStoreWriter::WriteExtent(const uint8_t* payload, size_t size, uint32_t records) {
+  // The payload rides as the tail: a full extent is never staged.
+  if (!file_.Append(static_cast<uint16_t>(ExtentFrameType::kExtent), nullptr, 0, payload, size,
+                    /*checkpoint=*/false)) {
     return false;
   }
   ExtentMetrics& m = ExtentMetrics::Get();
   m.extents_written.Inc();
-  m.records_written.Inc(pending_.size());
-  records_written_ += pending_.size();
+  m.records_written.Inc(records);
+  records_written_ += records;
   ++extents_written_;
-  pending_.Clear();
   return true;
+}
+
+bool ExtentStoreWriter::AppendEncodedExtent(const uint8_t* payload, size_t size,
+                                            uint32_t records) {
+  return FlushExtent() && WriteExtent(payload, size, records);
 }
 
 bool ExtentStoreWriter::AppendRecord(const TraceRecord& r) {
@@ -509,19 +487,6 @@ bool ExtentStoreWriter::AppendRecord(const TraceRecord& r) {
 bool ExtentStoreWriter::AppendRecords(const TraceRecord* rows, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     if (!AppendRecord(rows[i])) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool ExtentStoreWriter::AppendRange(const ColumnarExtent& src, size_t begin, size_t end) {
-  while (begin < end) {
-    const size_t room = extent_records_ - pending_.size();
-    const size_t take = std::min(room, end - begin);
-    pending_.AppendRange(src, begin, begin + take);
-    begin += take;
-    if (pending_.size() >= extent_records_ && !FlushExtent()) {
       return false;
     }
   }
@@ -753,7 +718,8 @@ bool ExtentStreamReader::DecodeTail(const SpoolFrameView& view) {
   }
 }
 
-bool ExtentStreamReader::NextExtent(ColumnarExtent* out, uint32_t column_mask) {
+bool ExtentStreamReader::NextExtent(ColumnarExtent* out, uint32_t column_mask,
+                                    SpoolFrameView* frame) {
   // The event column carries the extent's row count for every consumer
   // (ColumnarExtent::size() is event.size()); no projection drops it.
   const uint32_t mask = column_mask | (1u << kExtentCol_event);
@@ -768,6 +734,9 @@ bool ExtentStreamReader::NextExtent(ColumnarExtent* out, uint32_t column_mask) {
     } else if (type == ExtentFrameType::kSeal) {
       file_.Seal();
     }
+  }
+  if (got_extent && frame != nullptr) {
+    *frame = view;
   }
   const bool was_damaged = stats_.frames_damaged > 0;
   static_cast<FrameSalvage&>(stats_) = file_.salvage();
@@ -837,96 +806,22 @@ TraceSet ColumnarTraceSet::ToRows() const {
 // Extent-stream merge
 // ---------------------------------------------------------------------------
 
-namespace {
-
-// One input of the k-way merge: a streaming reader plus its buffered extent.
-struct MergeInput {
-  ExtentStreamReader reader;
-  ColumnarExtent extent;
-  size_t pos = 0;
-
-  bool Refill() {
-    pos = 0;
-    while (reader.NextExtent(&extent)) {
-      if (!extent.empty()) {
-        return true;
-      }
-    }
-    return false;
-  }
-  int64_t HeadTicks() const { return extent.complete_ticks[pos]; }
-};
-
-}  // namespace
-
 ExtentMergeResult MergeExtentStreams(const std::vector<std::string>& inputs,
                                      ExtentStoreWriter* writer) {
   ExtentMergeResult result;
-  std::vector<std::unique_ptr<MergeInput>> streams;
-  streams.reserve(inputs.size());
+  ColumnarExtent spine;
+  SpoolFrameView frame;
   for (const std::string& path : inputs) {
-    auto in = std::make_unique<MergeInput>();
-    in->reader.Open(path);
-    streams.push_back(std::move(in));
-  }
-
-  // Min-heap keyed (completion ticks, input index): identical pop order to
-  // TraceSet::MergeSortedRuns, so the merged stream is byte-identical to
-  // the row merge of the same inputs.
-  using HeapEntry = std::pair<int64_t, size_t>;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<HeapEntry>> heap;
-  for (size_t r = 0; r < streams.size(); ++r) {
-    if (streams[r]->Refill()) {
-      heap.emplace(streams[r]->HeadTicks(), r);
+    ExtentStreamReader reader;
+    reader.Open(path);
+    while (reader.NextExtent(&spine, 1u << kExtentCol_event, &frame)) {
+      writer->AppendEncodedExtent(frame.payload, frame.payload_size,
+                                  static_cast<uint32_t>(spine.size()));
+      result.records += spine.size();
     }
-  }
-
-  while (!heap.empty()) {
-    const size_t r = heap.top().second;
-    heap.pop();
-    MergeInput& in = *streams[r];
-    // Gallop: emit input r's whole leading segment that stays ahead of the
-    // best other input, crossing extent boundaries as needed, with one bulk
-    // column copy per (segment x extent) intersection.
-    bool exhausted = false;
-    if (heap.empty()) {
-      do {
-        writer->AppendRange(in.extent, in.pos, in.extent.size());
-        result.records += in.extent.size() - in.pos;
-      } while (in.Refill());
-      exhausted = true;
-    } else {
-      const HeapEntry contender = heap.top();
-      while (true) {
-        size_t end = in.pos;
-        const size_t n = in.extent.size();
-        while (end < n && HeapEntry(in.extent.complete_ticks[end], r) < contender) {
-          ++end;
-        }
-        writer->AppendRange(in.extent, in.pos, end);
-        result.records += end - in.pos;
-        in.pos = end;
-        if (end < n) {
-          break;  // Stopped by the contender; in.pos is the new head.
-        }
-        if (!in.Refill()) {
-          exhausted = true;
-          break;
-        }
-        if (!(HeapEntry(in.HeadTicks(), r) < contender)) {
-          break;  // New extent's head loses to the contender.
-        }
-      }
-    }
-    if (!exhausted) {
-      heap.emplace(in.HeadTicks(), r);
-    }
-  }
-
-  for (const auto& in : streams) {
-    if (in->reader.stats().frames_damaged > 0) {
+    if (reader.stats().frames_damaged > 0) {
       ++result.inputs_damaged;
-      result.records_lost_known += in->reader.stats().records_lost_known;
+      result.records_lost_known += reader.stats().records_lost_known;
     }
   }
   return result;

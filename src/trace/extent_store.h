@@ -51,7 +51,10 @@
 // Extent frames stream out as records arrive; the dictionary, name and
 // process tables follow at Seal() time (names are consulted per lookup, not
 // per record, so they ride at the tail where a partial write costs lookups
-// but never scanned records).
+// but never scanned records). An encoded extent frame is self-contained, so
+// stores concatenate by copying frames: a fleet's merged store is its
+// per-system spills' extent frames end to end (MergeExtentStreams), and a
+// record is encoded once, on the worker that completes its system.
 
 #ifndef SRC_TRACE_EXTENT_STORE_H_
 #define SRC_TRACE_EXTENT_STORE_H_
@@ -137,7 +140,7 @@ enum ExtentColumn : uint32_t {
 inline constexpr uint32_t kExtentColumnMaskAll = (1u << kExtentColumnCount) - 1;
 
 // One extent of column arrays (SoA). All vectors share the same length;
-// min/max are maintained by Append* and serve as the extent's time index.
+// min/max are maintained by AppendRow and serve as the extent's time index.
 struct ColumnarExtent {
 #define NTRACE_X(name, type) std::vector<type> name;
   NTRACE_EXTENT_COLUMNS(NTRACE_X)
@@ -154,9 +157,6 @@ struct ColumnarExtent {
   void Clear();
   // Appends one row, updating min/max.
   void AppendRow(const TraceRecord& r);
-  // Bulk column copy of src[begin, end) -- the gallop unit of the extent
-  // merge. Updates min/max from the copied range.
-  void AppendRange(const ColumnarExtent& src, size_t begin, size_t end);
   // Reconstructs row i exactly (every column, pad word included).
   TraceRecord RowAt(size_t i) const;
 };
@@ -216,9 +216,11 @@ class ExtentStoreWriter {
   // kExtent frame each time it reaches extent_records.
   bool AppendRecord(const TraceRecord& r);
   bool AppendRecords(const TraceRecord* rows, size_t n);
-  // Bulk columnar append (the merge hot path): copies src[begin, end) into
-  // the pending extent, flushing full extents as they fill.
-  bool AppendRange(const ColumnarExtent& src, size_t begin, size_t end);
+  // Appends an already-encoded kExtent payload of `records` records as one
+  // frame, byte for byte, after flushing any pending rows. The caller
+  // vouches for the payload (MergeExtentStreams checks it the way
+  // ColumnarTraceSet::FromFile's prescan does).
+  bool AppendEncodedExtent(const uint8_t* payload, size_t size, uint32_t records);
 
   // Name/process tables, buffered until Seal. Paths dictionary-encode:
   // each distinct string is stored once, in first-appearance order.
@@ -237,6 +239,7 @@ class ExtentStoreWriter {
 
  private:
   bool FlushExtent();
+  bool WriteExtent(const uint8_t* payload, size_t size, uint32_t records);
   bool WriteFrame(ExtentFrameType type);  // payload_ as one frame.
 
   FrameFileWriter file_;
@@ -278,7 +281,10 @@ class ExtentStreamReader {
   // column_mask projects the decode: columns whose bit is clear are skipped
   // over (their per-column length field makes the skip O(1)) and left empty
   // in *out. The event column is always decoded -- it is the extent spine.
-  bool NextExtent(ColumnarExtent* out, uint32_t column_mask = kExtentColumnMaskAll);
+  // A non-null `frame` receives the extent's encoded frame, borrowed until
+  // the next call.
+  bool NextExtent(ColumnarExtent* out, uint32_t column_mask = kExtentColumnMaskAll,
+                  SpoolFrameView* frame = nullptr);
 
   // Valid once NextExtent returned false: decoded name/process tables.
   const std::vector<NameRecord>& names() const { return names_; }
@@ -342,14 +348,15 @@ class ColumnarTraceSet {
   ExtentReadStats read_stats_;
 };
 
-// Streaming k-way merge of per-system extent segments into `writer`,
-// reproducing TraceSet::MergeSortedRuns exactly: records pop by
-// (complete_ticks, input index), ties resolve to the earlier input, and
-// within one input file order is preserved. Inputs must be time-sorted
-// (per-system segments are; the fleet sorts each shard on its worker).
-// Galloping: once an input wins, its whole leading run that stays ahead of
-// the best contender is copied extent-to-extent in bulk column memcpys.
-// Memory: O(inputs x input extent size + one output extent).
+// Appends the extent frames of each input store to `writer`, inputs end to
+// end in the order given, each frame's payload copied verbatim: no record
+// is decoded past its spine or encoded again. Every frame is checked the
+// way FromFile's prescan checks it (the event spine decodes and every
+// column's length field stays inside the payload); the first frame that
+// fails, or any torn or corrupt frame, ends its input as damaged with its
+// known loss counted, and the next input follows. Inputs' tail tables are
+// not copied: the caller adds names and process names. Memory: O(one
+// frame).
 struct ExtentMergeResult {
   uint64_t records = 0;
   uint64_t inputs_damaged = 0;       // Inputs that ended at a damaged frame.

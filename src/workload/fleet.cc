@@ -34,6 +34,7 @@ struct FleetMetrics {
   Counter& systems;
   Counter& system_records;
   Counter& system_wall_us_sum;
+  Counter& drain_wall_us_sum;
   Counter& merge_wall_us_sum;
   Histogram& system_wall_us;
   Gauge& last_merge_wall_us;
@@ -58,8 +59,12 @@ struct FleetMetrics {
           r.GetCounter("ntrace_fleet_system_wall_us_total",
                        "Wall-clock microseconds workers spent simulating systems "
                        "(with ntrace_fleet_system_records_total: per-worker records/sec)"),
+          r.GetCounter("ntrace_fleet_drain_wall_us_total",
+                       "Wall-clock microseconds spent stopping the loopback service and "
+                       "completing (sorting, spilling) its shards"),
           r.GetCounter("ntrace_fleet_merge_wall_us_total",
-                       "Wall-clock microseconds spent in the post-join k-way merge"),
+                       "Wall-clock microseconds spent merging completed shards into the "
+                       "fleet's trace (rows or merged.ntx)"),
           r.GetHistogram("ntrace_fleet_system_wall_us",
                          "Wall-clock microseconds to simulate one system"),
           r.GetGauge("ntrace_fleet_last_merge_wall_us",
@@ -340,9 +345,8 @@ bool DecodeCompletion(const std::vector<uint8_t>& in, SystemRunStats* s,
 // Worker/shard plumbing.
 // ---------------------------------------------------------------------------
 
-// Records per extent in the per-system columnar spills. The k-way merge
-// buffers one extent per input, so this bounds merge memory (~320 KB of
-// columns per input); the merged store uses kDefaultExtentRecords.
+// Records per extent in the per-system columnar spills. merged.ntx copies
+// the spills' extent frames verbatim, so this is its extent capacity too.
 constexpr uint32_t kSpillExtentRecords = 4096;
 
 // A shard's one lifecycle. Whatever produces a system -- live simulation, a
@@ -604,8 +608,11 @@ void FailShard(FleetRunContext* ctx, SystemShard* shard) {
 
 // The completion step every finished shard passes before the merge, live,
 // resumed or taken from the loopback service: sort it and, in columnar
-// mode, spill it at once, so record memory never accumulates across
-// systems. A failed spill is retried once before the system is given up.
+// mode, spill it at once. In-process and resumed shards spill on their own,
+// so their record memory does not accumulate across systems; net shards do
+// not get that bound, because the service holds every session's rows until
+// the drain. A failed spill is retried once before the system is given up.
+// Thread-safe across distinct shards.
 void CompleteShard(FleetRunContext* ctx, SystemShard* shard) {
   shard->server.Finish();  // Idempotent; live shards were sorted on their worker.
   const std::string& dir = ctx->config.columnar_dir;
@@ -652,8 +659,8 @@ void SimulateSystem(const SystemOptions& options, SystemShard* shard, TraceSink&
   for (const auto& [pid, info] : system.processes().all()) {
     shard->process_names.emplace_back(pid, info.image_name);
   }
-  // Time-sort this shard's stream while still on the worker; the global
-  // merge then only k-way merges already-sorted runs.
+  // Time-sort this shard's stream while still on the worker; the merge
+  // then only combines already-sorted runs.
   shard->server.Finish();
   FleetMetrics& metrics = FleetMetrics::Get();
   const int64_t wall_us = ElapsedMicros(start);
@@ -930,11 +937,14 @@ void SimulateRemaining(FleetRunContext* ctx, LoopbackTransport* net) {
   });
 }
 
-// Stage 4 (net runs): stop the service and complete every shipped shard
-// with the records its session collected.
+// Stage 4 (net runs): stop the service, take every shipped shard's records
+// from its session (or, when a crash cleared the session, from its sealed
+// segment), then complete the shards on the worker pool.
 void DrainTransport(FleetRunContext* ctx, LoopbackTransport* net, FleetNetStats* out) {
+  const auto drain_start = std::chrono::steady_clock::now();
   net->supervisor = std::jthread();  // Stops and joins the crash supervisor, if any.
   net->service.Stop();  // Graceful drain; sessions survive for TakeSession.
+  std::vector<SystemShard*> taken;
   for (size_t i = 0; i < ctx->shards.size(); ++i) {
     SystemShard& shard = ctx->shards[i];
     if (shard.state != ShardState::kShipped) {
@@ -959,8 +969,11 @@ void DrainTransport(FleetRunContext* ctx, LoopbackTransport* net, FleetNetStats*
       }
       shard.server = std::move(replayed);
     }
-    CompleteShard(ctx, &shard);
+    taken.push_back(&shard);
   }
+  const int n = static_cast<int>(taken.size());
+  ParallelFor(n, WorkerCount(ctx->config.threads, n),
+              [&](int i, int) { CompleteShard(ctx, taken[static_cast<size_t>(i)]); });
   const NetServiceStats s = net->service.stats();
   out->used = true;
   out->frames_sent = net->frames_sent.load();
@@ -979,19 +992,20 @@ void DrainTransport(FleetRunContext* ctx, LoopbackTransport* net, FleetNetStats*
   out->server_crashes = s.crashes;
   out->server_restarts = net->restarts.load();
   out->agent_failures = net->agent_failures.load();
+  FleetMetrics::Get().drain_wall_us_sum.Inc(static_cast<uint64_t>(ElapsedMicros(drain_start)));
 }
 
-// Columnar merge: a streaming k-way extent merge in system-id order gives
-// the record order MergeSortedRuns gives the same shards, in O(inputs x
-// spill extent + one output extent) memory. The merged store is
-// self-contained (name and process tables ride at its tail in the same
-// insertion order).
+// Columnar merge: merged.ntx is the spills' extent frames, copied verbatim
+// in system-id order, so the store is system-major -- each system's
+// time-sorted stream in turn -- and no record is encoded twice. The store
+// is self-contained (name and process tables ride at its tail in the
+// row-mode insertion order).
 void MergeExtents(const FleetRunContext& ctx, const std::vector<std::string>& inputs,
                   std::vector<std::pair<uint32_t, std::string>> proc_insertions,
                   FleetResult* result) {
   const std::string merged_path = ctx.config.columnar_dir + "/merged.ntx";
   ExtentStoreWriter merged;
-  merged.Open(merged_path, kDefaultExtentRecords, ctx.fingerprint);
+  merged.Open(merged_path, kSpillExtentRecords, ctx.fingerprint);
   const ExtentMergeResult mr = MergeExtentStreams(inputs, &merged);
   for (const NameRecord& n : result->trace.names) {
     merged.AddName(n);
@@ -1010,7 +1024,7 @@ void MergeExtents(const FleetRunContext& ctx, const std::vector<std::string>& in
   stats.file_opened = merged_ok;
   stats.header_valid = merged_ok;
   stats.version = kExtentStoreVersion;
-  stats.extent_capacity = kDefaultExtentRecords;
+  stats.extent_capacity = kSpillExtentRecords;
   stats.config_fingerprint = ctx.fingerprint;
   stats.sealed = merged_ok;
   stats.extents_recovered = merged.extents_written();
@@ -1024,8 +1038,8 @@ void MergeExtents(const FleetRunContext& ctx, const std::vector<std::string>& in
 // Stage 5: merge the completed shards in system-id order -- stats, process
 // names, the integrity report (agent-side counters reconciled against each
 // shard server's sequence bookkeeping, faults included), then the
-// time-sorted trace streams, k-way, into rows or (columnar mode) into
-// <columnar_dir>/merged.ntx.
+// time-sorted trace streams: k-way into rows, or (columnar mode) end to end
+// into <columnar_dir>/merged.ntx.
 void MergeShards(FleetRunContext* ctx, FleetResult* result) {
   const auto merge_start = std::chrono::steady_clock::now();
   const bool columnar = !ctx->config.columnar_dir.empty();

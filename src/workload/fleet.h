@@ -8,8 +8,9 @@
 // parallel (private engine, pre-drawn seed, its own CollectionServer
 // shard), so `FleetConfig::threads` runs the fleet on a fixed-size worker
 // pool; shards are merged in system-id order and the per-system
-// time-sorted streams are k-way merged, making the output bit-identical
-// for every thread count (DESIGN.md §7). threads == 1 (the default) is
+// time-sorted streams are k-way merged (rows) or put end to end (the
+// columnar store), making the output bit-identical for every thread count
+// (DESIGN.md §7). threads == 1 (the default) is
 // the sequential path and bounds peak memory to one machine's state plus
 // the collected shards; N workers hold at most N machines' state.
 
@@ -142,16 +143,18 @@ struct FleetConfig {
 
   // Columnar out-of-core collection (DESIGN.md §12): when non-empty, every
   // completed system's time-sorted shard spills to a per-system columnar
-  // extent segment under this directory as soon as the system finishes (its
-  // row vector is freed), and the merge phase k-way merges the extent
-  // streams straight into <dir>/merged.ntx. Record memory is bounded by
-  // O(live systems x one shard + systems x one spill extent) instead of
-  // O(total records). FleetResult::columnar then carries the disk-backed
-  // merged store; FleetResult::trace keeps names, process map and
-  // integrity, but no record rows. Like `threads`, this knob never changes
-  // analysis output -- TraceScan over the columnar store is byte-identical
-  // to the row path -- only where the records live. Study rejects it: its
-  // row analyses need FleetResult::trace.records.
+  // extent segment under this directory as soon as the system completes
+  // (its row vector is freed), and the merge phase copies the segments'
+  // extent frames end to end into <dir>/merged.ntx. The store is
+  // system-major: each system's time-sorted stream, in system-id order.
+  // In-process runs bound record memory by O(live systems x one shard)
+  // instead of O(total records); a net run does not, because the service
+  // holds every session's rows until the drain. FleetResult::columnar then
+  // carries the disk-backed merged store; FleetResult::trace keeps names,
+  // process map and integrity, but no record rows. This knob changes where
+  // the records live and their cross-system order, never analysis output:
+  // TraceScan over the columnar store is byte-identical to the row path.
+  // Study rejects it: its row analyses need FleetResult::trace.records.
   std::string columnar_dir;
 
   // Worker threads simulating systems concurrently: 1 = sequential
@@ -187,10 +190,10 @@ struct FleetResult {
   // What the transport did when the run was collected over the socket.
   FleetNetStats net;
   // Columnar mode (FleetConfig::columnar_dir): the merged trace as a
-  // disk-backed columnar extent store. `trace.records` is empty; names,
-  // process map and integrity live in both views. Scan analyses consume
-  // this via TraceScan::Run(columnar); row-only analyses can materialize
-  // with columnar.ToRows() at O(records) memory.
+  // disk-backed, system-major columnar extent store. `trace.records` is
+  // empty; names, process map and integrity live in both views. Scan
+  // analyses consume this via TraceScan::Run(columnar); row-only analyses
+  // can materialize with columnar.ToRows() at O(records) memory.
   ColumnarTraceSet columnar;
   bool columnar_mode = false;
   // Records in the merged on-disk store (columnar mode; else 0).

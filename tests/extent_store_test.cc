@@ -9,8 +9,9 @@
 //    over every byte length and a seeded bit-flip fuzz (both over
 //    compressed frames, the default encoding) must never crash the reader
 //    and never yield anything but a prefix of the original records;
-//  - MergeExtentStreams reproduces TraceSet::MergeSortedRuns exactly, on
-//    compressed and mixed compressed/uncompressed inputs.
+//  - MergeExtentStreams puts its inputs end to end with every extent frame
+//    copied verbatim, on compressed and mixed compressed/uncompressed
+//    inputs, and a damaged input ends at its intact prefix.
 // Mirrors tests/spool_test.cc, which pins the shared frame codec itself.
 
 #include "src/trace/extent_store.h"
@@ -787,48 +788,80 @@ TEST(ExtentSalvage, MissingAndEmptyFiles) {
   std::remove(path.c_str());
 }
 
-TEST(ExtentMerge, MatchesMergeSortedRuns) {
-  // K time-sorted runs with deliberate completion-time ties across runs, so
-  // the earlier-input tiebreak is actually exercised.
+// Writes `rows` to a store at `path` in extents of `extent_records`.
+void WriteStore(const std::string& path, const std::vector<TraceRecord>& rows,
+                uint32_t extent_records, bool compress = true) {
+  ExtentStoreWriter writer;
+  ASSERT_TRUE(writer.Open(path, extent_records, 0xBEEF, compress));
+  ASSERT_TRUE(writer.AppendRecords(rows.data(), rows.size()));
+  ASSERT_TRUE(writer.Seal());
+  writer.Close();
+}
+
+// The kExtent payloads of the intact frame prefix of `bytes`, in file order.
+std::vector<std::vector<uint8_t>> ExtentPayloads(const std::vector<uint8_t>& bytes) {
+  std::vector<std::vector<uint8_t>> payloads;
+  size_t pos = kExtentStoreHeaderSize;
+  SpoolFrameView view;
+  size_t consumed = 0;
+  while (pos < bytes.size() &&
+         SpoolParseFrame(bytes.data() + pos, bytes.size() - pos, &view, &consumed) ==
+             SpoolFrameStatus::kOk) {
+    if (static_cast<ExtentFrameType>(view.type) == ExtentFrameType::kExtent) {
+      payloads.emplace_back(view.payload, view.payload + view.payload_size);
+    }
+    pos += consumed;
+  }
+  return payloads;
+}
+
+std::vector<TraceRecord> Concat(const std::vector<std::vector<TraceRecord>>& runs) {
+  std::vector<TraceRecord> all;
+  for (const std::vector<TraceRecord>& run : runs) {
+    all.insert(all.end(), run.begin(), run.end());
+  }
+  return all;
+}
+
+TEST(ExtentMerge, CopiesInputsEndToEndVerbatim) {
+  // K runs of random length over the same ticks, in small extents: the
+  // output is the runs end to end in input order, not interleaved by time,
+  // and its extent frames are the inputs' frames, byte for byte.
   Rng rng(0xC0FFEE);
   constexpr int kRuns = 5;
   std::vector<std::vector<TraceRecord>> runs(kRuns);
   std::vector<std::string> inputs;
+  std::vector<std::vector<uint8_t>> input_payloads;
   for (int k = 0; k < kRuns; ++k) {
-    int64_t t = 0;
     const size_t n = 50 + static_cast<size_t>(rng.UniformInt(0, 300));
-    for (size_t i = 0; i < n; ++i) {
-      TraceRecord r = MakeRecord(static_cast<uint32_t>(k), i);
-      t += rng.UniformInt(0, 3);  // Frequent ties, within and across runs.
-      r.start_ticks = t - 1;
-      r.complete_ticks = t;
-      runs[k].push_back(r);
+    runs[k] = MakeRecords(static_cast<uint32_t>(k), 0, n);
+    inputs.push_back(ScratchPath("extent_merge_in_" + std::to_string(k) + ".ntx"));
+    WriteStore(inputs.back(), runs[k], 16);
+    for (std::vector<uint8_t>& p : ExtentPayloads(ReadFileBytes(inputs.back()))) {
+      input_payloads.push_back(std::move(p));
     }
-    const std::string path = ScratchPath("extent_merge_in_" + std::to_string(k) + ".ntx");
-    ExtentStoreWriter writer;
-    ASSERT_TRUE(writer.Open(path, 16, 0xBEEF));  // Small extents: many refills.
-    ASSERT_TRUE(writer.AppendRecords(runs[k].data(), runs[k].size()));
-    ASSERT_TRUE(writer.Seal());
-    writer.Close();
-    inputs.push_back(path);
   }
 
   const std::string out_path = ScratchPath("extent_merge_out.ntx");
   ExtentStoreWriter out;
-  ASSERT_TRUE(out.Open(out_path, 64, 0xBEEF));
+  ASSERT_TRUE(out.Open(out_path, 16, 0xBEEF));
   const ExtentMergeResult merged = MergeExtentStreams(inputs, &out);
   ASSERT_TRUE(out.Seal());
   out.Close();
 
-  TraceSet expected;
-  expected.MergeSortedRuns(runs);
-  EXPECT_EQ(merged.records, expected.records.size());
+  const std::vector<TraceRecord> expected = Concat(runs);
+  EXPECT_EQ(merged.records, expected.size());
   EXPECT_EQ(merged.inputs_damaged, 0u);
+  EXPECT_EQ(merged.records_lost_known, 0u);
+  EXPECT_EQ(out.records_written(), expected.size());
+  EXPECT_EQ(out.extents_written(), input_payloads.size());
+  EXPECT_TRUE(ExtentPayloads(ReadFileBytes(out_path)) == input_payloads);
 
   ExtentReadStats stats;
   const std::vector<TraceRecord> rows = RecoveredRows(out_path, &stats);
   EXPECT_TRUE(stats.sealed);
-  ExpectRecordsEqual(rows, expected.records);
+  EXPECT_EQ(stats.seal_records, expected.size());
+  ExpectRecordsEqual(rows, expected);
 
   for (const std::string& path : inputs) {
     std::remove(path.c_str());
@@ -837,42 +870,34 @@ TEST(ExtentMerge, MatchesMergeSortedRuns) {
 }
 
 TEST(ExtentMerge, MixedCompressionInputsMergeExactly) {
-  // One compressed input, one uncompressed: the merge reads both through
-  // the same decode path and the output (compressed) must hold the exact
-  // two-way merge of the records.
-  std::vector<TraceRecord> a = MakeRecords(1, 0, 60);
-  std::vector<TraceRecord> b = MakeRecords(2, 100, 60);
-  for (size_t i = 0; i < a.size(); ++i) {
-    a[i].complete_ticks = static_cast<int64_t>(2 * i);
-    b[i].complete_ticks = static_cast<int64_t>(2 * i + 1);
-  }
-  auto write_store = [&](const std::string& path, const std::vector<TraceRecord>& rows,
-                         bool compress) {
-    ExtentStoreWriter writer;
-    ASSERT_TRUE(writer.Open(path, 16, 0xBEEF, compress));
-    ASSERT_TRUE(writer.AppendRecords(rows.data(), rows.size()));
-    ASSERT_TRUE(writer.Seal());
-    writer.Close();
-  };
+  // One compressed input, one uncompressed, into a compressing writer: the
+  // merge copies frames, so the uncompressed input's extents stay raw and
+  // both inputs' records come back exactly, in input order.
+  const std::vector<TraceRecord> a = MakeRecords(1, 0, 60);
+  const std::vector<TraceRecord> b = MakeRecords(2, 0, 60);
   const std::string a_path = ScratchPath("extent_merge_mixed_a.ntx");
   const std::string b_path = ScratchPath("extent_merge_mixed_b.ntx");
-  write_store(a_path, a, true);
-  write_store(b_path, b, false);
+  WriteStore(a_path, a, 16, /*compress=*/true);
+  WriteStore(b_path, b, 16, /*compress=*/false);
+  std::vector<std::vector<uint8_t>> input_payloads = ExtentPayloads(ReadFileBytes(a_path));
+  for (std::vector<uint8_t>& p : ExtentPayloads(ReadFileBytes(b_path))) {
+    input_payloads.push_back(std::move(p));
+  }
 
   const std::string out_path = ScratchPath("extent_merge_mixed_out.ntx");
   ExtentStoreWriter out;
-  ASSERT_TRUE(out.Open(out_path, 64, 0xBEEF));
+  ASSERT_TRUE(out.Open(out_path, 16, 0xBEEF));
   const ExtentMergeResult merged = MergeExtentStreams({a_path, b_path}, &out);
   ASSERT_TRUE(out.Seal());
   out.Close();
 
-  std::vector<std::vector<TraceRecord>> runs = {a, b};
-  TraceSet expected;
-  expected.MergeSortedRuns(runs);
-  EXPECT_EQ(merged.records, expected.records.size());
+  const std::vector<TraceRecord> expected = Concat({a, b});
+  EXPECT_EQ(merged.records, expected.size());
   EXPECT_EQ(merged.inputs_damaged, 0u);
-  ExtentReadStats stats;
-  ExpectRecordsEqual(RecoveredRows(out_path, &stats), expected.records);
+  EXPECT_TRUE(ExtentPayloads(ReadFileBytes(out_path)) == input_payloads);
+  const ColumnarTraceSet store = ColumnarTraceSet::FromFile(out_path);
+  EXPECT_EQ(store.record_count(), expected.size());
+  ExpectRecordsEqual(store.ToRows().records, expected);
 
   std::remove(a_path.c_str());
   std::remove(b_path.c_str());
@@ -880,58 +905,83 @@ TEST(ExtentMerge, MixedCompressionInputsMergeExactly) {
 }
 
 TEST(ExtentMerge, DamagedInputDegradesToItsPrefix) {
-  // One clean input, one truncated mid-extent: the merge must keep every
-  // record of the clean input plus the intact prefix of the damaged one.
-  std::vector<TraceRecord> clean = MakeRecords(1, 0, 40);
-  std::vector<TraceRecord> torn = MakeRecords(2, 100, 40);
-  for (size_t i = 0; i < clean.size(); ++i) {
-    clean[i].complete_ticks = static_cast<int64_t>(2 * i);
-    torn[i].complete_ticks = static_cast<int64_t>(2 * i + 1);
+  // Four inputs of 40 records over the same ticks, in extents of 8. The
+  // second fails its third frame's CRC under an intact header, so that
+  // frame's 8 records are known lost; the third carries a CRC-valid second
+  // frame whose first column length runs past the payload, which the
+  // prescan check refuses. Each damaged input gives its intact prefix, and
+  // the next input follows.
+  const std::vector<std::vector<TraceRecord>> runs = {
+      MakeRecords(1, 0, 40), MakeRecords(2, 0, 40), MakeRecords(3, 0, 40),
+      MakeRecords(4, 0, 40)};
+  std::vector<std::string> inputs;
+  for (size_t k = 0; k < runs.size(); ++k) {
+    inputs.push_back(ScratchPath("extent_merge_damaged_" + std::to_string(k) + ".ntx"));
+    WriteStore(inputs.back(), runs[k], 8);
   }
-  auto write_store = [&](const std::string& path, const std::vector<TraceRecord>& rows) {
-    ExtentStoreWriter writer;
-    ASSERT_TRUE(writer.Open(path, 8, 0xBEEF));
-    ASSERT_TRUE(writer.AppendRecords(rows.data(), rows.size()));
-    ASSERT_TRUE(writer.Seal());
-    writer.Close();
+  // The offset of frame `index` in a store's bytes.
+  const auto frame_offset = [](const std::vector<uint8_t>& bytes, int index) {
+    size_t pos = kExtentStoreHeaderSize;
+    for (int i = 0; i < index; ++i) {
+      SpoolFrameView view;
+      size_t consumed = 0;
+      EXPECT_EQ(SpoolParseFrame(bytes.data() + pos, bytes.size() - pos, &view, &consumed),
+                SpoolFrameStatus::kOk);
+      pos += consumed;
+    }
+    return pos;
   };
-  const std::string clean_path = ScratchPath("extent_merge_clean.ntx");
-  const std::string torn_path = ScratchPath("extent_merge_torn.ntx");
-  write_store(clean_path, clean);
-  write_store(torn_path, torn);
+  std::vector<uint8_t> crc_damaged = ReadFileBytes(inputs[1]);
+  crc_damaged[frame_offset(crc_damaged, 2) + kSpoolFrameHeaderSize + 48] ^= 0x01;
+  WriteFileBytes(inputs[1], crc_damaged);
 
-  // Keep exactly two whole extent frames (16 records) of the torn input.
-  std::vector<uint8_t> bytes = ReadFileBytes(torn_path);
-  size_t pos = kExtentStoreHeaderSize;
-  for (int i = 0; i < 2; ++i) {
+  // Rewrite the third input frame by frame through the container writer,
+  // so every CRC is valid over the bad length.
+  const std::vector<uint8_t> original = ReadFileBytes(inputs[2]);
+  {
+    Counter& bytes = MetricsRegistry::Global().GetCounter(
+        "ntrace_extent_test_merge_reject_bytes_total", "Test bytes");
+    FrameFileWriter file;
+    ASSERT_TRUE(file.Open(inputs[2], {kExtentStoreMagic, kExtentStoreVersion, 8, 0xBEEF}, &bytes));
+    size_t pos = kExtentStoreHeaderSize;
     SpoolFrameView view;
     size_t consumed = 0;
-    ASSERT_EQ(SpoolParseFrame(bytes.data() + pos, bytes.size() - pos, &view, &consumed),
-              SpoolFrameStatus::kOk);
-    pos += consumed;
+    for (int i = 0; pos < original.size(); ++i, pos += consumed) {
+      ASSERT_EQ(SpoolParseFrame(original.data() + pos, original.size() - pos, &view, &consumed),
+                SpoolFrameStatus::kOk);
+      std::vector<uint8_t> payload(view.payload, view.payload + view.payload_size);
+      if (i == 1) {
+        const size_t length_at = sizeof(uint32_t) + 4 * sizeof(int64_t) + 1;
+        const uint32_t past_end = static_cast<uint32_t>(payload.size());
+        std::memcpy(payload.data() + length_at, &past_end, sizeof(past_end));
+      }
+      ASSERT_TRUE(file.Append(view.type, payload.data(), payload.size(), nullptr, 0, false));
+    }
+    file.Close();
   }
-  bytes.resize(pos + 7);  // A torn slice of the third extent frame.
-  WriteFileBytes(torn_path, bytes);
 
   const std::string out_path = ScratchPath("extent_merge_degraded.ntx");
   ExtentStoreWriter out;
-  ASSERT_TRUE(out.Open(out_path, 64, 0xBEEF));
-  const ExtentMergeResult merged = MergeExtentStreams({clean_path, torn_path}, &out);
+  ASSERT_TRUE(out.Open(out_path, 8, 0xBEEF));
+  const ExtentMergeResult merged = MergeExtentStreams(inputs, &out);
   ASSERT_TRUE(out.Seal());
   out.Close();
 
-  std::vector<std::vector<TraceRecord>> runs = {
-      clean, std::vector<TraceRecord>(torn.begin(), torn.begin() + 16)};
-  TraceSet expected;
-  expected.MergeSortedRuns(runs);
-  EXPECT_EQ(merged.records, expected.records.size());
-  EXPECT_EQ(merged.inputs_damaged, 1u);
+  const std::vector<TraceRecord> expected =
+      Concat({runs[0], std::vector<TraceRecord>(runs[1].begin(), runs[1].begin() + 16),
+              std::vector<TraceRecord>(runs[2].begin(), runs[2].begin() + 8), runs[3]});
+  EXPECT_EQ(merged.records, expected.size());
+  EXPECT_EQ(merged.inputs_damaged, 2u);
+  EXPECT_EQ(merged.records_lost_known, 8u);
 
   ExtentReadStats stats;
-  ExpectRecordsEqual(RecoveredRows(out_path, &stats), expected.records);
+  ExpectRecordsEqual(RecoveredRows(out_path, &stats), expected);
+  EXPECT_TRUE(stats.sealed);
+  EXPECT_EQ(stats.frames_damaged, 0u);
 
-  std::remove(clean_path.c_str());
-  std::remove(torn_path.c_str());
+  for (const std::string& path : inputs) {
+    std::remove(path.c_str());
+  }
   std::remove(out_path.c_str());
 }
 

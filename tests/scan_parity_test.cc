@@ -143,7 +143,7 @@ TEST(ScanParity, BatchEqualsRowsOnFaultInjectedFleet) {
   std::remove(path.c_str());
 }
 
-// The out-of-core fleet mode: per-system extent spill + k-way extent merge,
+// The out-of-core fleet mode: per-system extent spill + frame-copying merge,
 // scanned straight off disk, must match the row-mode run bit for bit at
 // every thread count (clean and fault-injected).
 TEST(ScanParity, ColumnarFleetModeMatchesRowModeAcrossThreads) {
