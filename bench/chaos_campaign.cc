@@ -1,8 +1,10 @@
 // Chaos campaign driver (DESIGN.md §16): composes the fault injectors over
 // seeded randomized schedules and checks the pipeline's global invariants
 // after every trial -- exact accounting, salvage prefix monotonicity,
-// cross-thread determinism, gap-tolerant replay termination. On a failure
-// the campaign shrinks the plan and prints a minimal reproducing seed.
+// cross-thread determinism, gap-tolerant replay termination and, on trials
+// whose only loss is unresolved records, per-system replay identity (the
+// count of such trials is printed). On a failure the campaign shrinks the
+// plan and prints a minimal reproducing seed.
 //
 // Default is a short deterministic campaign suitable for CI; the soak knobs
 // scale it up:
@@ -46,6 +48,7 @@ int main() {
               result.FamiliesCovered(), result.crash_trials, result.shipment_trials,
               result.disk_trials, result.transport_trials, result.damage_trials);
   std::printf("determinism rechecks: %d\n", result.determinism_checks);
+  std::printf("identity checks:     %d\n", result.identity_checks);
   std::printf("records emitted:     %llu (%llu lost across all trials)\n",
               static_cast<unsigned long long>(result.records_emitted),
               static_cast<unsigned long long>(result.records_lost_total));

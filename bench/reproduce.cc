@@ -737,6 +737,12 @@ void Figures11And12(Study& study) {
   Emit(report);
 }
 
+// The mean of `stats`, or NaN over no sample: a row computed over no
+// snapshot reads n/a, never 0.
+double MeanOrNone(const StreamingStats& stats) {
+  return stats.count() > 0 ? stats.mean() : std::nan("");
+}
+
 // Counts, fullness, the size distribution, profile-tree and WWW-cache churn,
 // and timestamp unreliability, from the daily snapshots.
 void Section5(Study& study, const StudyConfig& config) {
@@ -759,27 +765,41 @@ void Section5(Study& study, const StudyConfig& config) {
                 FormatBytes(static_cast<double>(c.web_cache_bytes)).c_str());
   }
   ComparisonReport report("Section 5: file system content");
+  // A system restored from a spool segment has no snapshot series.
+  const auto has_snapshot = [](const SnapshotSeries& series) { return !series.snapshots.empty(); };
+  size_t unsnapped = 0;
+  for (const SystemRunStats& s : study.systems()) {
+    unsnapped += std::none_of(s.snapshots.begin(), s.snapshots.end(), has_snapshot);
+  }
+  if (unsnapped > 0) {
+    report.SetCoverageNote(std::to_string(unsnapped) + " of " +
+                           std::to_string(study.systems().size()) +
+                           " systems have no snapshot series; rows over no snapshot read n/a");
+  }
   // The paper's counts are for full-size volumes: scale them by the knob.
   const double content = config.fleet.content_scale;
-  report.AddRow("local file count", "24k-45k (scaled by NTRACE_CONTENT)",
-                FormatF(files.mean(), 0), files.mean(),
-                Band::Range(24000 * content, 45000 * content),
-                "content scale " + FormatF(content, 2));
-  report.AddRow("file system fullness", "54-87%", FormatPct(fullness.mean()),
-                100 * fullness.mean(), Band::Range(54, 87));
+  AddNumber(report, "local file count", "24k-45k (scaled by NTRACE_CONTENT)", MeanOrNone(files), 0,
+            "", Band::Range(24000 * content, 45000 * content),
+            "content scale " + FormatF(content, 2));
+  AddNumber(report, "file system fullness", "54-87%", 100 * MeanOrNone(fullness), 1, "%",
+            Band::Range(54, 87));
   // "Dominant": the executable+font block outweighs every other category.
   const size_t exe = static_cast<size_t>(FileCategory::kExecutable);
   const size_t font = static_cast<size_t>(FileCategory::kFont);
   const double exec_fonts = category_bytes[exe] + category_bytes[font];
   category_bytes[exe] = category_bytes[font] = 0;
-  const double dominance =
-      Ratio(exec_fonts, *std::max_element(category_bytes.begin(), category_bytes.end()));
-  report.AddRow("executables+fonts share of bytes", "dominant",
-                FormatPct(Ratio(exec_fonts, static_cast<double>(contents.size()))), dominance,
-                Band::AtLeast(1),
-                "size distribution driver; " + FormatF(dominance) + "x the next category");
-  report.AddRow("creation-after-access anomalies", "2-4%", FormatPct(anomaly.mean()),
-                100 * anomaly.mean(), Band::Range(2, 4), "timestamps are unreliable");
+  double dominance = std::nan("");
+  std::string share = "n/a";
+  std::string note = "size distribution driver";
+  if (!contents.empty()) {
+    dominance = Ratio(exec_fonts, *std::max_element(category_bytes.begin(), category_bytes.end()));
+    share = FormatPct(Ratio(exec_fonts, static_cast<double>(contents.size())));
+    note += "; " + FormatF(dominance) + "x the next category";
+  }
+  report.AddRow("executables+fonts share of bytes", "dominant", share, dominance, Band::AtLeast(1),
+                note);
+  AddNumber(report, "creation-after-access anomalies", "2-4%", 100 * MeanOrNone(anomaly), 1, "%",
+            Band::Range(2, 4), "timestamps are unreliable");
   StreamingStats changed;
   StreamingStats profile_churn;
   StreamingStats cache_churn;
@@ -788,12 +808,13 @@ void Section5(Study& study, const StudyConfig& config) {
     profile_churn.Add(c.profile_change_share);
     cache_churn.Add(c.web_cache_change_share);
   }
-  report.AddRow("files changed/added per day", "300-500 (peaks 2.5-3k)",
-                FormatF(changed.mean(), 0), changed.mean(), Band::Range(300, 500),
-                "max " + FormatF(changed.max(), 0));
-  report.AddPercent("changes inside the user profile", 94, profile_churn.mean(), "",
-                    std::nullopt, Shape{"majority", profile_churn.mean() > 0.5});
-  report.AddPercent("profile changes inside the WWW cache", 90, cache_churn.mean(),
+  const double per_day = MeanOrNone(changed);
+  AddNumber(report, "files changed/added per day", "300-500 (peaks 2.5-3k)", per_day, 0, "",
+            Band::Range(300, 500), std::isnan(per_day) ? "" : "max " + FormatF(changed.max(), 0));
+  const double in_profile = MeanOrNone(profile_churn);
+  report.AddPercent("changes inside the user profile", 94, in_profile, "", std::nullopt,
+                    Shape{"majority", in_profile > 0.5});
+  report.AddPercent("profile changes inside the WWW cache", 90, MeanOrNone(cache_churn),
                     "paper: up to 90%", Band::AtMost(90));
   Emit(report);
 }

@@ -18,12 +18,13 @@ struct PathEvent {
 
 }  // namespace
 
-LifetimeResult LifetimeAnalyzer::Analyze(const TraceSet& trace,
-                                         const InstanceTable& instances) {
+LifetimeResult LifetimeAnalyzer::Analyze(const InstanceTable& instances) {
   LifetimeResult result;
 
-  // Per-path time-ordered event streams (instances are in create order).
-  std::map<std::string, std::vector<PathEvent>> events;
+  // Per-file time-ordered event streams (instances are in create order). A
+  // file is (system, path): a death on one machine never ends a file
+  // created on another.
+  std::map<FileKey, std::vector<PathEvent>> events;
   for (const Instance& s : instances.rows()) {
     if (s.open_failed || s.path.empty()) {
       continue;
@@ -33,30 +34,29 @@ LifetimeResult LifetimeAnalyzer::Analyze(const TraceSet& trace,
     const bool overwrote = s.create_action == CreateAction::kOverwritten ||
                            s.create_action == CreateAction::kSuperseded;
     if (overwrote) {
-      events[s.path].push_back(PathEvent{PathEvent::kOverwritten, s.open_complete,
-                                         s.cleanup_time, s.process_id, s.file_size_at_open});
+      events[s.file()].push_back(PathEvent{PathEvent::kOverwritten, s.open_complete,
+                                           s.cleanup_time, s.process_id, s.file_size_at_open});
     }
     if (created) {
-      events[s.path].push_back(PathEvent{PathEvent::kCreated, s.open_complete, s.cleanup_time,
-                                         s.process_id, s.max_file_size});
+      events[s.file()].push_back(PathEvent{PathEvent::kCreated, s.open_complete, s.cleanup_time,
+                                           s.process_id, s.max_file_size});
       ++result.new_files;
     }
     if (s.cleanup_time != 0 && (s.set_delete_disposition || s.delete_on_close())) {
       const PathEvent::Kind kind = s.set_delete_disposition && !s.delete_on_close()
                                        ? PathEvent::kDeleted
                                        : PathEvent::kTempDeleted;
-      events[s.path].push_back(
+      events[s.file()].push_back(
           PathEvent{kind, s.cleanup_time, s.cleanup_time, s.process_id, s.max_file_size});
     }
     if (!created && !overwrote && s.HasData()) {
       // Intermediate open (used for the opens-between statistic).
-      events[s.path].push_back(
+      events[s.file()].push_back(
           PathEvent{PathEvent::kOpened, s.open_complete, s.cleanup_time, s.process_id, 0});
     }
   }
-  (void)trace;
 
-  // Match each creation with the next death event on the same path.
+  // Match each creation with the next death event on the same file.
   std::vector<double> sizes;
   std::vector<double> lifetimes;
   uint64_t died_4s = 0;
@@ -68,7 +68,7 @@ LifetimeResult LifetimeAnalyzer::Analyze(const TraceSet& trace,
   uint64_t delete_opened_between = 0;
   WeightedCdf overwrite_close_gap;
 
-  for (auto& [path, list] : events) {
+  for (auto& [file, list] : events) {
     std::stable_sort(list.begin(), list.end(),
                      [](const PathEvent& a, const PathEvent& b) { return a.at < b.at; });
     for (size_t i = 0; i < list.size(); ++i) {

@@ -4,9 +4,9 @@
 // Three deletion paths exist in NT (section 6.3): (1) truncate-on-open of
 // an existing file (the overwrite class, 37% of cases), (2) an explicit
 // SetInformation(Disposition) delete (62%), and (3) the temporary-file
-// attribute / delete-on-close (1%). The analyzer reconstructs per-path
-// creation and death events from the trace and classifies each new file's
-// end.
+// attribute / delete-on-close (1%). The analyzer reconstructs per-file
+// creation and death events from the instance table, a file being a path on
+// one system, and classifies each new file's end.
 
 #ifndef SRC_ANALYSIS_LIFETIMES_H_
 #define SRC_ANALYSIS_LIFETIMES_H_
@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "src/stats/descriptive.h"
-#include "src/trace/trace_set.h"
 #include "src/tracedb/instance_table.h"
 
 namespace ntrace {
@@ -67,7 +66,7 @@ struct LifetimeResult {
 
 class LifetimeAnalyzer {
  public:
-  static LifetimeResult Analyze(const TraceSet& trace, const InstanceTable& instances);
+  static LifetimeResult Analyze(const InstanceTable& instances);
 };
 
 }  // namespace ntrace

@@ -10,7 +10,7 @@ std::vector<ProcessProfile> ProcessProfileAnalyzer::ByProcess(const TraceSet& tr
                                                               const InstanceTable& instances) {
   struct Accumulator {
     ProcessProfile profile;
-    std::set<std::string> files;
+    std::set<FileKey> files;
     WeightedCdf sessions_ms;
   };
   std::map<std::string, Accumulator> by_name;
@@ -23,7 +23,7 @@ std::vector<ProcessProfile> ProcessProfileAnalyzer::ByProcess(const TraceSet& tr
       ++acc.profile.failed_opens;
       continue;
     }
-    acc.files.insert(s.path);
+    acc.files.insert(s.file());
     if (s.HasData()) {
       ++acc.profile.data_sessions;
     } else {

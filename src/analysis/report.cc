@@ -122,7 +122,8 @@ void ComparisonReport::AddPercent(const std::string& metric, double paper_pct,
                                   double measured_fraction, const std::string& note,
                                   const std::optional<Band>& stated,
                                   const std::optional<Shape>& shape) {
-  AddRow(metric, FormatF(paper_pct, 0) + "%", FormatPct(measured_fraction),
+  AddRow(metric, FormatF(paper_pct, 0) + "%",
+         std::isnan(measured_fraction) ? "n/a" : FormatPct(measured_fraction),
          100.0 * measured_fraction, stated.value_or(Band::Percent(paper_pct)), note, shape);
 }
 

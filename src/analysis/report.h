@@ -8,6 +8,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/stats/descriptive.h"
@@ -91,7 +92,8 @@ class ComparisonReport {
               const std::optional<Band>& band, const std::string& note = "",
               const std::optional<Shape>& shape = std::nullopt);
   // Percentage row banded by Band::Percent(paper_pct), or by the paper's
-  // stated range when `stated` is given.
+  // stated range when `stated` is given. A NaN fraction (nothing to
+  // measure) reads "n/a" and no band contains it.
   void AddPercent(const std::string& metric, double paper_pct, double measured_fraction,
                   const std::string& note = "", const std::optional<Band>& stated = std::nullopt,
                   const std::optional<Shape>& shape = std::nullopt);
@@ -103,6 +105,9 @@ class ComparisonReport {
   // under the title, e.g. "coverage: shares computed over 98.6% of emitted
   // records (1,234 known lost)". A complete input prints nothing.
   void SetCoverage(const TraceScan& scan);
+  // The same annotation in the caller's words, for inputs a scan does not
+  // meter (e.g. systems without a snapshot series).
+  void SetCoverageNote(std::string note) { coverage_note_ = std::move(note); }
 
   // Renders the report to stdout.
   void Print() const;

@@ -21,16 +21,16 @@ SessionResult SessionAnalyzer::Analyze(const TraceSet& trace, const InstanceTabl
   SessionResult result;
 
   // --- Figures 5 and 12, close gaps, reuse -----------------------------------
-  std::unordered_map<std::string, int> readonly_opens;
-  std::unordered_map<std::string, int> writeonly_opens;
-  // Per path, the time-ordered (open_complete, had_reads, write_only) list
+  std::unordered_map<FileKey, int, FileKeyHash> readonly_opens;
+  std::unordered_map<FileKey, int, FileKeyHash> writeonly_opens;
+  // Per file, the time-ordered (open_complete, had_reads, write_only) list
   // used for the "write-only file later re-opened for reading" statistic.
   struct PathOpen {
     int64_t at;
     bool had_reads;
     bool write_only;
   };
-  std::unordered_map<std::string, std::vector<PathOpen>> path_opens;
+  std::unordered_map<FileKey, std::vector<PathOpen>, FileKeyHash> path_opens;
 
   for (const Instance& s : instances.rows()) {
     if (s.open_failed || s.cleanup_time == 0) {
@@ -51,12 +51,12 @@ SessionResult SessionAnalyzer::Analyze(const TraceSet& trace, const InstanceTabl
       (s.writes() > 0 ? result.close_gap_write_us : result.close_gap_read_us).Add(gap_us);
     }
     if (s.ReadOnly()) {
-      ++readonly_opens[s.path];
+      ++readonly_opens[s.file()];
     } else if (s.WriteOnly()) {
-      ++writeonly_opens[s.path];
+      ++writeonly_opens[s.file()];
     }
     if (s.HasData()) {
-      path_opens[s.path].push_back(PathOpen{s.open_complete, s.reads() > 0, s.WriteOnly()});
+      path_opens[s.file()].push_back(PathOpen{s.open_complete, s.reads() > 0, s.WriteOnly()});
     }
   }
 
@@ -87,9 +87,9 @@ SessionResult SessionAnalyzer::Analyze(const TraceSet& trace, const InstanceTabl
     result.readonly_reopen_fraction =
         readonly_opens.empty() ? 0 : static_cast<double>(reopened) / readonly_opens.size();
     int later_read = 0;
-    for (const auto& [path, opens] : writeonly_opens) {
+    for (const auto& [file, opens] : writeonly_opens) {
       (void)opens;
-      auto it = path_opens.find(path);
+      auto it = path_opens.find(file);
       if (it == path_opens.end()) {
         continue;
       }

@@ -62,6 +62,24 @@ uint64_t LostTotal(const SystemIntegrity& t) {
          t.records_lost_to_corruption;
 }
 
+// The first system whose records or names differ between two collections,
+// compared system by system, so a system-major store meets a time-merged
+// replay; empty when every system's stream is identical.
+std::string FirstSystemMismatch(const TraceSet& stored, const TraceSet& replayed) {
+  std::vector<uint32_t> ids = stored.SystemIds();
+  const std::vector<uint32_t> more = replayed.SystemIds();
+  ids.insert(ids.end(), more.begin(), more.end());
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  for (const uint32_t id : ids) {
+    const FidelityReport fid = CheckFidelity(stored.ForSystem(id), replayed.ForSystem(id));
+    if (!fid.exact()) {
+      return "sys" + std::to_string(id) + ": " + fid.detail;
+    }
+  }
+  return "";
+}
+
 void Fail(ChaosTrialResult* out, std::string invariant, std::string detail) {
   out->failures.push_back({std::move(invariant), std::move(detail)});
 }
@@ -349,7 +367,7 @@ ChaosTrialResult RunChaosTrial(const ChaosPlan& plan, const ChaosCampaignConfig&
   }
 
   // Invariant D: gap-tolerant replay of the (possibly damaged) store
-  // terminates with every gap absorbed.
+  // terminates with every gap absorbed, and the identity clause below.
   std::string replay_path = merged;
   bool damage_applied = false;
   if (plan.damage.enabled()) {
@@ -386,20 +404,26 @@ ChaosTrialResult RunChaosTrial(const ChaosPlan& plan, const ChaosCampaignConfig&
     Fail(&out, "replay", "lossy input did not mark the replay degraded");
   }
 
-  // A trial that lost nothing anywhere must replay byte-identically, even
-  // with gap tolerance armed (per-operation fault schedules are excluded:
-  // their zero-loss envelope is seed-dependent, which is the fidelity
-  // suite's territory, not an any-plan invariant).
+  // A trial whose only loss is unresolved records must replay byte-identically,
+  // even with gap tolerance armed: those records never reach the store, and
+  // the replayed stack leaves the same ones unresolved. Per-operation fault
+  // schedules are excluded (their zero-loss envelope is seed-dependent, which
+  // is the fidelity suite's territory, not an any-plan invariant). The store
+  // is system-major and the replay time-merged, so each system's stream is
+  // compared on its own. Unresolved records count as known loss, so only a
+  // trial that lost nothing at all must also synthesize nothing.
   const bool per_op_faults = plan.shipment_probability > 0.0 ||
                              plan.disk_read_probability > 0.0 ||
                              plan.disk_write_probability > 0.0;
-  if (out.records_lost_total == 0 && !damage_applied && !per_op_faults) {
-    const FidelityReport fid = CheckFidelity(full_rows, replay.trace);
-    if (!fid.exact() || replay.divergence.total() != 0) {
-      Fail(&out, "replay", "loss-free trial did not replay byte-identically: " +
-                               (fid.detail.empty() ? "divergence" : fid.detail));
+  if (out.records_lost_total == totals.records_unresolved && !damage_applied && !per_op_faults) {
+    out.identity_checked = true;
+    const std::string mismatch = FirstSystemMismatch(full_rows, replay.trace);
+    if (!mismatch.empty() || replay.divergence.total() != 0) {
+      Fail(&out, "replay", "trial did not replay byte-identically: " +
+                               (mismatch.empty() ? std::string("divergence") : mismatch));
     }
-    if (replay.degraded.synthesized_ops() != 0 || replay.degraded.gaps_detected != 0) {
+    if (out.records_lost_total == 0 &&
+        (replay.degraded.synthesized_ops() != 0 || replay.degraded.gaps_detected != 0)) {
       Fail(&out, "replay", "clean input triggered gap synthesis");
     }
   }
@@ -495,6 +519,7 @@ ChaosCampaignResult RunChaosCampaign(const ChaosCampaignConfig& config) {
         RunChaosTrial(plan, cfg, cfg.work_dir + "/t" + std::to_string(i), det);
     ++out.trials_run;
     out.determinism_checks += r.determinism_checked ? 1 : 0;
+    out.identity_checks += r.identity_checked ? 1 : 0;
     out.records_emitted += r.records_emitted;
     out.records_lost_total += r.records_lost_total;
     out.synthesized_ops += r.replay_synthesized_ops;

@@ -23,7 +23,10 @@
 //   D  replay        gap-tolerant replay of the (possibly damaged) store
 //                    terminates with every gap absorbed -- no missing-object
 //                    divergence -- and degrades exactly when the input was
-//                    lossy; a loss-free trial must replay byte-identically.
+//                    lossy; a trial whose only loss is unresolved records
+//                    (no per-operation fault, no store damage) replays each
+//                    stored system's stream byte-identically, and one that
+//                    lost nothing synthesizes nothing.
 //
 // A failing trial is re-run under greedy plan shrinking: components are
 // removed one at a time while the failure reproduces, converging on a
@@ -106,6 +109,7 @@ struct ChaosTrialResult {
   uint64_t replay_gaps = 0;
   uint64_t worker_crashes = 0;
   bool determinism_checked = false;
+  bool identity_checked = false;  // Invariant D's per-system identity clause ran.
 
   bool ok() const { return failures.empty(); }
 };
@@ -140,6 +144,7 @@ struct ChaosCampaignResult {
   int transport_trials = 0;
   int damage_trials = 0;
   int determinism_checks = 0;
+  int identity_checks = 0;  // Trials that ran invariant D's identity clause.
   // Aggregates across trials.
   uint64_t records_emitted = 0;
   uint64_t records_lost_total = 0;

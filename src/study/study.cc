@@ -112,7 +112,7 @@ const SessionResult& Study::Sessions() {
 
 const LifetimeResult& Study::Lifetimes() {
   if (!lifetimes_.has_value()) {
-    lifetimes_ = LifetimeAnalyzer::Analyze(trace(), instances());
+    lifetimes_ = LifetimeAnalyzer::Analyze(instances());
     lifetimes_->overwrite_with_dirty_fraction =
         total_cache_stats().purge_calls > 0
             ? static_cast<double>(total_cache_stats().purges_with_dirty) /

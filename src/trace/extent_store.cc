@@ -419,8 +419,10 @@ bool ExtentStoreWriter::Open(const std::string& path, uint32_t extent_records,
                              uint64_t config_fingerprint, bool compress) {
   sealed_ = false;
   compress_ = compress;
+  config_fingerprint_ = config_fingerprint;
   records_written_ = 0;
   extents_written_ = 0;
+  frames_written_ = 0;
   pending_.Clear();
   dict_.clear();
   dict_index_.clear();
@@ -438,8 +440,12 @@ bool ExtentStoreWriter::Open(const std::string& path, uint32_t extent_records,
 }
 
 bool ExtentStoreWriter::WriteFrame(ExtentFrameType type) {
-  return file_.Append(static_cast<uint16_t>(type), nullptr, 0, payload_.data(), payload_.size(),
-                      /*checkpoint=*/type == ExtentFrameType::kSeal);
+  if (!file_.Append(static_cast<uint16_t>(type), nullptr, 0, payload_.data(), payload_.size(),
+                    /*checkpoint=*/type == ExtentFrameType::kSeal)) {
+    return false;
+  }
+  ++frames_written_;
+  return true;
 }
 
 bool ExtentStoreWriter::FlushExtent() {
@@ -471,6 +477,7 @@ bool ExtentStoreWriter::WriteExtent(const uint8_t* payload, size_t size, uint32_
   m.records_written.Inc(records);
   records_written_ += records;
   ++extents_written_;
+  ++frames_written_;
   return true;
 }
 
@@ -581,6 +588,21 @@ bool ExtentStoreWriter::Seal() {
   }
   sealed_ = true;
   return true;
+}
+
+ExtentReadStats ExtentStoreWriter::SealedStats() const {
+  ExtentReadStats s;
+  s.file_opened = s.header_valid = s.sealed = true;
+  s.version = kExtentStoreVersion;
+  s.config_fingerprint = config_fingerprint_;
+  s.frames_valid = frames_written_;
+  s.extent_capacity = extent_records_;
+  s.extents_recovered = s.seal_extents = extents_written_;
+  s.records_recovered = s.seal_records = records_written_;
+  s.names_recovered = s.seal_names = names_.size();
+  s.seal_procs = procs_.size();
+  s.seal_dict_entries = dict_.size();
+  return s;
 }
 
 // ---------------------------------------------------------------------------
@@ -778,7 +800,36 @@ ColumnarTraceSet ColumnarTraceSet::FromFile(const std::string& path) {
     out.names = reader.names();
     out.process_names = reader.process_names();
   }
-  out.set_spill(path, records, reader.stats());
+  out.spill_path_ = path;
+  out.record_count_ = records;
+  out.read_stats_ = reader.stats();
+  return out;
+}
+
+ColumnarTraceSet ColumnarTraceSet::WriteMerged(
+    const std::string& path, const std::vector<std::string>& inputs, std::vector<NameRecord> names,
+    std::vector<std::pair<uint32_t, std::string>> process_names, uint32_t extent_records,
+    uint64_t config_fingerprint) {
+  ExtentStoreWriter writer;
+  writer.Open(path, extent_records, config_fingerprint);
+  MergeExtentStreams(inputs, &writer);
+  for (const NameRecord& n : names) {
+    writer.AddName(n);
+  }
+  for (const auto& [pid, name] : process_names) {
+    writer.AddProcessName(pid, name);
+  }
+  const bool sealed = writer.Seal();
+  writer.Close();
+  if (!sealed) {
+    return FromFile(path);
+  }
+  ColumnarTraceSet out;
+  out.names = std::move(names);
+  out.process_names = std::move(process_names);
+  out.spill_path_ = path;
+  out.read_stats_ = writer.SealedStats();
+  out.record_count_ = out.read_stats_.records_recovered;
   return out;
 }
 

@@ -54,7 +54,9 @@
 // but never scanned records). An encoded extent frame is self-contained, so
 // stores concatenate by copying frames: a fleet's merged store is its
 // per-system spills' extent frames end to end (MergeExtentStreams), and a
-// record is encoded once, on the worker that completes its system.
+// record is encoded once, on the worker that completes its system. The
+// fleet hands its name and process tables to ColumnarTraceSet::WriteMerged,
+// which writes and seals that store and owns the tables from then on.
 
 #ifndef SRC_TRACE_EXTENT_STORE_H_
 #define SRC_TRACE_EXTENT_STORE_H_
@@ -237,6 +239,11 @@ class ExtentStoreWriter {
   uint64_t extents_written() const { return extents_written_; }
   uint64_t bytes_written() const { return file_.bytes_written(); }
 
+  // Once Seal succeeded: what a reader of the file reports at the end of
+  // its scan (ColumnarTraceSet::FromFile's read_stats), from the writer's
+  // own account of the frames it wrote.
+  ExtentReadStats SealedStats() const;
+
  private:
   bool FlushExtent();
   bool WriteExtent(const uint8_t* payload, size_t size, uint32_t records);
@@ -246,8 +253,10 @@ class ExtentStoreWriter {
   bool sealed_ = false;
   bool compress_ = true;
   uint32_t extent_records_ = kDefaultExtentRecords;
+  uint64_t config_fingerprint_ = 0;
   uint64_t records_written_ = 0;
   uint64_t extents_written_ = 0;
+  uint64_t frames_written_ = 0;
 
   ColumnarExtent pending_;
   std::vector<std::string> dict_;  // First-appearance order.
@@ -333,14 +342,23 @@ class ColumnarTraceSet {
   // read_stats() carries the loss accounting.
   static ColumnarTraceSet FromFile(const std::string& path);
 
+  // Builds a merged store and opens it: writes `path` as the extent frames
+  // of `inputs` end to end (MergeExtentStreams), then `names` and
+  // `process_names` (in insertion order) as its tail tables, sealed, under
+  // a header declaring `extent_records` and `config_fingerprint`. The store
+  // layer owns the tables from here: the result holds them, and equals
+  // FromFile(path) -- tables, record count and read stats -- without
+  // reading a store it wrote whole back. An input that ends damaged adds
+  // its intact prefix; the store itself is still whole. A failed write
+  // returns FromFile's salvage of what reached the disk.
+  static ColumnarTraceSet WriteMerged(const std::string& path,
+                                      const std::vector<std::string>& inputs,
+                                      std::vector<NameRecord> names,
+                                      std::vector<std::pair<uint32_t, std::string>> process_names,
+                                      uint32_t extent_records, uint64_t config_fingerprint);
+
   // Full row materialization (the parity oracle; memory O(records)).
   TraceSet ToRows() const;
-
-  void set_spill(std::string path, uint64_t record_count, ExtentReadStats stats) {
-    spill_path_ = std::move(path);
-    record_count_ = record_count;
-    read_stats_ = stats;
-  }
 
  private:
   std::string spill_path_;

@@ -12,7 +12,10 @@
 #define SRC_TRACEDB_INSTANCE_TABLE_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/base/time.h"
@@ -32,6 +35,17 @@ struct RwOp {
   bool fastio = false;
   int64_t start_ticks = 0;
   int64_t complete_ticks = 0;
+};
+
+// A file is a path on one system: one path on two machines is two files,
+// so per-file analyses key by (system_id, path), never by the path alone.
+// The view borrows the instance's path.
+using FileKey = std::pair<uint32_t, std::string_view>;
+
+struct FileKeyHash {
+  size_t operator()(const FileKey& k) const noexcept {
+    return std::hash<std::string_view>{}(k.second) ^ (k.first * 0x9E3779B97F4A7C15ULL);
+  }
 };
 
 // One row per FileObject instance.
@@ -83,6 +97,7 @@ struct Instance {
   std::vector<RwOp> ops;
 
   // --- Derived helpers --------------------------------------------------------
+  FileKey file() const { return {system_id, path}; }
   uint32_t reads() const { return irp_reads + fastio_reads; }
   uint32_t writes() const { return irp_writes + fastio_writes; }
   bool HasData() const { return reads() + writes() > 0; }

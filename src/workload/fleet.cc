@@ -15,6 +15,7 @@
 #include <thread>
 #include <type_traits>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "src/base/parallel.h"
@@ -995,69 +996,39 @@ void DrainTransport(FleetRunContext* ctx, LoopbackTransport* net, FleetNetStats*
   FleetMetrics::Get().drain_wall_us_sum.Inc(static_cast<uint64_t>(ElapsedMicros(drain_start)));
 }
 
-// Columnar merge: merged.ntx is the spills' extent frames, copied verbatim
-// in system-id order, so the store is system-major -- each system's
-// time-sorted stream in turn -- and no record is encoded twice. The store
-// is self-contained (name and process tables ride at its tail in the
-// row-mode insertion order).
-void MergeExtents(const FleetRunContext& ctx, const std::vector<std::string>& inputs,
-                  std::vector<std::pair<uint32_t, std::string>> proc_insertions,
-                  FleetResult* result) {
-  const std::string merged_path = ctx.config.columnar_dir + "/merged.ntx";
-  ExtentStoreWriter merged;
-  merged.Open(merged_path, kSpillExtentRecords, ctx.fingerprint);
-  const ExtentMergeResult mr = MergeExtentStreams(inputs, &merged);
-  for (const NameRecord& n : result->trace.names) {
-    merged.AddName(n);
-  }
-  for (const auto& [pid, name] : proc_insertions) {
-    merged.AddProcessName(pid, name);
-  }
-  const bool merged_ok = merged.Seal();
-  merged.Close();
-  for (const std::string& p : inputs) {
-    std::remove(p.c_str());  // Spill segments are dead once merged.
-  }
-  result->columnar.names = result->trace.names;
-  result->columnar.process_names = std::move(proc_insertions);
-  ExtentReadStats stats;
-  stats.file_opened = merged_ok;
-  stats.header_valid = merged_ok;
-  stats.version = kExtentStoreVersion;
-  stats.extent_capacity = kSpillExtentRecords;
-  stats.config_fingerprint = ctx.fingerprint;
-  stats.sealed = merged_ok;
-  stats.extents_recovered = merged.extents_written();
-  stats.records_recovered = mr.records;
-  stats.records_lost_known = mr.records_lost_known;
-  result->columnar.set_spill(merged_path, mr.records, stats);
-  result->columnar_mode = true;
-  result->records_on_disk = mr.records;
-}
-
 // Stage 5: merge the completed shards in system-id order -- stats, process
 // names, the integrity report (agent-side counters reconciled against each
-// shard server's sequence bookkeeping, faults included), then the
-// time-sorted trace streams: k-way into rows, or (columnar mode) end to end
-// into <columnar_dir>/merged.ntx.
+// shard server's sequence bookkeeping, faults included), then the trace in
+// its one form. A row run k-way merges the time-sorted shard streams into
+// FleetResult::trace. A columnar run hands the spills, names and process
+// table to ColumnarTraceSet::WriteMerged, which builds
+// <columnar_dir>/merged.ntx from the spills' extent frames, in system-id
+// order (system-major: each system's time-sorted stream in turn, no record
+// encoded twice), and owns the tables from then on; FleetResult::trace stays
+// empty.
 void MergeShards(FleetRunContext* ctx, FleetResult* result) {
   const auto merge_start = std::chrono::steady_clock::now();
   const bool columnar = !ctx->config.columnar_dir.empty();
   std::vector<std::vector<TraceRecord>> sorted_runs;
-  std::vector<std::string> extent_inputs;
-  // Columnar mode: (pid, name) pairs in the exact sequence the row-mode map
-  // would have emplaced them, so a consumer replaying these emplaces
-  // rebuilds an identical process map.
-  std::vector<std::pair<uint32_t, std::string>> proc_insertions;
+  std::vector<std::string> spills;
+  std::vector<NameRecord> names;
+  // (pid, image name), first pid wins, in the sequence a row run's map takes
+  // them, so replaying these emplaces rebuilds that map exactly.
+  std::vector<std::pair<uint32_t, std::string>> processes;
+  std::unordered_set<uint32_t> pids;
+  size_t name_count = 0;
+  for (const SystemShard& shard : ctx->shards) {
+    name_count += shard.state == ShardState::kComplete ? shard.server.set().names.size() : 0;
+  }
+  names.reserve(name_count);
   sorted_runs.reserve(columnar ? 0 : ctx->shards.size());
   for (SystemShard& shard : ctx->shards) {
     if (shard.state != ShardState::kComplete) {
       continue;  // A failed system is absent from the output.
     }
     for (auto& [pid, name] : shard.process_names) {
-      const auto [it, inserted] = result->trace.process_names.emplace(pid, std::move(name));
-      if (columnar && inserted) {
-        proc_insertions.emplace_back(pid, it->second);
+      if (pids.insert(pid).second) {
+        processes.emplace_back(pid, std::move(name));
       }
     }
     const SystemRunStats& s = shard.stats;
@@ -1092,23 +1063,35 @@ void MergeShards(FleetRunContext* ctx, FleetResult* result) {
 
     TraceSet& collected = shard.server.Finish();  // Already sorted by CompleteShard.
     if (columnar) {
-      extent_inputs.push_back(shard.spill_path);  // Records already on disk.
+      spills.push_back(shard.spill_path);  // Records already on disk.
     } else {
       sorted_runs.push_back(std::move(collected.records));
     }
-    result->trace.names.insert(result->trace.names.end(),
-                               std::make_move_iterator(collected.names.begin()),
-                               std::make_move_iterator(collected.names.end()));
+    names.insert(names.end(), std::make_move_iterator(collected.names.begin()),
+                 std::make_move_iterator(collected.names.end()));
+    collected.names.clear();
+    collected.names.shrink_to_fit();
     result->systems.push_back(std::move(shard.stats));
   }
   if (columnar) {
-    MergeExtents(*ctx, extent_inputs, std::move(proc_insertions), result);
+    result->columnar = ColumnarTraceSet::WriteMerged(
+        ctx->config.columnar_dir + "/merged.ntx", spills, std::move(names), std::move(processes),
+        kSpillExtentRecords, ctx->fingerprint);
+    result->columnar_mode = true;
+    result->records_on_disk = result->columnar.record_count();
+    for (const std::string& p : spills) {
+      std::remove(p.c_str());  // Spill segments are dead once merged.
+    }
   } else {
     result->trace.MergeSortedRuns(std::move(sorted_runs));
+    result->trace.names = std::move(names);
+    for (auto& [pid, name] : processes) {
+      result->trace.process_names.emplace(pid, std::move(name));
+    }
+    // Build the lookup index while still single-threaded so concurrent
+    // analyses never race on the lazy build.
+    result->trace.EnsureNameIndex();
   }
-  // Build the lookup index while still single-threaded so concurrent
-  // analyses never race on the lazy build.
-  result->trace.EnsureNameIndex();
   const int64_t merge_us = ElapsedMicros(merge_start);
   FleetMetrics& metrics = FleetMetrics::Get();
   metrics.merge_wall_us_sum.Inc(static_cast<uint64_t>(merge_us));

@@ -149,12 +149,14 @@ struct FleetConfig {
   // system-major: each system's time-sorted stream, in system-id order.
   // In-process runs bound record memory by O(live systems x one shard)
   // instead of O(total records); a net run does not, because the service
-  // holds every session's rows until the drain. FleetResult::columnar then
-  // carries the disk-backed merged store; FleetResult::trace keeps names,
-  // process map and integrity, but no record rows. This knob changes where
-  // the records live and their cross-system order, never analysis output:
-  // TraceScan over the columnar store is byte-identical to the row path.
-  // Study rejects it: its row analyses need FleetResult::trace.records.
+  // holds every session's rows until the drain. A run fills exactly one
+  // trace form: with this knob FleetResult::columnar carries the
+  // disk-backed merged store with its name and process tables, and
+  // FleetResult::trace stays empty (integrity is FleetResult::integrity in
+  // both modes). This knob changes where the records live and their
+  // cross-system order, never analysis output: TraceScan over the columnar
+  // store is byte-identical to the row path. Study rejects it: its row
+  // analyses need FleetResult::trace.records.
   std::string columnar_dir;
 
   // Worker threads simulating systems concurrently: 1 = sequential
@@ -169,7 +171,9 @@ struct FleetConfig {
 };
 
 struct FleetResult {
-  TraceSet trace;  // Merged, time-sorted, with process names resolved.
+  // A row run's trace: merged, time-sorted, with names and process names
+  // resolved. Empty in columnar mode, whose trace is `columnar` alone.
+  TraceSet trace;
   std::vector<SystemRunStats> systems;
   // Per-system pipeline accounting (agent counters merged with the
   // collection server's sequence bookkeeping, abandoned shipments
@@ -189,9 +193,10 @@ struct FleetResult {
   FleetRecoveryStats recovery;
   // What the transport did when the run was collected over the socket.
   FleetNetStats net;
-  // Columnar mode (FleetConfig::columnar_dir): the merged trace as a
-  // disk-backed, system-major columnar extent store. `trace.records` is
-  // empty; names, process map and integrity live in both views. Scan
+  // Columnar mode (FleetConfig::columnar_dir): the run's one trace form, the
+  // merged trace as a disk-backed, system-major columnar extent store with
+  // its name and process tables; it equals ColumnarTraceSet::FromFile of
+  // <columnar_dir>/merged.ntx, read stats included. `trace` is empty. Scan
   // analyses consume this via TraceScan::Run(columnar); row-only analyses
   // can materialize with columnar.ToRows() at O(records) memory.
   ColumnarTraceSet columnar;

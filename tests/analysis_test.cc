@@ -11,6 +11,7 @@
 #include "src/analysis/lifetimes.h"
 #include "src/analysis/operations.h"
 #include "src/analysis/patterns.h"
+#include "src/analysis/process_profile.h"
 #include "src/analysis/report.h"
 #include "src/analysis/sessions.h"
 #include "src/analysis/snapshot_analysis.h"
@@ -211,7 +212,7 @@ TEST(AnalyzersEndToEnd, SessionsLifetimesOperations) {
 
   TraceSet& trace = sys.FinishTrace();
   const InstanceTable table = InstanceTable::Build(trace);
-  const LifetimeResult lifetimes = LifetimeAnalyzer::Analyze(trace, table);
+  const LifetimeResult lifetimes = LifetimeAnalyzer::Analyze(table);
   ASSERT_EQ(lifetimes.deaths.size(), 2u);
   int overwrites = 0;
   int deletes = 0;
@@ -238,6 +239,55 @@ TEST(AnalyzersEndToEnd, SessionsLifetimesOperations) {
 
   const FastIoResultAnalysis fastio = FastIoAnalyzer::Analyze(trace);
   EXPECT_GT(fastio.fastio_write_share, 0.0);
+}
+
+// A file is a path on one system. Two machines that share a path share no
+// file: a create on one and a delete on the other is no death, one
+// read-only open on each is no re-open, and a process image that opens the
+// path on both machines has touched two files.
+TEST(AnalyzersEndToEnd, OnePathOnTwoSystemsIsTwoFiles) {
+  const auto at = [](int64_t ms) { return SimDuration::Millis(ms).ticks(); };
+  const auto session = [&](uint32_t system, uint32_t pid, const char* path, int64_t open_ms) {
+    Instance s;
+    s.file_object = system * 1000 + open_ms;
+    s.system_id = system;
+    s.process_id = pid;
+    s.path = path;
+    s.open_start = at(open_ms);
+    s.open_complete = at(open_ms) + 10;
+    s.cleanup_time = at(open_ms + 5);
+    s.close_time = s.cleanup_time + 10;
+    return s;
+  };
+  InstanceTable table;
+  Instance created = session(1, 10, "C:\\shared.tmp", 1000);
+  created.create_action = CreateAction::kCreated;
+  created.fastio_writes = 1;
+  created.bytes_written = 100;
+  table.rows().push_back(created);
+  Instance deleted = session(2, 20, "C:\\shared.tmp", 2000);
+  deleted.set_delete_disposition = true;
+  table.rows().push_back(deleted);
+  for (const uint32_t system : {1u, 2u}) {
+    Instance read = session(system, system * 10, "C:\\shared.ini", 3000 + 10 * system);
+    read.fastio_reads = 1;
+    read.bytes_read = 100;
+    table.rows().push_back(read);
+  }
+
+  const LifetimeResult lifetimes = LifetimeAnalyzer::Analyze(table);
+  EXPECT_EQ(lifetimes.new_files, 1u);
+  EXPECT_TRUE(lifetimes.deaths.empty());
+
+  TraceSet trace;
+  trace.process_names = {{10, "app.exe"}, {20, "app.exe"}};
+  const SessionResult sessions = SessionAnalyzer::Analyze(trace, table);
+  EXPECT_EQ(sessions.readonly_reopen_fraction, 0.0);
+
+  const std::vector<ProcessProfile> profiles = ProcessProfileAnalyzer::ByProcess(trace, table);
+  ASSERT_EQ(profiles.size(), 1u);
+  EXPECT_EQ(profiles[0].opens, 4u);
+  EXPECT_EQ(profiles[0].distinct_files, 4u);
 }
 
 // A trace without a single open has no inter-arrival or session CDF: the

@@ -4,7 +4,8 @@
 // termination) -- so the suite pins three meta-properties: a healthy tree
 // passes a multi-family campaign, the plan generator is reproducible from
 // (seed, index) alone, and a deliberately failing invariant shrinks to a
-// minimal single-family reproduction.
+// minimal single-family reproduction. A crash-only trial also pins
+// invariant D's identity clause, which only such trials reach.
 
 #include "src/fault/chaos.h"
 #include "tests/test_util.h"
@@ -47,6 +48,26 @@ TEST(ChaosCampaign, HealthyTreeHoldsInvariantsAcrossFamilies) {
   EXPECT_GE(result.FamiliesCovered(), 3);
   EXPECT_EQ(result.determinism_checks, 2);
   EXPECT_GT(result.records_emitted, 0u);
+}
+
+// Invariant D's identity clause on a crash-only plan. Soak plan 25 tears
+// system 3's spool mid-run and restarts it; the trial fleet's only loss is
+// unresolved records, so the clause must run, and every system's replayed
+// stream must equal its stream in the system-major store.
+TEST(ChaosCampaign, CrashOnlyTrialReplaysEverySystemIdentically) {
+  const ChaosPlan plan = DrawChaosPlan(0xC4A0C4A0ULL, 25);
+  ASSERT_EQ(plan.Describe(), "seed=0x43c6db89fcf56081 threads=3 crash=torn-write sys3@ev593 att1");
+  ChaosCampaignConfig config;
+  const ChaosTrialResult r =
+      RunChaosTrial(plan, config, ScratchPath("chaos_identity_test"), /*check_determinism=*/false);
+  for (const ChaosInvariantFailure& f : r.failures) {
+    ADD_FAILURE() << f.invariant << ": " << f.detail;
+  }
+  EXPECT_TRUE(r.identity_checked);
+  EXPECT_EQ(r.worker_crashes, 1u);
+  EXPECT_GT(r.records_lost_total, 0u);  // Unresolved records, and nothing else.
+  EXPECT_EQ(r.store_records, r.records_collected);
+  EXPECT_EQ(r.replay_records, r.records_collected);
 }
 
 // The acceptance demo: break an invariant on purpose and watch the campaign

@@ -11,7 +11,9 @@
 //    and never yield anything but a prefix of the original records;
 //  - MergeExtentStreams puts its inputs end to end with every extent frame
 //    copied verbatim, on compressed and mixed compressed/uncompressed
-//    inputs, and a damaged input ends at its intact prefix.
+//    inputs, and a damaged input ends at its intact prefix;
+//  - ColumnarTraceSet::WriteMerged returns exactly what FromFile reads back
+//    from the store it wrote, read stats included.
 // Mirrors tests/spool_test.cc, which pins the shared frame codec itself.
 
 #include "src/trace/extent_store.h"
@@ -983,6 +985,44 @@ TEST(ExtentMerge, DamagedInputDegradesToItsPrefix) {
     std::remove(path.c_str());
   }
   std::remove(out_path.c_str());
+}
+
+// The merged store a fleet hands out is the file on disk, as a reader sees
+// it: tables, record count and every read-stats field, with one input
+// ending damaged (the store itself stays whole) and with a write that
+// cannot happen at all.
+TEST(ExtentMerge, WriteMergedEqualsItsStoreReadBack) {
+  const std::vector<std::string> inputs = {ScratchPath("extent_write_merged_a.ntx"),
+                                           ScratchPath("extent_write_merged_b.ntx")};
+  WriteStore(inputs[0], MakeRecords(1, 0, 50), 16);
+  WriteStore(inputs[1], MakeRecords(2, 0, 50), 16);
+  std::vector<uint8_t> damaged = ReadFileBytes(inputs[1]);
+  damaged.resize(damaged.size() / 2);
+  WriteFileBytes(inputs[1], damaged);
+  const std::vector<NameRecord> names = {
+      {0x10, 1, "C:\\a.txt"}, {0x11, 1, "C:\\b.txt"}, {0x20, 2, "C:\\a.txt"}};
+  const std::vector<std::pair<uint32_t, std::string>> procs = {{7, "app.exe"}, {3, "b.exe"}};
+
+  const std::string path = ScratchPath("extent_write_merged_out.ntx");
+  const ColumnarTraceSet merged =
+      ColumnarTraceSet::WriteMerged(path, inputs, names, procs, 16, 0xBEEF);
+  EXPECT_TRUE(merged.read_stats().sealed);
+  EXPECT_GT(merged.record_count(), 50u);
+  EXPECT_LT(merged.record_count(), 100u);
+  EXPECT_EQ(merged.read_stats().seal_dict_entries, 4u);  // Two paths, two images.
+  ExpectSameStore(merged, ColumnarTraceSet::FromFile(path));
+
+  const std::string nowhere = ScratchPath("extent_write_merged_missing") + "/merged.ntx";
+  const ColumnarTraceSet unwritten =
+      ColumnarTraceSet::WriteMerged(nowhere, inputs, names, procs, 16, 0xBEEF);
+  EXPECT_FALSE(unwritten.read_stats().file_opened);
+  EXPECT_TRUE(unwritten.names.empty());
+  ExpectSameStore(unwritten, ColumnarTraceSet::FromFile(nowhere));
+
+  for (const std::string& p : inputs) {
+    std::remove(p.c_str());
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

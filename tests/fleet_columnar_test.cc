@@ -12,6 +12,8 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/workload/fleet.h"
@@ -85,6 +87,41 @@ TEST(FleetColumnar, NetDurableStoreIsTheRowRunPartitionedBySystem) {
     EXPECT_EQ(rows.process_names, row_run.trace.process_names) << "threads=" << threads;
     std::filesystem::remove_all(dir);
   }
+}
+
+// A run fills exactly one trace form. A columnar run's is the store on
+// disk: FleetResult::trace stays empty, the store's tables are the row
+// run's, and FleetResult::columnar equals what a reader of merged.ntx gets,
+// read stats field for field.
+TEST(FleetColumnar, ColumnarRunHoldsOnlyTheStoreItWrote) {
+  const FleetResult row_run = RunFleet(BaseConfig());
+  const std::string dir = ScratchPath("fleet_columnar_one_form");
+  std::filesystem::remove_all(dir);
+  FleetConfig config = BaseConfig();
+  config.threads = 2;
+  config.columnar_dir = dir;
+  const FleetResult result = RunFleet(config);
+  ASSERT_TRUE(result.columnar_mode);
+  EXPECT_TRUE(result.trace.records.empty());
+  EXPECT_TRUE(result.trace.names.empty());
+  EXPECT_TRUE(result.trace.process_names.empty());
+  EXPECT_EQ(result.records_on_disk, row_run.trace.records.size());
+
+  const std::vector<NameRecord>& names = result.columnar.names;
+  ASSERT_EQ(names.size(), row_run.trace.names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    const NameRecord& b = row_run.trace.names[i];
+    ASSERT_TRUE(names[i].file_object == b.file_object && names[i].system_id == b.system_id &&
+                names[i].path == b.path)
+        << "name " << i;
+  }
+  const std::vector<std::pair<uint32_t, std::string>>& procs = result.columnar.process_names;
+  const std::unordered_map<uint32_t, std::string> proc_map(procs.begin(), procs.end());
+  EXPECT_EQ(proc_map.size(), procs.size());  // One entry per pid.
+  EXPECT_EQ(proc_map, row_run.trace.process_names);
+
+  ExpectSameStore(result.columnar, ColumnarTraceSet::FromFile(dir + "/merged.ntx"));
+  std::filesystem::remove_all(dir);
 }
 
 TEST(FleetColumnar, NetRunReportsItsDrainWall) {

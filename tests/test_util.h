@@ -92,6 +92,42 @@ inline ColumnarTraceSet WriteColumnarStore(const TraceSet& trace, const std::str
   return ColumnarTraceSet::FromFile(path);
 }
 
+// Two stores opened, compared the way a reader sees them: record count,
+// name and process tables, and every read-stats field.
+inline void ExpectSameStore(const ColumnarTraceSet& a, const ColumnarTraceSet& b) {
+  EXPECT_EQ(a.spill_path(), b.spill_path());
+  EXPECT_EQ(a.record_count(), b.record_count());
+  ASSERT_EQ(a.names.size(), b.names.size());
+  for (size_t i = 0; i < a.names.size(); ++i) {
+    ASSERT_TRUE(a.names[i].file_object == b.names[i].file_object &&
+                a.names[i].system_id == b.names[i].system_id && a.names[i].path == b.names[i].path)
+        << "name " << i;
+  }
+  EXPECT_EQ(a.process_names, b.process_names);
+  const ExtentReadStats& x = a.read_stats();
+  const ExtentReadStats& y = b.read_stats();
+#define NTRACE_EXPECT_FIELD(field) EXPECT_EQ(x.field, y.field) << #field
+  NTRACE_EXPECT_FIELD(file_opened);
+  NTRACE_EXPECT_FIELD(header_valid);
+  NTRACE_EXPECT_FIELD(version);
+  NTRACE_EXPECT_FIELD(config_fingerprint);
+  NTRACE_EXPECT_FIELD(sealed);
+  NTRACE_EXPECT_FIELD(frames_valid);
+  NTRACE_EXPECT_FIELD(frames_damaged);
+  NTRACE_EXPECT_FIELD(records_lost_known);
+  NTRACE_EXPECT_FIELD(bytes_discarded);
+  NTRACE_EXPECT_FIELD(extent_capacity);
+  NTRACE_EXPECT_FIELD(extents_recovered);
+  NTRACE_EXPECT_FIELD(records_recovered);
+  NTRACE_EXPECT_FIELD(names_recovered);
+  NTRACE_EXPECT_FIELD(seal_records);
+  NTRACE_EXPECT_FIELD(seal_extents);
+  NTRACE_EXPECT_FIELD(seal_names);
+  NTRACE_EXPECT_FIELD(seal_procs);
+  NTRACE_EXPECT_FIELD(seal_dict_entries);
+#undef NTRACE_EXPECT_FIELD
+}
+
 // One traced machine with a "C:" volume. Members are public on purpose:
 // tests poke at every layer.
 class TestSystem {
