@@ -418,7 +418,8 @@ void PrintQq(const char* title, const QqSeries& qq) {
 // estimator puts every traced quantity at 1.2-1.7: infinite variance.
 void Figures9And10(Study& study) {
   const TailDiagnostics diag = BurstinessAnalyzer::Diagnose(
-      "open inter-arrival (ms)", BurstinessAnalyzer::OpenInterarrivalsMs(study.trace()));
+      "open inter-arrival (ms)",
+      BurstinessAnalyzer::OpenInterarrivalsMs(study.trace(), study.system_index()));
   PrintQq("Figure 9: QQ against Normal", diag.qq_normal);
   PrintQq("Figure 9: QQ against Pareto", diag.qq_pareto);
   PrintLlcd("Figure 10: open inter-arrival upper tail", diag.llcd);

@@ -84,11 +84,12 @@ int main() {
   const FleetResult fleet = RunFleet(config);
   std::printf("(%zu records)\n", fleet.trace.records.size());
 
-  const std::vector<double> gaps = BurstinessAnalyzer::OpenInterarrivalsMs(fleet.trace);
+  const SystemIndex index = SystemIndex::Build(fleet.trace);
+  const std::vector<double> gaps = BurstinessAnalyzer::OpenInterarrivalsMs(fleet.trace, index);
   Report("open inter-arrivals (ms)", gaps);
 
   // The figure-8 comparison in numbers: variance across time scales.
-  const ArrivalViews views = BurstinessAnalyzer::BuildArrivalViews(fleet.trace);
+  const ArrivalViews views = BurstinessAnalyzer::BuildArrivalViews(fleet.trace, index);
   std::printf("\ncoefficient of variation, trace vs poisson synthesis:\n");
   const char* scales[3] = {"1s", "10s", "100s"};
   for (int i = 0; i < 3; ++i) {

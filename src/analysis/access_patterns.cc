@@ -1,7 +1,7 @@
 #include "src/analysis/access_patterns.h"
 
 #include <algorithm>
-#include <map>
+#include <span>
 
 namespace ntrace {
 namespace {
@@ -14,12 +14,16 @@ struct Tally {
   double total_bytes = 0;
 };
 
-Tally TallyInstances(const std::vector<const Instance*>& sessions) {
+// One system's data sessions.
+Tally TallySystem(std::span<const Instance> rows) {
   Tally t;
-  for (const Instance* s : sessions) {
-    const size_t u = static_cast<size_t>(ClassifyUsage(*s));
-    const size_t p = static_cast<size_t>(ClassifyPattern(*s));
-    const double b = static_cast<double>(s->bytes_read + s->bytes_written);
+  for (const Instance& s : rows) {
+    if (s.open_failed || !s.HasData()) {
+      continue;
+    }
+    const size_t u = static_cast<size_t>(ClassifyUsage(s));
+    const size_t p = static_cast<size_t>(ClassifyPattern(s));
+    const double b = static_cast<double>(s.bytes_read + s.bytes_written);
     t.sessions[u][p] += 1;
     t.bytes[u][p] += b;
     t.total_sessions += 1;
@@ -32,20 +36,27 @@ Tally TallyInstances(const std::vector<const Instance*>& sessions) {
 
 AccessPatternTable AccessPatternAnalyzer::BuildTable(const InstanceTable& instances) {
   AccessPatternTable table;
-  const std::vector<const Instance*> sessions = instances.DataSessions();
-  table.data_sessions = sessions.size();
-  const Tally overall = TallyInstances(sessions);
-
-  // Per-system tallies for the -/+ range columns.
-  std::map<uint32_t, std::vector<const Instance*>> by_system;
-  for (const Instance* s : sessions) {
-    by_system[s->system_id].push_back(s);
-  }
+  // Per-system tallies for the -/+ range columns, from each system's row
+  // range; the overall tally is their sum (counts and integer byte totals,
+  // so exact under any grouping).
+  Tally overall;
   std::vector<Tally> per_system;
-  per_system.reserve(by_system.size());
-  for (const auto& [_, group] : by_system) {
-    per_system.push_back(TallyInstances(group));
+  for (int s = 0; s < instances.systems(); ++s) {
+    const Tally t = TallySystem(instances.system_rows(s));
+    if (t.total_sessions == 0) {
+      continue;  // No data session: no range to contribute.
+    }
+    for (size_t u = 0; u < 3; ++u) {
+      for (size_t p = 0; p < 3; ++p) {
+        overall.sessions[u][p] += t.sessions[u][p];
+        overall.bytes[u][p] += t.bytes[u][p];
+      }
+    }
+    overall.total_sessions += t.total_sessions;
+    overall.total_bytes += t.total_bytes;
+    per_system.push_back(t);
   }
+  table.data_sessions = static_cast<uint64_t>(overall.total_sessions);
 
   for (size_t u = 0; u < 3; ++u) {
     // Denominators per usage mode (the paper's percentages are within mode).

@@ -1,7 +1,8 @@
 #include "src/analysis/burstiness.h"
 
 #include <algorithm>
-#include <map>
+#include <iterator>
+#include <utility>
 
 #include "src/base/rng.h"
 #include "src/stats/distributions.h"
@@ -9,22 +10,67 @@
 namespace ntrace {
 namespace {
 
-uint32_t BusiestSystem(const TraceSet& trace) {
-  std::map<uint32_t, uint64_t> counts;
-  for (const TraceRecord& r : trace.records) {
-    if (r.Event() == TraceEvent::kIrpCreate) {
-      ++counts[r.system_id];
-    }
-  }
-  uint32_t best = 0;
+// The start times of one system's opens, in trace order (0 = the busiest
+// system).
+std::vector<int64_t> OpenStarts(const TraceSet& trace, const SystemIndex& index,
+                                uint32_t system_id) {
+  int slot = -1;
   uint64_t best_count = 0;
-  for (const auto& [id, n] : counts) {
-    if (n > best_count) {
-      best = id;
-      best_count = n;
+  for (int s = 0; s < index.systems(); ++s) {
+    if (system_id == 0 ? index.creates(s) > best_count : index.id(s) == system_id) {
+      slot = s;
+      best_count = index.creates(s);
     }
   }
-  return best;
+  std::vector<int64_t> starts;
+  if (slot < 0) {
+    return starts;
+  }
+  starts.reserve(index.creates(slot));
+  for (const uint32_t i : index.records(slot)) {
+    if (trace.records[i].Event() == TraceEvent::kIrpCreate) {
+      starts.push_back(trace.records[i].start_ticks);
+    }
+  }
+  return starts;
+}
+
+// One system's section-7 samples from its instance rows.
+struct RowSamples {
+  std::vector<double> holding_ms;
+  std::vector<double> session_bytes;
+  std::vector<double> file_sizes;
+};
+
+RowSamples FoldRows(std::span<const Instance> rows) {
+  RowSamples p;
+  for (const Instance& s : rows) {
+    if (s.open_failed || s.cleanup_time == 0) {
+      continue;
+    }
+    p.holding_ms.push_back(SimDuration(s.cleanup_time - s.open_complete).ToMillisF());
+    if (s.HasData()) {
+      p.session_bytes.push_back(static_cast<double>(s.bytes_read + s.bytes_written));
+      p.file_sizes.push_back(static_cast<double>(s.max_file_size));
+    }
+  }
+  return p;
+}
+
+// One system's application request sizes, from its records.
+std::vector<double> FoldRequestSizes(const TraceSet& trace, std::span<const uint32_t> records) {
+  std::vector<double> sizes;
+  for (const uint32_t i : records) {
+    const TraceRecord& r = trace.records[i];
+    if (IsDataTransfer(r.Event()) && !r.IsPagingIo() && r.returned > 0) {
+      sizes.push_back(static_cast<double>(r.returned));
+    }
+  }
+  return sizes;
+}
+
+void Append(std::vector<double>* to, const std::vector<double>& from) {
+  to->insert(to->end(), from.begin(), from.end());
 }
 
 double Cv(const std::vector<double>& v) {
@@ -46,34 +92,24 @@ std::vector<double> Bucketize(const std::vector<double>& arrivals_s, double inte
 }  // namespace
 
 std::vector<double> BurstinessAnalyzer::OpenInterarrivalsMs(const TraceSet& trace,
+                                                            const SystemIndex& index,
                                                             uint32_t system_id) {
-  if (system_id == 0) {
-    system_id = BusiestSystem(trace);
-  }
   std::vector<double> gaps;
   int64_t last = -1;
-  for (const TraceRecord& r : trace.records) {
-    if (r.Event() != TraceEvent::kIrpCreate || r.system_id != system_id) {
-      continue;
+  for (const int64_t start : OpenStarts(trace, index, system_id)) {
+    if (last >= 0 && start > last) {
+      gaps.push_back(SimDuration(start - last).ToMillisF());
     }
-    if (last >= 0 && r.start_ticks > last) {
-      gaps.push_back(SimDuration(r.start_ticks - last).ToMillisF());
-    }
-    last = r.start_ticks;
+    last = start;
   }
   return gaps;
 }
 
-ArrivalViews BurstinessAnalyzer::BuildArrivalViews(const TraceSet& trace, uint32_t system_id,
-                                                   uint64_t seed) {
-  if (system_id == 0) {
-    system_id = BusiestSystem(trace);
-  }
+ArrivalViews BurstinessAnalyzer::BuildArrivalViews(const TraceSet& trace, const SystemIndex& index,
+                                                   uint32_t system_id, uint64_t seed) {
   std::vector<double> arrivals;
-  for (const TraceRecord& r : trace.records) {
-    if (r.Event() == TraceEvent::kIrpCreate && r.system_id == system_id) {
-      arrivals.push_back(SimTime(r.start_ticks).ToSecondsF());
-    }
+  for (const int64_t start : OpenStarts(trace, index, system_id)) {
+    arrivals.push_back(SimTime(start).ToSecondsF());
   }
   ArrivalViews views;
   if (arrivals.size() < 2) {
@@ -130,35 +166,35 @@ TailDiagnostics BurstinessAnalyzer::Diagnose(std::string quantity, std::vector<d
 }
 
 std::vector<TailDiagnostics> BurstinessAnalyzer::SweepAll(const TraceSet& trace,
-                                                          const InstanceTable& instances) {
-  std::vector<double> interarrivals = OpenInterarrivalsMs(trace);
-  std::vector<double> holding_ms;
-  std::vector<double> session_bytes;
-  std::vector<double> file_sizes;
-  for (const Instance& s : instances.rows()) {
-    if (s.open_failed || s.cleanup_time == 0) {
-      continue;
-    }
-    holding_ms.push_back(SimDuration(s.cleanup_time - s.open_complete).ToMillisF());
-    if (s.HasData()) {
-      session_bytes.push_back(static_cast<double>(s.bytes_read + s.bytes_written));
-      file_sizes.push_back(static_cast<double>(s.max_file_size));
-    }
+                                                          const SystemIndex& index,
+                                                          const InstanceTable& instances,
+                                                          int workers) {
+  RowSamples all;
+  for (const RowSamples& p : instances.FoldSystems(workers, FoldRows)) {
+    Append(&all.holding_ms, p.holding_ms);
+    Append(&all.session_bytes, p.session_bytes);
+    Append(&all.file_sizes, p.file_sizes);
   }
   std::vector<double> request_sizes;
-  for (const TraceRecord& r : trace.records) {
-    if (IsDataTransfer(r.Event()) && !r.IsPagingIo() && r.returned > 0) {
-      request_sizes.push_back(static_cast<double>(r.returned));
-    }
+  const auto fold_request_sizes = [&trace](std::span<const uint32_t> records) {
+    return FoldRequestSizes(trace, records);
+  };
+  for (const std::vector<double>& sizes : index.FoldSystems(workers, fold_request_sizes)) {
+    Append(&request_sizes, sizes);
   }
 
-  std::vector<TailDiagnostics> out;
-  out.push_back(Diagnose("open inter-arrival time (ms)", std::move(interarrivals)));
-  out.push_back(Diagnose("session holding time (ms)", std::move(holding_ms)));
-  out.push_back(Diagnose("bytes per open-close session", std::move(session_bytes)));
-  out.push_back(Diagnose("accessed file size (bytes)", std::move(file_sizes)));
-  out.push_back(Diagnose("read/write request size (bytes)", std::move(request_sizes)));
-  return out;
+  std::pair<const char*, std::vector<double>> samples[] = {
+      {"open inter-arrival time (ms)", OpenInterarrivalsMs(trace, index)},
+      {"session holding time (ms)", std::move(all.holding_ms)},
+      {"bytes per open-close session", std::move(all.session_bytes)},
+      {"accessed file size (bytes)", std::move(all.file_sizes)},
+      {"read/write request size (bytes)", std::move(request_sizes)},
+  };
+  const int n = static_cast<int>(std::size(samples));
+  const auto size = [&samples](int i) { return samples[i].second.size(); };
+  return ParallelFold(n, workers, size, [&samples](int i) {
+    return Diagnose(samples[i].first, std::move(samples[i].second));
+  });
 }
 
 }  // namespace ntrace

@@ -14,6 +14,7 @@
 #include "src/stats/tails.h"
 #include "src/trace/trace_set.h"
 #include "src/tracedb/instance_table.h"
+#include "src/tracedb/system_index.h"
 
 namespace ntrace {
 
@@ -44,20 +45,26 @@ struct TailDiagnostics {
 class BurstinessAnalyzer {
  public:
   // Open-arrival inter-arrival sample (milliseconds) of one system (0 = the
-  // busiest system, as the paper picks one trace file).
-  static std::vector<double> OpenInterarrivalsMs(const TraceSet& trace, uint32_t system_id = 0);
+  // busiest system, the most creates with ties to the lowest id, as the
+  // paper picks one trace file), read from its slice of `index`, the
+  // trace's.
+  static std::vector<double> OpenInterarrivalsMs(const TraceSet& trace, const SystemIndex& index,
+                                                 uint32_t system_id = 0);
 
-  static ArrivalViews BuildArrivalViews(const TraceSet& trace, uint32_t system_id = 0,
-                                        uint64_t seed = 99);
+  static ArrivalViews BuildArrivalViews(const TraceSet& trace, const SystemIndex& index,
+                                        uint32_t system_id = 0, uint64_t seed = 99);
 
   // Full tail diagnostics for a positive sample.
   static TailDiagnostics Diagnose(std::string quantity, std::vector<double> sample);
 
   // The section-7 sweep: Hill estimates for session inter-arrival times,
   // session holding times, read/write request sizes, per-session byte
-  // counts and file sizes. `instances` must be built over `trace`.
-  static std::vector<TailDiagnostics> SweepAll(const TraceSet& trace,
-                                               const InstanceTable& instances);
+  // counts and file sizes. `index` and `instances` must be built over
+  // `trace`. The samples are per-system folds at WorkerCount(workers,
+  // systems), concatenated in system-id order; the five diagnoses are five
+  // pool tasks.
+  static std::vector<TailDiagnostics> SweepAll(const TraceSet& trace, const SystemIndex& index,
+                                               const InstanceTable& instances, int workers = 1);
 };
 
 }  // namespace ntrace

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <map>
-#include <string>
+#include <string_view>
 #include <vector>
 
 namespace ntrace {
@@ -16,16 +16,19 @@ struct PathEvent {
   uint64_t size = 0;         // Size observed at the event.
 };
 
-}  // namespace
+// One system's new files and their deaths, file by file in path order.
+struct LifetimePartial {
+  std::vector<NewFileDeath> deaths;
+  uint64_t new_files = 0;
+};
 
-LifetimeResult LifetimeAnalyzer::Analyze(const InstanceTable& instances) {
-  LifetimeResult result;
-
-  // Per-file time-ordered event streams (instances are in create order). A
-  // file is (system, path): a death on one machine never ends a file
-  // created on another.
-  std::map<FileKey, std::vector<PathEvent>> events;
-  for (const Instance& s : instances.rows()) {
+LifetimePartial FoldSystem(std::span<const Instance> rows) {
+  LifetimePartial p;
+  // Per-file time-ordered event streams (rows are in create order). A fold
+  // sees one system, so a path is a file: a death on one machine never
+  // ends a file created on another.
+  std::map<std::string_view, std::vector<PathEvent>> events;
+  for (const Instance& s : rows) {
     if (s.open_failed || s.path.empty()) {
       continue;
     }
@@ -34,40 +37,29 @@ LifetimeResult LifetimeAnalyzer::Analyze(const InstanceTable& instances) {
     const bool overwrote = s.create_action == CreateAction::kOverwritten ||
                            s.create_action == CreateAction::kSuperseded;
     if (overwrote) {
-      events[s.file()].push_back(PathEvent{PathEvent::kOverwritten, s.open_complete,
-                                           s.cleanup_time, s.process_id, s.file_size_at_open});
+      events[s.path].push_back(PathEvent{PathEvent::kOverwritten, s.open_complete, s.cleanup_time,
+                                         s.process_id, s.file_size_at_open});
     }
     if (created) {
-      events[s.file()].push_back(PathEvent{PathEvent::kCreated, s.open_complete, s.cleanup_time,
-                                           s.process_id, s.max_file_size});
-      ++result.new_files;
+      events[s.path].push_back(PathEvent{PathEvent::kCreated, s.open_complete, s.cleanup_time,
+                                         s.process_id, s.max_file_size});
+      ++p.new_files;
     }
     if (s.cleanup_time != 0 && (s.set_delete_disposition || s.delete_on_close())) {
       const PathEvent::Kind kind = s.set_delete_disposition && !s.delete_on_close()
                                        ? PathEvent::kDeleted
                                        : PathEvent::kTempDeleted;
-      events[s.file()].push_back(
+      events[s.path].push_back(
           PathEvent{kind, s.cleanup_time, s.cleanup_time, s.process_id, s.max_file_size});
     }
     if (!created && !overwrote && s.HasData()) {
       // Intermediate open (used for the opens-between statistic).
-      events[s.file()].push_back(
+      events[s.path].push_back(
           PathEvent{PathEvent::kOpened, s.open_complete, s.cleanup_time, s.process_id, 0});
     }
   }
 
   // Match each creation with the next death event on the same file.
-  std::vector<double> sizes;
-  std::vector<double> lifetimes;
-  uint64_t died_4s = 0;
-  uint64_t died_30s = 0;
-  uint64_t overwrites_4ms = 0;
-  uint64_t deletes_4s = 0;
-  uint64_t overwrite_same_proc = 0;
-  uint64_t delete_same_proc = 0;
-  uint64_t delete_opened_between = 0;
-  WeightedCdf overwrite_close_gap;
-
   for (auto& [file, list] : events) {
     std::stable_sort(list.begin(), list.end(),
                      [](const PathEvent& a, const PathEvent& b) { return a.at < b.at; });
@@ -96,47 +88,70 @@ LifetimeResult LifetimeAnalyzer::Analyze(const InstanceTable& instances) {
         d.size_at_death = death.kind == PathEvent::kOverwritten ? death.size : list[i].size;
         d.same_process = death.process == list[i].process;
         d.opens_between = opens_between;
-        result.deaths.push_back(d);
-
-        if (d.lifetime_ms <= 4000.0) {
-          ++died_4s;
-        }
-        if (d.lifetime_ms <= 30000.0) {
-          ++died_30s;
-        }
-        switch (d.method) {
-          case DeletionMethod::kOverwrite:
-            result.overwrite_lifetime_ms.Add(d.lifetime_ms);
-            if (d.lifetime_ms <= 4.0) {
-              ++overwrites_4ms;
-            }
-            if (d.same_process) {
-              ++overwrite_same_proc;
-            }
-            if (d.close_to_death_ms > 0) {
-              overwrite_close_gap.Add(d.close_to_death_ms);
-            }
-            break;
-          case DeletionMethod::kExplicitDelete:
-            result.delete_lifetime_ms.Add(d.lifetime_ms);
-            if (d.lifetime_ms <= 4000.0) {
-              ++deletes_4s;
-            }
-            if (d.same_process) {
-              ++delete_same_proc;
-            }
-            if (d.opens_between > 0) {
-              ++delete_opened_between;
-            }
-            break;
-          case DeletionMethod::kTemporary:
-            break;
-        }
-        sizes.push_back(static_cast<double>(d.size_at_death));
-        lifetimes.push_back(d.lifetime_ms);
+        p.deaths.push_back(d);
         break;
       }
     }
+  }
+  return p;
+}
+
+}  // namespace
+
+LifetimeResult LifetimeAnalyzer::Analyze(const InstanceTable& instances, int workers) {
+  LifetimeResult result;
+  for (LifetimePartial& p : instances.FoldSystems(workers, FoldSystem)) {
+    result.new_files += p.new_files;
+    result.deaths.insert(result.deaths.end(), p.deaths.begin(), p.deaths.end());
+  }
+
+  std::vector<double> sizes;
+  std::vector<double> lifetimes;
+  uint64_t died_4s = 0;
+  uint64_t died_30s = 0;
+  uint64_t overwrites_4ms = 0;
+  uint64_t deletes_4s = 0;
+  uint64_t overwrite_same_proc = 0;
+  uint64_t delete_same_proc = 0;
+  uint64_t delete_opened_between = 0;
+  WeightedCdf overwrite_close_gap;
+  for (const NewFileDeath& d : result.deaths) {
+    if (d.lifetime_ms <= 4000.0) {
+      ++died_4s;
+    }
+    if (d.lifetime_ms <= 30000.0) {
+      ++died_30s;
+    }
+    switch (d.method) {
+      case DeletionMethod::kOverwrite:
+        result.overwrite_lifetime_ms.Add(d.lifetime_ms);
+        if (d.lifetime_ms <= 4.0) {
+          ++overwrites_4ms;
+        }
+        if (d.same_process) {
+          ++overwrite_same_proc;
+        }
+        if (d.close_to_death_ms > 0) {
+          overwrite_close_gap.Add(d.close_to_death_ms);
+        }
+        break;
+      case DeletionMethod::kExplicitDelete:
+        result.delete_lifetime_ms.Add(d.lifetime_ms);
+        if (d.lifetime_ms <= 4000.0) {
+          ++deletes_4s;
+        }
+        if (d.same_process) {
+          ++delete_same_proc;
+        }
+        if (d.opens_between > 0) {
+          ++delete_opened_between;
+        }
+        break;
+      case DeletionMethod::kTemporary:
+        break;
+    }
+    sizes.push_back(static_cast<double>(d.size_at_death));
+    lifetimes.push_back(d.lifetime_ms);
   }
 
   result.overwrite_lifetime_ms.Finalize();

@@ -66,7 +66,10 @@ struct LifetimeResult {
 
 class LifetimeAnalyzer {
  public:
-  static LifetimeResult Analyze(const InstanceTable& instances);
+  // A per-system fold (DESIGN.md §7): each system's rows give its files'
+  // deaths, in path order, at WorkerCount(workers, systems); the deaths
+  // concatenate in system-id order and every figure is taken over them.
+  static LifetimeResult Analyze(const InstanceTable& instances, int workers = 1);
 };
 
 }  // namespace ntrace

@@ -1,40 +1,82 @@
 #include "src/analysis/process_profile.h"
 
 #include <algorithm>
-#include <set>
+#include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace ntrace {
 
+namespace {
+
+// One system's per-image counts and session lengths (ms, in row order).
+struct ProcessTally {
+  ProcessProfile profile;
+  std::vector<double> sessions_ms;
+  std::unordered_set<std::string_view> files;  // A fold sees one system: a path is a file.
+};
+using ProcessPartial = std::map<std::string, ProcessTally>;
+
+ProcessPartial FoldSystem(const TraceSet& trace, std::span<const Instance> rows) {
+  ProcessPartial by_name;
+  std::unordered_map<uint32_t, ProcessTally*> by_pid;
+  for (const Instance& s : rows) {
+    ProcessTally*& tally = by_pid[s.process_id];
+    if (tally == nullptr) {
+      const std::string* name = trace.ProcessNameOf(s.process_id);
+      tally = &by_name[name != nullptr ? *name : std::string("<unknown>")];
+    }
+    ProcessProfile& profile = tally->profile;
+    ++profile.opens;
+    if (s.open_failed) {
+      ++profile.failed_opens;
+      continue;
+    }
+    tally->files.insert(s.path);
+    if (s.HasData()) {
+      ++profile.data_sessions;
+    } else {
+      ++profile.control_only_sessions;
+    }
+    profile.bytes_read += s.bytes_read;
+    profile.bytes_written += s.bytes_written;
+    if (s.cleanup_time > 0) {
+      tally->sessions_ms.push_back(SimDuration(s.cleanup_time - s.open_complete).ToMillisF());
+    }
+  }
+  for (auto& [_, tally] : by_name) {
+    tally.profile.distinct_files = tally.files.size();
+    tally.files = {};  // Only the count travels to the combine.
+  }
+  return by_name;
+}
+
+}  // namespace
+
 std::vector<ProcessProfile> ProcessProfileAnalyzer::ByProcess(const TraceSet& trace,
-                                                              const InstanceTable& instances) {
+                                                              const InstanceTable& instances,
+                                                              int workers) {
   struct Accumulator {
     ProcessProfile profile;
-    std::set<FileKey> files;
     WeightedCdf sessions_ms;
   };
   std::map<std::string, Accumulator> by_name;
-
-  for (const Instance& s : instances.rows()) {
-    const std::string* name = trace.ProcessNameOf(s.process_id);
-    Accumulator& acc = by_name[name != nullptr ? *name : std::string("<unknown>")];
-    ++acc.profile.opens;
-    if (s.open_failed) {
-      ++acc.profile.failed_opens;
-      continue;
-    }
-    acc.files.insert(s.file());
-    if (s.HasData()) {
-      ++acc.profile.data_sessions;
-    } else {
-      ++acc.profile.control_only_sessions;
-    }
-    acc.profile.bytes_read += s.bytes_read;
-    acc.profile.bytes_written += s.bytes_written;
-    if (s.cleanup_time > 0) {
-      const double ms = SimDuration(s.cleanup_time - s.open_complete).ToMillisF();
-      acc.profile.session_length_ms.Add(ms);
-      acc.sessions_ms.Add(ms);
+  const auto fold = [&trace](std::span<const Instance> rows) { return FoldSystem(trace, rows); };
+  for (const ProcessPartial& partial : instances.FoldSystems(workers, fold)) {
+    for (const auto& [name, tally] : partial) {
+      Accumulator& acc = by_name[name];
+      ProcessProfile& profile = acc.profile;
+      profile.opens += tally.profile.opens;
+      profile.failed_opens += tally.profile.failed_opens;
+      profile.data_sessions += tally.profile.data_sessions;
+      profile.control_only_sessions += tally.profile.control_only_sessions;
+      profile.bytes_read += tally.profile.bytes_read;
+      profile.bytes_written += tally.profile.bytes_written;
+      profile.distinct_files += tally.profile.distinct_files;
+      for (const double ms : tally.sessions_ms) {
+        profile.session_length_ms.Add(ms);
+        acc.sessions_ms.Add(ms);
+      }
     }
   }
 
@@ -42,7 +84,6 @@ std::vector<ProcessProfile> ProcessProfileAnalyzer::ByProcess(const TraceSet& tr
   out.reserve(by_name.size());
   for (auto& [name, acc] : by_name) {
     acc.profile.image_name = name;
-    acc.profile.distinct_files = acc.files.size();
     const uint64_t ok = acc.profile.opens - acc.profile.failed_opens;
     acc.profile.control_only_fraction =
         ok > 0 ? static_cast<double>(acc.profile.control_only_sessions) / ok : 0;

@@ -46,9 +46,12 @@ struct FileTypeProfile {
 
 class ProcessProfileAnalyzer {
  public:
-  // One profile per process image, sorted by opens descending.
+  // One profile per process image, sorted by opens descending. A per-system
+  // fold (DESIGN.md §7) at WorkerCount(workers, systems): each system's
+  // rows give per-image counts and session-length samples, combined in
+  // system-id order, so the moments equal one pass over rows().
   static std::vector<ProcessProfile> ByProcess(const TraceSet& trace,
-                                               const InstanceTable& instances);
+                                               const InstanceTable& instances, int workers = 1);
 
   // One profile per file-type category (drill-down level 2 of the paper's
   // file-type dimension).

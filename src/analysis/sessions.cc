@@ -1,12 +1,10 @@
 #include "src/analysis/sessions.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <iterator>
+#include <string_view>
 #include <unordered_map>
-#include <unordered_set>
-
-#include "src/base/format.h"
+#include <vector>
 
 namespace ntrace {
 namespace {
@@ -15,59 +13,158 @@ bool IsNetworkPath(const std::string& path) {
   return path.size() >= 2 && path[0] == '\\' && path[1] == '\\';
 }
 
-}  // namespace
+// One system's samples, in its rows' create order, and its re-open counts.
+struct SessionPartial {
+  std::vector<double> session_all_ms;
+  std::vector<double> session_data_ms;  // Also figure 5's all-opens curve.
+  std::vector<double> session_control_ms;
+  std::vector<double> open_time_local_ms;
+  std::vector<double> open_time_network_ms;
+  std::vector<double> close_gap_read_us;
+  std::vector<double> close_gap_write_us;
+  std::vector<double> interarrival_io_ms;
+  std::vector<double> interarrival_control_ms;
+  uint64_t readonly_files = 0;
+  uint64_t readonly_reopened = 0;
+  uint64_t writeonly_files = 0;
+  uint64_t writeonly_reread = 0;
+  uint64_t seconds_with_opens = 0;
+};
 
-SessionResult SessionAnalyzer::Analyze(const TraceSet& trace, const InstanceTable& instances) {
-  SessionResult result;
-
-  // --- Figures 5 and 12, close gaps, reuse -----------------------------------
-  std::unordered_map<FileKey, int, FileKeyHash> readonly_opens;
-  std::unordered_map<FileKey, int, FileKeyHash> writeonly_opens;
-  // Per file, the time-ordered (open_complete, had_reads, write_only) list
-  // used for the "write-only file later re-opened for reading" statistic.
+SessionPartial FoldSystem(std::span<const Instance> rows) {
+  SessionPartial p;
+  // Per file, the create-ordered data opens: the read-only open count and
+  // (open_complete, had_reads, write_only) for the "write-only file later
+  // re-opened for reading" statistic. A fold sees one system, so a path is
+  // a file.
   struct PathOpen {
     int64_t at;
     bool had_reads;
     bool write_only;
   };
-  std::unordered_map<FileKey, std::vector<PathOpen>, FileKeyHash> path_opens;
+  struct FileOpens {
+    int readonly_opens = 0;
+    bool writeonly = false;
+    std::vector<PathOpen> opens;
+  };
+  std::unordered_map<std::string_view, FileOpens> files;
 
-  for (const Instance& s : instances.rows()) {
+  for (const Instance& s : rows) {
     if (s.open_failed || s.cleanup_time == 0) {
       continue;
     }
     const double session_ms = SimDuration(s.cleanup_time - s.open_complete).ToMillisF();
-    result.session_all_ms.Add(session_ms);
+    p.session_all_ms.push_back(session_ms);
     if (s.HasData()) {
-      result.session_data_ms.Add(session_ms);
-      result.open_time_all_ms.Add(session_ms);
-      (IsNetworkPath(s.path) ? result.open_time_network_ms : result.open_time_local_ms)
-          .Add(session_ms);
+      p.session_data_ms.push_back(session_ms);
+      (IsNetworkPath(s.path) ? p.open_time_network_ms : p.open_time_local_ms).push_back(session_ms);
     } else {
-      result.session_control_ms.Add(session_ms);
+      p.session_control_ms.push_back(session_ms);
     }
     if (s.close_time > s.cleanup_time) {
       const double gap_us = SimDuration(s.close_time - s.cleanup_time).ToMicrosF();
-      (s.writes() > 0 ? result.close_gap_write_us : result.close_gap_read_us).Add(gap_us);
-    }
-    if (s.ReadOnly()) {
-      ++readonly_opens[s.file()];
-    } else if (s.WriteOnly()) {
-      ++writeonly_opens[s.file()];
+      (s.writes() > 0 ? p.close_gap_write_us : p.close_gap_read_us).push_back(gap_us);
     }
     if (s.HasData()) {
-      path_opens[s.file()].push_back(PathOpen{s.open_complete, s.reads() > 0, s.WriteOnly()});
+      FileOpens& f = files[s.path];
+      f.readonly_opens += s.ReadOnly() ? 1 : 0;
+      f.writeonly = f.writeonly || s.WriteOnly();
+      f.opens.push_back(PathOpen{s.open_complete, s.reads() > 0, s.WriteOnly()});
     }
   }
+  for (const auto& [_, f] : files) {
+    p.readonly_files += f.readonly_opens > 0 ? 1 : 0;
+    p.readonly_reopened += f.readonly_opens > 1 ? 1 : 0;
+    if (!f.writeonly) {
+      continue;
+    }
+    ++p.writeonly_files;
+    // Was any write-only open of this file followed by a reading open?
+    bool found = false;
+    for (size_t i = 0; i < f.opens.size() && !found; ++i) {
+      if (!f.opens[i].write_only) {
+        continue;
+      }
+      for (size_t j = i + 1; j < f.opens.size(); ++j) {
+        if (f.opens[j].had_reads && f.opens[j].at >= f.opens[i].at) {
+          found = true;
+          break;
+        }
+      }
+    }
+    p.writeonly_reread += found ? 1 : 0;
+  }
 
-  result.open_time_all_ms.Finalize();
-  result.open_time_local_ms.Finalize();
-  result.open_time_network_ms.Finalize();
-  result.session_all_ms.Finalize();
-  result.session_control_ms.Finalize();
-  result.session_data_ms.Finalize();
-  result.close_gap_read_us.Finalize();
-  result.close_gap_write_us.Finalize();
+  // Figure 11: the gaps between the system's successive opens (its rows, in
+  // create order), by whether the later open moved data.
+  std::vector<int64_t> seconds;
+  seconds.reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    seconds.push_back(rows[i].open_start / SimDuration::kTicksPerSecond);
+    if (i > 0) {
+      const double gap_ms = SimDuration(rows[i].open_start - rows[i - 1].open_start).ToMillisF();
+      (rows[i].HasData() ? p.interarrival_io_ms : p.interarrival_control_ms).push_back(gap_ms);
+    }
+  }
+  std::sort(seconds.begin(), seconds.end());
+  p.seconds_with_opens = static_cast<uint64_t>(
+      std::distance(seconds.begin(), std::unique(seconds.begin(), seconds.end())));
+  return p;
+}
+
+}  // namespace
+
+SessionResult SessionAnalyzer::Analyze(const SystemIndex& index, const InstanceTable& instances,
+                                       int workers) {
+  SessionResult result;
+  const std::vector<SessionPartial> partials = instances.FoldSystems(workers, FoldSystem);
+
+  // Each CDF takes its samples from the partials in system-id order, then
+  // finalizes: one pool task per CDF.
+  using Samples = std::vector<double> SessionPartial::*;
+  const std::pair<Samples, WeightedCdf*> cdfs[] = {
+      {&SessionPartial::session_all_ms, &result.session_all_ms},
+      {&SessionPartial::session_data_ms, &result.session_data_ms},
+      {&SessionPartial::session_data_ms, &result.open_time_all_ms},
+      {&SessionPartial::session_control_ms, &result.session_control_ms},
+      {&SessionPartial::open_time_local_ms, &result.open_time_local_ms},
+      {&SessionPartial::open_time_network_ms, &result.open_time_network_ms},
+      {&SessionPartial::close_gap_read_us, &result.close_gap_read_us},
+      {&SessionPartial::close_gap_write_us, &result.close_gap_write_us},
+      {&SessionPartial::interarrival_io_ms, &result.open_interarrival_io_ms},
+      {&SessionPartial::interarrival_control_ms, &result.open_interarrival_control_ms},
+  };
+  const auto samples = [&](int i) {
+    size_t n = 0;
+    for (const SessionPartial& p : partials) {
+      n += (p.*cdfs[i].first).size();
+    }
+    return n;
+  };
+  const int n = static_cast<int>(std::size(cdfs));
+  ParallelForHeaviestFirst(n, workers, samples, [&](int i) {
+    for (const SessionPartial& p : partials) {
+      for (const double v : p.*cdfs[i].first) {
+        cdfs[i].second->Add(v);
+      }
+    }
+    cdfs[i].second->Finalize();
+  });
+
+  uint64_t readonly_files = 0;
+  uint64_t readonly_reopened = 0;
+  uint64_t writeonly_files = 0;
+  uint64_t writeonly_reread = 0;
+  uint64_t seconds_with_opens = 0;
+  uint64_t systems_with_opens = 0;
+  for (const SessionPartial& p : partials) {
+    readonly_files += p.readonly_files;
+    readonly_reopened += p.readonly_reopened;
+    writeonly_files += p.writeonly_files;
+    writeonly_reread += p.writeonly_reread;
+    seconds_with_opens += p.seconds_with_opens;
+    systems_with_opens += p.seconds_with_opens > 0 ? 1 : 0;
+  }
 
   if (!result.open_time_all_ms.empty()) {
     result.data_open_p75_ms = result.open_time_all_ms.Percentile(0.75);
@@ -76,72 +173,10 @@ SessionResult SessionAnalyzer::Analyze(const TraceSet& trace, const InstanceTabl
     result.session_p40_ms = result.session_all_ms.Percentile(0.40);
     result.session_p90_ms = result.session_all_ms.Percentile(0.90);
   }
-
-  {
-    int reopened = 0;
-    for (const auto& [_, n] : readonly_opens) {
-      if (n > 1) {
-        ++reopened;
-      }
-    }
-    result.readonly_reopen_fraction =
-        readonly_opens.empty() ? 0 : static_cast<double>(reopened) / readonly_opens.size();
-    int later_read = 0;
-    for (const auto& [file, opens] : writeonly_opens) {
-      (void)opens;
-      auto it = path_opens.find(file);
-      if (it == path_opens.end()) {
-        continue;
-      }
-      // Was any write-only open of this path followed by a reading open?
-      bool found = false;
-      for (size_t i = 0; i < it->second.size() && !found; ++i) {
-        if (!it->second[i].write_only) {
-          continue;
-        }
-        for (size_t j = i + 1; j < it->second.size(); ++j) {
-          if (it->second[j].had_reads && it->second[j].at >= it->second[i].at) {
-            found = true;
-            break;
-          }
-        }
-      }
-      if (found) {
-        ++later_read;
-      }
-    }
-    result.writeonly_reopened_for_read_fraction =
-        writeonly_opens.empty() ? 0
-                                : static_cast<double>(later_read) / writeonly_opens.size();
-  }
-
-  // --- Figure 11: open inter-arrivals (per system, data vs control) ----------
-  // Classify each instance once, then walk create records in time order.
-  std::unordered_map<uint64_t, bool> is_data_open;
-  for (const Instance& s : instances.rows()) {
-    is_data_open[s.file_object] = s.HasData();
-  }
-  std::map<uint32_t, int64_t> last_open_by_system;
-  std::set<std::pair<uint32_t, int64_t>> seconds_with_open;
-  int64_t max_second = 0;
-  for (const TraceRecord& r : trace.records) {
-    max_second = std::max(max_second, r.complete_ticks / SimDuration::kTicksPerSecond);
-    if (r.Event() != TraceEvent::kIrpCreate) {
-      continue;
-    }
-    seconds_with_open.insert({r.system_id, r.start_ticks / SimDuration::kTicksPerSecond});
-    auto it = last_open_by_system.find(r.system_id);
-    if (it != last_open_by_system.end()) {
-      const double gap_ms = SimDuration(r.start_ticks - it->second).ToMillisF();
-      auto data_it = is_data_open.find(r.file_object);
-      const bool data = data_it != is_data_open.end() && data_it->second;
-      (data ? result.open_interarrival_io_ms : result.open_interarrival_control_ms)
-          .Add(gap_ms);
-    }
-    last_open_by_system[r.system_id] = r.start_ticks;
-  }
-  result.open_interarrival_io_ms.Finalize();
-  result.open_interarrival_control_ms.Finalize();
+  result.readonly_reopen_fraction =
+      readonly_files == 0 ? 0 : static_cast<double>(readonly_reopened) / readonly_files;
+  result.writeonly_reopened_for_read_fraction =
+      writeonly_files == 0 ? 0 : static_cast<double>(writeonly_reread) / writeonly_files;
 
   // Combined percentiles over both classes.
   {
@@ -159,11 +194,12 @@ SessionResult SessionAnalyzer::Analyze(const TraceSet& trace, const InstanceTabl
     }
   }
 
-  if (max_second > 0 && !last_open_by_system.empty()) {
+  const int64_t max_second = index.last_complete_ticks() / SimDuration::kTicksPerSecond;
+  if (max_second > 0 && systems_with_opens > 0) {
     const double total_system_seconds =
-        static_cast<double>(max_second) * static_cast<double>(last_open_by_system.size());
+        static_cast<double>(max_second) * static_cast<double>(systems_with_opens);
     result.seconds_with_opens_fraction =
-        static_cast<double>(seconds_with_open.size()) / total_system_seconds;
+        static_cast<double>(seconds_with_opens) / total_system_seconds;
   }
   return result;
 }

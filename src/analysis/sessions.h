@@ -9,8 +9,8 @@
 #include <limits>
 
 #include "src/stats/descriptive.h"
-#include "src/trace/trace_set.h"
 #include "src/tracedb/instance_table.h"
+#include "src/tracedb/system_index.h"
 
 namespace ntrace {
 
@@ -56,7 +56,13 @@ struct SessionResult {
 
 class SessionAnalyzer {
  public:
-  static SessionResult Analyze(const TraceSet& trace, const InstanceTable& instances);
+  // A per-system fold over the instance table (DESIGN.md §7): each
+  // system's rows give its sessions, re-opens and open inter-arrivals, at
+  // WorkerCount(workers, systems), and the partials' samples combine in
+  // system-id order. `index` is the trace's; its span sizes the
+  // open-seconds fraction.
+  static SessionResult Analyze(const SystemIndex& index, const InstanceTable& instances,
+                               int workers = 1);
 };
 
 }  // namespace ntrace

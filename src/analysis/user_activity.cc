@@ -1,76 +1,117 @@
 #include "src/analysis/user_activity.h"
 
 #include <algorithm>
-#include <map>
+#include <array>
+#include <utility>
 #include <vector>
 
 namespace ntrace {
 namespace {
 
-UserActivityRow AnalyzeInterval(const TraceSet& trace, double interval_seconds,
-                                uint64_t threshold_bytes) {
-  // bytes[(system, interval)] over data-transfer records.
-  std::map<std::pair<uint32_t, int64_t>, uint64_t> bytes;
-  int64_t last_interval = 0;
-  for (const TraceRecord& r : trace.records) {
+constexpr double kIntervals[2] = {600.0, 10.0};  // Ten minutes, ten seconds.
+
+// One system's transferred bytes per interval, in interval order, for each
+// of kIntervals.
+using IntervalBytes = std::vector<std::pair<int64_t, uint64_t>>;
+using ActivityPartial = std::array<IntervalBytes, 2>;
+
+ActivityPartial FoldSystem(const TraceSet& trace, std::span<const uint32_t> records) {
+  ActivityPartial p;
+  for (const uint32_t i : records) {
+    const TraceRecord& r = trace.records[i];
     if (!IsDataTransfer(r.Event()) || r.IsCacheInduced()) {
       continue;
     }
-    const int64_t interval = static_cast<int64_t>(
-        r.CompleteTime().ToSecondsF() / interval_seconds);
-    bytes[{r.system_id, interval}] += r.returned;
-    last_interval = std::max(last_interval, interval);
+    for (size_t k = 0; k < 2; ++k) {
+      const int64_t interval = static_cast<int64_t>(r.CompleteTime().ToSecondsF() / kIntervals[k]);
+      if (p[k].empty() || p[k].back().first != interval) {
+        p[k].emplace_back(interval, 0);
+      }
+      p[k].back().second += r.returned;
+    }
   }
+  // A trace sorted by completion is in interval order already.
+  for (IntervalBytes& bytes : p) {
+    if (!std::is_sorted(bytes.begin(), bytes.end())) {
+      std::stable_sort(bytes.begin(), bytes.end(),
+                       [](const auto& a, const auto& b) { return a.first < b.first; });
+      IntervalBytes merged;
+      for (const auto& [interval, b] : bytes) {
+        if (merged.empty() || merged.back().first != interval) {
+          merged.emplace_back(interval, 0);
+        }
+        merged.back().second += b;
+      }
+      bytes = std::move(merged);
+    }
+  }
+  return p;
+}
 
+UserActivityRow Combine(const std::vector<ActivityPartial>& partials, size_t k,
+                        uint64_t threshold_bytes) {
+  const double interval_seconds = kIntervals[k];
   UserActivityRow row;
   row.interval_seconds = interval_seconds;
-  if (bytes.empty()) {
+  if (std::all_of(partials.begin(), partials.end(),
+                  [k](const ActivityPartial& p) { return p[k].empty(); })) {
     return row;
   }
 
-  // Active-user counts per interval, and per-(user, interval) throughput.
-  std::map<int64_t, int> active;
+  // Per-(user, interval) throughput in system-id order, then per interval.
   StreamingStats user_throughput;
   double peak_user = 0;
-  std::map<int64_t, double> system_wide;
-  for (const auto& [key, b] : bytes) {
-    if (b <= threshold_bytes) {
-      continue;  // Background service noise, not user activity.
+  std::vector<std::pair<int64_t, double>> active;  // (interval, KB/s).
+  for (const ActivityPartial& p : partials) {
+    for (const auto& [interval, b] : p[k]) {
+      if (b <= threshold_bytes) {
+        continue;  // Background service noise, not user activity.
+      }
+      const double kbs = static_cast<double>(b) / 1024.0 / interval_seconds;
+      user_throughput.Add(kbs);
+      peak_user = std::max(peak_user, kbs);
+      active.emplace_back(interval, kbs);
     }
-    ++active[key.second];
-    const double kbs = static_cast<double>(b) / 1024.0 / interval_seconds;
-    user_throughput.Add(kbs);
-    peak_user = std::max(peak_user, kbs);
-    system_wide[key.second] += kbs;
   }
+  std::stable_sort(active.begin(), active.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
 
+  // Active-user counts and system-wide throughput per interval; the sums
+  // add the systems in id order.
   StreamingStats active_stats;
-  for (int64_t i = 0; i <= last_interval; ++i) {
-    auto it = active.find(i);
-    const int n = it == active.end() ? 0 : it->second;
-    if (n > 0) {
+  for (size_t i = 0; i < active.size();) {
+    const int64_t interval = active[i].first;
+    int n = 0;
+    double system_wide = 0;
+    for (; i < active.size() && active[i].first == interval; ++i) {
+      ++n;
+      system_wide += active[i].second;
+    }
+    if (interval >= 0) {
       active_stats.Add(n);
       row.max_active_users = std::max(row.max_active_users, n);
     }
+    row.peak_system_wide_kbs = std::max(row.peak_system_wide_kbs, system_wide);
   }
   row.avg_active_users = active_stats.mean();
   row.avg_active_users_sd = active_stats.stddev();
   row.avg_user_throughput_kbs = user_throughput.mean();
   row.avg_user_throughput_sd = user_throughput.stddev();
   row.peak_user_throughput_kbs = peak_user;
-  for (const auto& [_, total] : system_wide) {
-    row.peak_system_wide_kbs = std::max(row.peak_system_wide_kbs, total);
-  }
   return row;
 }
 
 }  // namespace
 
-UserActivityResult UserActivityAnalyzer::Analyze(const TraceSet& trace,
-                                                 uint64_t background_threshold_bytes) {
+UserActivityResult UserActivityAnalyzer::Analyze(const TraceSet& trace, const SystemIndex& index,
+                                                 int workers, uint64_t background_threshold_bytes) {
+  const auto fold = [&trace](std::span<const uint32_t> records) {
+    return FoldSystem(trace, records);
+  };
+  const std::vector<ActivityPartial> partials = index.FoldSystems(workers, fold);
   UserActivityResult result;
-  result.ten_minutes = AnalyzeInterval(trace, 600.0, background_threshold_bytes * 60);
-  result.ten_seconds = AnalyzeInterval(trace, 10.0, background_threshold_bytes);
+  result.ten_minutes = Combine(partials, 0, background_threshold_bytes * 60);
+  result.ten_seconds = Combine(partials, 1, background_threshold_bytes);
   return result;
 }
 

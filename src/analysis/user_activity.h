@@ -17,6 +17,7 @@
 
 #include "src/stats/descriptive.h"
 #include "src/trace/trace_set.h"
+#include "src/tracedb/system_index.h"
 
 namespace ntrace {
 
@@ -40,9 +41,12 @@ struct UserActivityResult {
 class UserActivityAnalyzer {
  public:
   // `background_threshold_bytes` is the per-interval byte floor attributed
-  // to services; intervals at or below it do not make a user "active".
-  static UserActivityResult Analyze(const TraceSet& trace,
-                                    uint64_t background_threshold_bytes = 2048);
+  // to services; intervals at or below it do not make a user "active". A
+  // per-system fold (DESIGN.md §7) over `index`, the trace's, at
+  // WorkerCount(workers, systems): each system's records give its bytes
+  // per interval, combined in system-id order.
+  static UserActivityResult Analyze(const TraceSet& trace, const SystemIndex& index,
+                                    int workers = 1, uint64_t background_threshold_bytes = 2048);
 };
 
 }  // namespace ntrace

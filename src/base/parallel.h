@@ -1,15 +1,17 @@
 // The library's one work pool (DESIGN.md §7): RunFleet runs its systems on
-// it and TraceReplayer its (run, system) units. Workers claim item indexes
-// in order from one atomic counter, so a caller that wants its longest
-// units started first lists them first. One worker is a one-thread pool:
-// every worker count runs the same code.
+// it, TraceReplayer its (run, system) units and Study its per-system folds.
+// Workers claim item indexes in order from one atomic counter, so a caller
+// that wants its longest units started first lists them first. One worker
+// is a one-thread pool: every worker count runs the same code.
 
 #ifndef SRC_BASE_PARALLEL_H_
 #define SRC_BASE_PARALLEL_H_
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace ntrace {
@@ -38,6 +40,31 @@ void ParallelFor(int items, int workers, const Fn& fn) {
       }
     });
   }
+}
+
+// ParallelFor over `items` at WorkerCount(workers, items), calling fn(item)
+// with the heaviest items (by weight(item), ties to the lower index)
+// claimed first.
+template <typename Weight, typename Fn>
+void ParallelForHeaviestFirst(int items, int workers, const Weight& weight, const Fn& fn) {
+  std::vector<int> order(static_cast<size_t>(std::max(items, 0)));
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&weight](int a, int b) { return weight(a) > weight(b); });
+  ParallelFor(items, WorkerCount(workers, items),
+              [&](int i, int) { fn(order[static_cast<size_t>(i)]); });
+}
+
+// A fold: fold(item) for every item, run as ParallelForHeaviestFirst, with
+// the partials returned in item order. A caller that combines them in that
+// order gets the same bytes at every worker count.
+template <typename Weight, typename Fold>
+auto ParallelFold(int items, int workers, const Weight& weight, const Fold& fold) {
+  std::vector<std::invoke_result_t<const Fold&, int>> partials(
+      static_cast<size_t>(std::max(items, 0)));
+  ParallelForHeaviestFirst(items, workers, weight,
+                           [&](int item) { partials[static_cast<size_t>(item)] = fold(item); });
+  return partials;
 }
 
 }  // namespace ntrace

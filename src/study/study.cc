@@ -31,12 +31,19 @@ const TraceSet& Study::app_trace() {
   return *app_trace_;
 }
 
+const SystemIndex& Study::system_index() {
+  if (!system_index_.has_value()) {
+    system_index_ = SystemIndex::Build(trace());
+  }
+  return *system_index_;
+}
+
 const InstanceTable& Study::instances() {
   if (!instances_.has_value()) {
     // Built over the *full* trace so paging attribution survives, but the
     // per-record filtering inside InstanceTable::Build already separates the
     // classes; analyses that must exclude duplicates use the counters.
-    instances_ = InstanceTable::Build(trace());
+    instances_ = InstanceTable::Build(trace(), system_index(), config_.fleet.threads);
   }
   return *instances_;
 }
@@ -77,7 +84,7 @@ const TraceScan& Study::Scan() {
 
 const UserActivityResult& Study::UserActivity() {
   if (!user_activity_.has_value()) {
-    user_activity_ = UserActivityAnalyzer::Analyze(trace());
+    user_activity_ = UserActivityAnalyzer::Analyze(trace(), system_index(), config_.fleet.threads);
   }
   return *user_activity_;
 }
@@ -105,14 +112,14 @@ const FileSizeResult& Study::FileSizes() {
 
 const SessionResult& Study::Sessions() {
   if (!sessions_.has_value()) {
-    sessions_ = SessionAnalyzer::Analyze(trace(), instances());
+    sessions_ = SessionAnalyzer::Analyze(system_index(), instances(), config_.fleet.threads);
   }
   return *sessions_;
 }
 
 const LifetimeResult& Study::Lifetimes() {
   if (!lifetimes_.has_value()) {
-    lifetimes_ = LifetimeAnalyzer::Analyze(instances());
+    lifetimes_ = LifetimeAnalyzer::Analyze(instances(), config_.fleet.threads);
     lifetimes_->overwrite_with_dirty_fraction =
         total_cache_stats().purge_calls > 0
             ? static_cast<double>(total_cache_stats().purges_with_dirty) /
@@ -162,15 +169,15 @@ const CacheAnalysisResult& Study::Cache() {
 }
 
 ArrivalViews Study::Burstiness(uint32_t system_id) {
-  return BurstinessAnalyzer::BuildArrivalViews(trace(), system_id);
+  return BurstinessAnalyzer::BuildArrivalViews(trace(), system_index(), system_id);
 }
 
 std::vector<TailDiagnostics> Study::TailSweep() {
-  return BurstinessAnalyzer::SweepAll(trace(), instances());
+  return BurstinessAnalyzer::SweepAll(trace(), system_index(), instances(), config_.fleet.threads);
 }
 
 std::vector<ProcessProfile> Study::ProcessProfiles() {
-  return ProcessProfileAnalyzer::ByProcess(trace(), instances());
+  return ProcessProfileAnalyzer::ByProcess(trace(), instances(), config_.fleet.threads);
 }
 
 std::vector<FileTypeProfile> Study::FileTypeProfiles() {

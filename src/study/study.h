@@ -18,6 +18,8 @@
 // Analyses are computed on demand and memoized; all of them operate on the
 // application-level view (cache-induced paging duplicates filtered, section
 // 3.3) except where a paper measurement explicitly includes paging I/O.
+// Those keyed by system run as per-system folds on the worker pool, their
+// partials combined in system-id order.
 
 #ifndef SRC_STUDY_STUDY_H_
 #define SRC_STUDY_STUDY_H_
@@ -38,16 +40,18 @@
 #include "src/analysis/trace_scan.h"
 #include "src/analysis/user_activity.h"
 #include "src/tracedb/instance_table.h"
+#include "src/tracedb/system_index.h"
 #include "src/workload/fleet.h"
 
 namespace ntrace {
 
 struct StudyConfig {
-  // Fleet shape and execution. `fleet.threads` selects the worker pool for
-  // the simulation phase (1 = sequential, 0 = hardware concurrency); every
-  // accessor below sees bit-identical data regardless of the value, so
-  // thread count is purely a wall-clock knob. `fleet.columnar_dir` must stay
-  // empty: the analyses read the row trace, and Run() asserts on it.
+  // Fleet shape and execution. `fleet.threads` sizes the one worker pool
+  // (1 = one worker, 0 = hardware concurrency) for the simulation and for
+  // the analyses' per-system folds (DESIGN.md §7); every accessor below
+  // returns bit-identical results regardless of the value, so thread count
+  // is purely a wall-clock knob. `fleet.columnar_dir` must stay empty: the
+  // analyses read the row trace, and Run() asserts on it.
   FleetConfig fleet;
 };
 
@@ -65,6 +69,7 @@ class Study {
   // --- Raw data ---------------------------------------------------------------
   const TraceSet& trace() const;          // Full trace, paging included.
   const TraceSet& app_trace();            // Cache-induced paging filtered.
+  const SystemIndex& system_index();      // trace() partitioned by system.
   const InstanceTable& instances();       // Built over trace(), paging included.
   const std::vector<SystemRunStats>& systems() const;
   CacheStats total_cache_stats() const;
@@ -103,6 +108,7 @@ class Study {
   StudyConfig config_;
   std::optional<FleetResult> result_;
   std::optional<TraceSet> app_trace_;
+  std::optional<SystemIndex> system_index_;
   std::optional<InstanceTable> instances_;
   std::optional<TraceScan> scan_;
   std::optional<UserActivityResult> user_activity_;

@@ -1,25 +1,30 @@
 #include "src/tracedb/instance_table.h"
 
-#include <unordered_map>
+#include <algorithm>
+
+#include "src/base/flat_map.h"
 
 namespace ntrace {
+namespace {
 
-InstanceTable InstanceTable::Build(const TraceSet& trace) {
-  InstanceTable table;
-  std::unordered_map<uint64_t, size_t> index;  // file_object -> row.
+// One system's rows, from its records in trace order, into `rows` (one
+// slot per create, in create order).
+void BuildSystem(const TraceSet& trace, std::span<const uint32_t> records,
+                 std::span<Instance> rows) {
+  FlatMap<uint64_t, Instance*> index;  // file_object -> row.
+  index.reserve(rows.size());
+  Instance* next = rows.data();
 
   auto row_for = [&](const TraceRecord& r) -> Instance* {
     auto it = index.find(r.file_object);
-    if (it == index.end()) {
-      return nullptr;
-    }
-    return &table.rows_[it->second];
+    return it == index.end() ? nullptr : it->second;
   };
 
-  for (const TraceRecord& r : trace.records) {
+  for (const uint32_t i : records) {
+    const TraceRecord& r = trace.records[i];
     const TraceEvent ev = r.Event();
     if (ev == TraceEvent::kIrpCreate) {
-      Instance row;
+      Instance& row = *next++;
       row.file_object = r.file_object;
       row.system_id = r.system_id;
       row.process_id = r.process_id;
@@ -38,8 +43,7 @@ InstanceTable InstanceTable::Build(const TraceSet& trace) {
       row.open_complete = r.complete_ticks;
       row.file_size_at_open = r.file_size;
       row.max_file_size = r.file_size;
-      index[r.file_object] = table.rows_.size();
-      table.rows_.push_back(std::move(row));
+      index[r.file_object] = &row;
       continue;
     }
 
@@ -139,6 +143,50 @@ InstanceTable InstanceTable::Build(const TraceSet& trace) {
         break;
     }
   }
+}
+
+}  // namespace
+
+InstanceTable InstanceTable::Build(const TraceSet& trace, const SystemIndex& index, int workers) {
+  InstanceTable table;
+  const int n = index.systems();
+  table.system_ids_.reserve(static_cast<size_t>(n));
+  table.begin_.reserve(static_cast<size_t>(n) + 1);
+  for (int s = 0; s < n; ++s) {
+    table.system_ids_.push_back(index.id(s));
+    table.begin_.push_back(table.begin_.back() + index.creates(s));
+  }
+  table.rows_.resize(table.begin_.back());
+  trace.EnsureNameIndex();  // Before the workers share it.
+  const auto records = [&index](int s) { return index.records(s).size(); };
+  ParallelForHeaviestFirst(n, workers, records, [&](int s) {
+    const std::span<Instance> rows(table.rows_.data() + table.begin_[s], index.creates(s));
+    BuildSystem(trace, index.records(s), rows);
+  });
+  return table;
+}
+
+InstanceTable InstanceTable::Build(const TraceSet& trace) {
+  return Build(trace, SystemIndex::Build(trace), 1);
+}
+
+InstanceTable InstanceTable::FromRows(std::vector<Instance> rows) {
+  InstanceTable table;
+  std::stable_sort(rows.begin(), rows.end(), [](const Instance& a, const Instance& b) {
+    return a.system_id < b.system_id;
+  });
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (i == 0 || rows[i].system_id != rows[i - 1].system_id) {
+      if (i > 0) {
+        table.begin_.push_back(i);
+      }
+      table.system_ids_.push_back(rows[i].system_id);
+    }
+  }
+  if (!rows.empty()) {
+    table.begin_.push_back(rows.size());
+  }
+  table.rows_ = std::move(rows);
   return table;
 }
 

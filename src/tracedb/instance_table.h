@@ -7,12 +7,19 @@
 // paper -- session lifetimes, access patterns, run lengths, control-only
 // open fraction, FastIO shares -- is computed over this table; building it
 // from the raw record stream is the first step of each analyzer.
+//
+// Row order is system-major: each system's rows form one contiguous range,
+// the ranges in system-id order, and within a range the rows are in create
+// order (trace order of the system's kIrpCreate records). A per-system fold
+// (DESIGN.md §7) reads one range; a pass over rows() reads the systems one
+// after another.
 
 #ifndef SRC_TRACEDB_INSTANCE_TABLE_H_
 #define SRC_TRACEDB_INSTANCE_TABLE_H_
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -23,6 +30,7 @@
 #include "src/ntio/status.h"
 #include "src/trace/trace_set.h"
 #include "src/tracedb/dimensions.h"
+#include "src/tracedb/system_index.h"
 
 namespace ntrace {
 
@@ -119,11 +127,36 @@ class InstanceTable {
  public:
   // Builds the table from a (time-sorted) trace set. Paging records are
   // attributed to the instance of the file object they were issued on (the
-  // cache map holder).
+  // cache map holder). `index` is the trace's: each system's rows are one
+  // pool task at WorkerCount(workers, index.systems()), written into that
+  // system's slice of the one exactly-sized row vector, and the table has
+  // the index's systems, in the same slots.
+  static InstanceTable Build(const TraceSet& trace, const SystemIndex& index, int workers);
+  // The same fold at one worker, over the trace's own index.
   static InstanceTable Build(const TraceSet& trace);
+  // A table over rows made by hand: stably partitioned by system, so each
+  // system keeps its rows' given order.
+  static InstanceTable FromRows(std::vector<Instance> rows);
 
   const std::vector<Instance>& rows() const { return rows_; }
-  std::vector<Instance>& rows() { return rows_; }
+
+  // Slot s is the table's s-th lowest system id.
+  int systems() const { return static_cast<int>(system_ids_.size()); }
+  uint32_t system_id(int s) const { return system_ids_[static_cast<size_t>(s)]; }
+  std::span<const Instance> system_rows(int s) const {
+    return {rows_.data() + begin_[static_cast<size_t>(s)],
+            rows_.data() + begin_[static_cast<size_t>(s) + 1]};
+  }
+
+  // fold(system_rows(s)) for every system, on the pool at
+  // WorkerCount(workers, systems()), the system with the most rows first;
+  // the partials come back in system-id order.
+  template <typename Fold>
+  auto FoldSystems(int workers, const Fold& fold) const {
+    const auto size = [this](int s) { return system_rows(s).size(); };
+    return ParallelFold(systems(), workers, size,
+                        [this, &fold](int s) { return fold(system_rows(s)); });
+  }
 
   // Rows with a successful open.
   std::vector<const Instance*> SuccessfulOpens() const;
@@ -132,6 +165,8 @@ class InstanceTable {
 
  private:
   std::vector<Instance> rows_;
+  std::vector<uint32_t> system_ids_;
+  std::vector<size_t> begin_{0};  // systems() + 1 offsets into rows_.
 };
 
 }  // namespace ntrace

@@ -112,18 +112,19 @@ TEST(Runs, EmptySession) {
 // --- Table 3 builder ---------------------------------------------------------------
 
 TEST(AccessPatternsTable, PercentagesWithinMode) {
-  InstanceTable table;
+  std::vector<Instance> rows;
   // Two whole-file RO sessions, one random RO session, one WO session.
-  auto add = [&table](Instance s, uint32_t system) {
+  auto add = [&rows](Instance s, uint32_t system) {
     s.system_id = system;
-    table.rows().push_back(std::move(s));
+    rows.push_back(std::move(s));
   };
   add(MakeSession({{0, 100, false, true, 0, 1}}, 100), 1);
   add(MakeSession({{0, 200, false, true, 0, 1}}, 200), 1);
   add(MakeSession({{500, 10, false, true, 0, 1}, {0, 10, false, true, 2, 3}}, 1000), 2);
   add(MakeSession({{0, 50, true, true, 0, 1}}, 50), 2);
 
-  const AccessPatternTable result = AccessPatternAnalyzer::BuildTable(table);
+  const AccessPatternTable result =
+      AccessPatternAnalyzer::BuildTable(InstanceTable::FromRows(std::move(rows)));
   EXPECT_EQ(result.data_sessions, 4u);
   const auto& ro_whole = result.cells[0][0];
   EXPECT_NEAR(ro_whole.accesses_pct, 100.0 * 2 / 3, 1e-9);
@@ -150,7 +151,8 @@ TEST(UserActivity, CountsActiveUsersAndThroughput) {
   add_read(1, 1.0, 100 * 1024);
   add_read(2, 2.0, 200 * 1024);
   add_read(2, 12.0, 50 * 1024);
-  const UserActivityResult result = UserActivityAnalyzer::Analyze(trace, 1024);
+  const UserActivityResult result =
+      UserActivityAnalyzer::Analyze(trace, SystemIndex::Build(trace), 1, 1024);
   EXPECT_EQ(result.ten_seconds.max_active_users, 2);
   EXPECT_GT(result.ten_seconds.avg_user_throughput_kbs, 0);
   // 10s interval 0 carries 300 KB total -> system-wide 30 KB/s.
@@ -165,7 +167,8 @@ TEST(UserActivity, ThresholdSuppressesBackgroundNoise) {
   r.returned = 100;  // Tiny background op.
   r.complete_ticks = SimDuration::Seconds(1).ticks();
   trace.records.push_back(r);
-  const UserActivityResult result = UserActivityAnalyzer::Analyze(trace, 2048);
+  const UserActivityResult result =
+      UserActivityAnalyzer::Analyze(trace, SystemIndex::Build(trace), 1, 2048);
   EXPECT_EQ(result.ten_seconds.max_active_users, 0);
 }
 
@@ -178,7 +181,8 @@ TEST(UserActivity, CacheInducedPagingExcluded) {
   r.irp_flags = kIrpPagingIo | kIrpCacheFault;
   r.complete_ticks = SimDuration::Seconds(1).ticks();
   trace.records.push_back(r);
-  const UserActivityResult result = UserActivityAnalyzer::Analyze(trace, 1024);
+  const UserActivityResult result =
+      UserActivityAnalyzer::Analyze(trace, SystemIndex::Build(trace), 1, 1024);
   EXPECT_EQ(result.ten_seconds.max_active_users, 0);
 }
 
@@ -228,7 +232,7 @@ TEST(AnalyzersEndToEnd, SessionsLifetimesOperations) {
   EXPECT_EQ(overwrites, 1);
   EXPECT_EQ(deletes, 1);
 
-  const SessionResult sessions = SessionAnalyzer::Analyze(trace, table);
+  const SessionResult sessions = SessionAnalyzer::Analyze(SystemIndex::Build(trace), table);
   EXPECT_FALSE(sessions.session_all_ms.empty());
   EXPECT_FALSE(sessions.open_interarrival_io_ms.empty() &&
                sessions.open_interarrival_control_ms.empty());
@@ -259,21 +263,22 @@ TEST(AnalyzersEndToEnd, OnePathOnTwoSystemsIsTwoFiles) {
     s.close_time = s.cleanup_time + 10;
     return s;
   };
-  InstanceTable table;
+  std::vector<Instance> rows;
   Instance created = session(1, 10, "C:\\shared.tmp", 1000);
   created.create_action = CreateAction::kCreated;
   created.fastio_writes = 1;
   created.bytes_written = 100;
-  table.rows().push_back(created);
+  rows.push_back(created);
   Instance deleted = session(2, 20, "C:\\shared.tmp", 2000);
   deleted.set_delete_disposition = true;
-  table.rows().push_back(deleted);
+  rows.push_back(deleted);
   for (const uint32_t system : {1u, 2u}) {
     Instance read = session(system, system * 10, "C:\\shared.ini", 3000 + 10 * system);
     read.fastio_reads = 1;
     read.bytes_read = 100;
-    table.rows().push_back(read);
+    rows.push_back(read);
   }
+  const InstanceTable table = InstanceTable::FromRows(std::move(rows));
 
   const LifetimeResult lifetimes = LifetimeAnalyzer::Analyze(table);
   EXPECT_EQ(lifetimes.new_files, 1u);
@@ -281,7 +286,7 @@ TEST(AnalyzersEndToEnd, OnePathOnTwoSystemsIsTwoFiles) {
 
   TraceSet trace;
   trace.process_names = {{10, "app.exe"}, {20, "app.exe"}};
-  const SessionResult sessions = SessionAnalyzer::Analyze(trace, table);
+  const SessionResult sessions = SessionAnalyzer::Analyze(SystemIndex::Build(trace), table);
   EXPECT_EQ(sessions.readonly_reopen_fraction, 0.0);
 
   const std::vector<ProcessProfile> profiles = ProcessProfileAnalyzer::ByProcess(trace, table);
@@ -304,7 +309,7 @@ TEST(AnalyzersEndToEnd, NoOpensGiveNoAgreeingSessionRows) {
   read.complete_ticks = read.start_ticks + 100;
   trace.records.push_back(read);
   const InstanceTable table = InstanceTable::Build(trace);
-  const SessionResult s = SessionAnalyzer::Analyze(trace, table);
+  const SessionResult s = SessionAnalyzer::Analyze(SystemIndex::Build(trace), table);
   EXPECT_TRUE(std::isnan(s.interarrival_p40_ms));
   EXPECT_TRUE(std::isnan(s.interarrival_p90_ms));
   EXPECT_TRUE(std::isnan(s.session_p40_ms));
@@ -405,9 +410,10 @@ TEST(Burstiness, PoissonSynthesisSmoothsTraceDoesNot) {
     }
     t += SimDuration::Seconds(300).ticks();
   }
-  const ArrivalViews views = BurstinessAnalyzer::BuildArrivalViews(trace, 1);
+  const SystemIndex index = SystemIndex::Build(trace);
+  const ArrivalViews views = BurstinessAnalyzer::BuildArrivalViews(trace, index, 1);
   EXPECT_GT(views.trace_cv[2], 2.0 * views.poisson_cv[2]);
-  const std::vector<double> gaps = BurstinessAnalyzer::OpenInterarrivalsMs(trace, 1);
+  const std::vector<double> gaps = BurstinessAnalyzer::OpenInterarrivalsMs(trace, index, 1);
   EXPECT_EQ(gaps.size(), 30u * 200 - 1);
 }
 

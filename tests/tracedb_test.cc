@@ -6,6 +6,7 @@
 #include "src/tracedb/dimensions.h"
 #include "src/tracedb/instance_table.h"
 #include "src/tracedb/rollup.h"
+#include "src/tracedb/system_index.h"
 #include "tests/test_util.h"
 
 namespace ntrace {
@@ -169,6 +170,89 @@ TEST(InstanceTableBuild, DeleteDispositionFlagged) {
       EXPECT_TRUE(r.set_delete_disposition);
     }
   }
+}
+
+// Two systems whose records interleave in time: system 2 opens A and C,
+// system 1 opens B and D, and each reads what it opened.
+TraceSet InterleavedTwoSystemTrace() {
+  TraceSet trace;
+  int64_t t = 0;
+  const auto add = [&](uint32_t system, TraceEvent event, uint64_t fo, uint32_t bytes) {
+    TraceRecord r;
+    r.event = static_cast<uint16_t>(event);
+    r.system_id = system;
+    r.file_object = fo;
+    r.returned = bytes;
+    r.start_ticks = ++t;
+    r.complete_ticks = ++t;
+    trace.records.push_back(r);
+    if (event == TraceEvent::kIrpCreate) {
+      trace.names.push_back(NameRecord{fo, system, "C:\\f" + std::to_string(fo)});
+    }
+  };
+  add(2, TraceEvent::kIrpCreate, 0xA, 0);
+  add(1, TraceEvent::kIrpCreate, 0xB, 0);
+  add(2, TraceEvent::kIrpRead, 0xA, 10);
+  add(2, TraceEvent::kIrpCreate, 0xC, 0);
+  add(1, TraceEvent::kIrpRead, 0xB, 20);
+  add(1, TraceEvent::kIrpCreate, 0xD, 0);
+  add(2, TraceEvent::kIrpRead, 0xC, 30);
+  add(1, TraceEvent::kIrpRead, 0xD, 40);
+  return trace;
+}
+
+TEST(SystemIndexBuild, ListsEachSystemsRecordsInTraceOrder) {
+  const TraceSet trace = InterleavedTwoSystemTrace();
+  const SystemIndex index = SystemIndex::Build(trace);
+  ASSERT_EQ(index.systems(), 2);
+  EXPECT_EQ(index.id(0), 1u);
+  EXPECT_EQ(index.id(1), 2u);
+  const std::vector<uint32_t> system1(index.records(0).begin(), index.records(0).end());
+  const std::vector<uint32_t> system2(index.records(1).begin(), index.records(1).end());
+  EXPECT_EQ(system1, (std::vector<uint32_t>{1, 4, 5, 7}));
+  EXPECT_EQ(system2, (std::vector<uint32_t>{0, 2, 3, 6}));
+  EXPECT_EQ(index.creates(0), 2u);
+  EXPECT_EQ(index.creates(1), 2u);
+  EXPECT_EQ(index.last_complete_ticks(), trace.records.back().complete_ticks);
+}
+
+// The row-order contract: the time-ordered rows (A, B, C, D) stably
+// partitioned by system -- system 1's B and D, then system 2's A and C --
+// at every worker count.
+TEST(InstanceTableBuild, RowsAreSystemMajorInCreateOrder) {
+  const TraceSet trace = InterleavedTwoSystemTrace();
+  const SystemIndex index = SystemIndex::Build(trace);
+  for (const int workers : {1, 2}) {
+    const InstanceTable table = InstanceTable::Build(trace, index, workers);
+    std::vector<uint64_t> objects;
+    std::vector<uint64_t> bytes;
+    for (const Instance& row : table.rows()) {
+      objects.push_back(row.file_object);
+      bytes.push_back(row.bytes_read);
+    }
+    EXPECT_EQ(objects, (std::vector<uint64_t>{0xB, 0xD, 0xA, 0xC}));
+    EXPECT_EQ(bytes, (std::vector<uint64_t>{20, 40, 10, 30}));
+    ASSERT_EQ(table.systems(), 2);
+    EXPECT_EQ(table.system_id(0), 1u);
+    EXPECT_EQ(table.system_rows(0).size(), 2u);
+    EXPECT_EQ(table.system_rows(1)[0].path, "C:\\f10");
+  }
+}
+
+TEST(InstanceTableFromRows, PartitionsStablyBySystem) {
+  std::vector<Instance> rows(4);
+  const uint32_t systems[] = {5, 3, 5, 3};
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rows[i].system_id = systems[i];
+    rows[i].file_object = i;
+  }
+  const InstanceTable table = InstanceTable::FromRows(std::move(rows));
+  ASSERT_EQ(table.systems(), 2);
+  EXPECT_EQ(table.system_id(0), 3u);
+  EXPECT_EQ(table.system_rows(0)[0].file_object, 1u);
+  EXPECT_EQ(table.system_rows(0)[1].file_object, 3u);
+  EXPECT_EQ(table.system_rows(1)[0].file_object, 0u);
+  EXPECT_EQ(table.system_rows(1)[1].file_object, 2u);
 }
 
 // --- Rollups -------------------------------------------------------------------------
