@@ -202,8 +202,8 @@ inline int EnvInt(const char* name, int fallback, int min_value, int max_value) 
 }
 
 // FNV-1a over every field of a TraceScan, CDF samples included. Used by the
-// benches to assert the columnar/batch scan is byte-identical to the row
-// oracle without a field-by-field gtest comparison. CDF samples are mixed in
+// benches to assert that a store's scan is byte-identical to the scan of
+// the rows it holds without a field-by-field gtest comparison. CDF samples are mixed in
 // their post-Finalize order; identical record streams produce identical
 // sample orders, so equality here is exactly the parity contract.
 class ScanFingerprinter {

@@ -158,10 +158,18 @@ TailDiagnostics BurstinessAnalyzer::Diagnose(std::string quantity, std::vector<d
   if (sample.size() < 16) {
     return diag;
   }
-  diag.hill_alpha = HillEstimator::EstimateWithTailFraction(sample, 0.05);
-  diag.llcd = BuildLlcd(sample, 0.1);
-  diag.qq_normal = QqAgainstNormal(sample);
-  diag.qq_pareto = QqAgainstPareto(sample);
+  // One sort feeds all four diagnostics. The Normal reference's moments
+  // come from a pass in the sample's own order first, as QqAgainstNormal
+  // takes them: StreamingStats is order-sensitive.
+  StreamingStats moments;
+  for (double v : sample) {
+    moments.Add(v);
+  }
+  std::sort(sample.begin(), sample.end());
+  diag.hill_alpha = HillAlphaSorted(sample, 0.05);
+  diag.llcd = BuildLlcdSorted(sample, 0.1);
+  diag.qq_normal = QqAgainstNormalSorted(sample, moments.mean(), moments.stddev());
+  diag.qq_pareto = QqAgainstParetoSorted(sample);
   return diag;
 }
 

@@ -3,8 +3,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <string>
 
+#include "src/base/parallel.h"
 #include "src/base/time.h"
 #include "src/ntio/irp.h"
 #include "src/tracedb/dimensions.h"
@@ -28,6 +30,146 @@ inline size_t TallyIndex(uint16_t event, uint16_t status) {
   return ev * kTallyStatuses + st;
 }
 
+// The 14 output distributions of a scan (`Scan` is TraceScan or const
+// TraceScan), in one fixed order.
+template <typename Scan>
+auto Cdfs(Scan& s) {
+  return std::array{&s.read_sizes,          &s.write_sizes,           &s.fastio_read_latency_us,
+                    &s.fastio_write_latency_us, &s.irp_read_latency_us, &s.irp_write_latency_us,
+                    &s.fastio_read_size,    &s.fastio_write_size,     &s.irp_read_size,
+                    &s.irp_write_size,      &s.read_runs_by_count,    &s.read_runs_by_bytes,
+                    &s.write_runs_by_count, &s.write_runs_by_bytes};
+}
+
+// The counters a chunk's fold writes directly; Absorb sums them. The rest
+// derive from the tally in Finish.
+#define NTRACE_SCAN_SUMS(X)                                                               \
+  X(records_scanned)                                                                      \
+  X(reads_512_or_4096)                                                                    \
+  X(reads_small) X(reads_48k_plus) X(volume_mounted_checks) X(seteof_ops) X(attributed)   \
+  X(non_interactive) X(paging_reads) X(paging_read_bytes) X(paging_writes)                \
+  X(paging_write_bytes) X(readahead_records) X(readahead_bytes) X(lazywrite_records)      \
+  X(lazywrite_bytes)
+
+// One closed run: a sample in both run CDFs of its direction.
+void EmitRun(bool write, uint64_t bytes, TraceScan* s) {
+  const double v = static_cast<double>(bytes);
+  (write ? s->write_runs_by_count : s->read_runs_by_count).Add(v, 1.0);
+  (write ? s->write_runs_by_bytes : s->read_runs_by_bytes).Add(v, v);
+}
+
+// The row sweep's chain step (`off == end` extends the run, anything else
+// closes it) inside one chunk, keeping the chunk's first run apart: only
+// Absorb knows whether it continues the chain before the chunk.
+inline void ExtendRuns(ScanAccumulator::ChunkRuns& r, bool write, uint64_t off, uint32_t len,
+                       TraceScan* s) {
+  if (!r.any) {
+    r.any = true;
+    r.first_offset = off;
+    r.last_bytes = 0;
+  } else if (off != r.last_end) {
+    if (r.first_closed) {
+      EmitRun(write, r.last_bytes, s);
+    } else {
+      r.first_closed = true;
+      r.first_bytes = r.last_bytes;
+    }
+    r.last_bytes = 0;
+  }
+  r.last_bytes += len;
+  r.last_end = off + len;
+}
+
+// The 12 scan columns of rows [0, n) into e's column arrays; the other
+// columns stay empty.
+void TransposeScanColumns(const TraceRecord* rows, size_t n, ColumnarExtent* e) {
+  e->event.resize(n);
+  e->status.resize(n);
+  e->irp_flags.resize(n);
+  e->length.resize(n);
+  e->offset.resize(n);
+  e->file_object.resize(n);
+  e->complete_ticks.resize(n);
+  e->start_ticks.resize(n);
+  e->system_id.resize(n);
+  e->process_id.resize(n);
+  e->fsctl.resize(n);
+  e->info_class.resize(n);
+  uint16_t* const event = e->event.data();
+  uint16_t* const status = e->status.data();
+  uint32_t* const irp_flags = e->irp_flags.data();
+  uint32_t* const length = e->length.data();
+  uint64_t* const offset = e->offset.data();
+  uint64_t* const file_object = e->file_object.data();
+  int64_t* const complete_ticks = e->complete_ticks.data();
+  int64_t* const start_ticks = e->start_ticks.data();
+  uint32_t* const system_id = e->system_id.data();
+  uint32_t* const process_id = e->process_id.data();
+  uint8_t* const fsctl = e->fsctl.data();
+  uint8_t* const info_class = e->info_class.data();
+  for (size_t i = 0; i < n; ++i) {
+    const TraceRecord& r = rows[i];
+    event[i] = r.event;
+    status[i] = r.status;
+    irp_flags[i] = r.irp_flags;
+    length[i] = r.length;
+    offset[i] = r.offset;
+    file_object[i] = r.file_object;
+    complete_ticks[i] = r.complete_ticks;
+    start_ticks[i] = r.start_ticks;
+    system_id[i] = r.system_id;
+    process_id[i] = r.process_id;
+    fsctl[i] = r.fsctl;
+    info_class[i] = r.info_class;
+  }
+}
+
+// One pool slot of a scan window: a chunk's encoded payload (store form),
+// its scan columns and its partial, all reused from window to window.
+struct ScanSlot {
+  std::vector<uint8_t> payload;
+  ColumnarExtent columns;
+  ScanAccumulator::Partial partial;
+  bool folded = false;
+};
+
+// ParallelFor, except that one worker runs the items on the calling
+// thread: a scan nested in another pool's task (the policy sweep scans
+// each replayed run on its replay worker) then starts no thread, and its
+// buffers stay in that worker's heap.
+template <typename Fn>
+void RunItems(int items, int workers, const Fn& fn) {
+  if (workers > 1) {
+    ParallelFor(items, workers, fn);
+    return;
+  }
+  for (int i = 0; i < items; ++i) {
+    fn(i, 0);
+  }
+}
+
+// Folds slots [0, filled) on the pool -- fold(i, slot) folds the window's
+// chunk i into slot.partial, false when the chunk does not decode -- then
+// absorbs their partials in slot order. Returns false, having absorbed only
+// the slots before it, at the first slot whose chunk did not decode.
+template <typename FoldChunk>
+bool FoldWindow(ScanAccumulator& acc, std::vector<ScanSlot>& slots, int filled,
+                const FoldChunk& fold) {
+  RunItems(filled, filled, [&](int i, int) {
+    ScanSlot& slot = slots[static_cast<size_t>(i)];
+    slot.partial.Clear();
+    slot.folded = fold(i, slot);
+  });
+  for (int i = 0; i < filled; ++i) {
+    const ScanSlot& slot = slots[static_cast<size_t>(i)];
+    if (!slot.folded) {
+      return false;
+    }
+    acc.Absorb(slot.partial);
+  }
+  return true;
+}
+
 }  // namespace
 
 ScanAccumulator::ScanAccumulator() : tally_(kTallyEvents * kTallyStatuses, 0) {}
@@ -48,45 +190,30 @@ void ScanAccumulator::AddProcessName(uint32_t pid, std::string_view name) {
 }
 
 void ScanAccumulator::SpillCdfsTo(const std::string& path_prefix) {
-  out_.read_sizes.SpillTo(path_prefix + ".read_sizes");
-  out_.write_sizes.SpillTo(path_prefix + ".write_sizes");
-  out_.irp_read_latency_us.SpillTo(path_prefix + ".irp_read_lat");
-  out_.irp_write_latency_us.SpillTo(path_prefix + ".irp_write_lat");
-  out_.fastio_read_latency_us.SpillTo(path_prefix + ".fastio_read_lat");
-  out_.fastio_write_latency_us.SpillTo(path_prefix + ".fastio_write_lat");
-  out_.irp_read_size.SpillTo(path_prefix + ".irp_read_size");
-  out_.irp_write_size.SpillTo(path_prefix + ".irp_write_size");
-  out_.fastio_read_size.SpillTo(path_prefix + ".fastio_read_size");
-  out_.fastio_write_size.SpillTo(path_prefix + ".fastio_write_size");
-  out_.read_runs_by_count.SpillTo(path_prefix + ".read_runs_n");
-  out_.read_runs_by_bytes.SpillTo(path_prefix + ".read_runs_b");
-  out_.write_runs_by_count.SpillTo(path_prefix + ".write_runs_n");
-  out_.write_runs_by_bytes.SpillTo(path_prefix + ".write_runs_b");
-}
-
-void ScanAccumulator::EmitRead(RunState& s) {
-  if (s.read_ops > 0) {
-    const double bytes = static_cast<double>(s.read_bytes);
-    out_.read_runs_by_count.Add(bytes, 1.0);
-    out_.read_runs_by_bytes.Add(bytes, bytes);
-    s.read_ops = 0;
-    s.read_bytes = 0;
+  const auto cdfs = Cdfs(out_);
+  for (size_t i = 0; i < cdfs.size(); ++i) {
+    cdfs[i]->SpillTo(path_prefix + "." + std::to_string(i));
   }
 }
 
-void ScanAccumulator::EmitWrite(RunState& s) {
-  if (s.write_ops > 0) {
-    const double bytes = static_cast<double>(s.write_bytes);
-    out_.write_runs_by_count.Add(bytes, 1.0);
-    out_.write_runs_by_bytes.Add(bytes, bytes);
-    s.write_ops = 0;
-    s.write_bytes = 0;
+void ScanAccumulator::Partial::Clear() {
+#define NTRACE_X(f) scan.f = 0;
+  NTRACE_SCAN_SUMS(NTRACE_X)
+#undef NTRACE_X
+  for (WeightedCdf* cdf : Cdfs(scan)) {
+    cdf->Clear();
   }
+  scan.flushed_files.clear();
+  tally.assign(kTallyEvents * kTallyStatuses, 0);
+  active_seconds.clear();
+  std::fill(last_sec.begin(), last_sec.end(), 0);
+  runs.clear();
 }
 
-void ScanAccumulator::Consume(const ColumnBatch& b) {
-  out_.records_scanned += b.count;
-  // Same record order and per-record arithmetic as the row sweep.
+void ScanAccumulator::Fold(const ColumnBatch& b, Partial* p) const {
+  TraceScan& out = p->scan;
+  out.records_scanned += b.count;
+  // Same record order and per-record arithmetic as a record-at-a-time sweep.
   constexpr uint16_t kEvRead = static_cast<uint16_t>(TraceEvent::kIrpRead);
   constexpr uint16_t kEvWrite = static_cast<uint16_t>(TraceEvent::kIrpWrite);
   constexpr uint16_t kEvFlush = static_cast<uint16_t>(TraceEvent::kIrpFlushBuffers);
@@ -95,33 +222,34 @@ void ScanAccumulator::Consume(const ColumnBatch& b) {
   constexpr uint16_t kEvSetInfo = static_cast<uint16_t>(TraceEvent::kIrpSetInformation);
   constexpr uint16_t kEvFastRead = static_cast<uint16_t>(TraceEvent::kFastIoRead);
   constexpr uint16_t kEvFastWrite = static_cast<uint16_t>(TraceEvent::kFastIoWrite);
-  WeightedCdf* const lat_cdf[4] = {&out_.irp_read_latency_us, &out_.irp_write_latency_us,
-                                   &out_.fastio_read_latency_us, &out_.fastio_write_latency_us};
-  WeightedCdf* const size_cdf[4] = {&out_.irp_read_size, &out_.irp_write_size,
-                                    &out_.fastio_read_size, &out_.fastio_write_size};
+  WeightedCdf* const lat_cdf[4] = {&out.irp_read_latency_us, &out.irp_write_latency_us,
+                                   &out.fastio_read_latency_us, &out.fastio_write_latency_us};
+  WeightedCdf* const size_cdf[4] = {&out.irp_read_size, &out.irp_write_size,
+                                    &out.fastio_read_size, &out.fastio_write_size};
+  std::vector<uint64_t>& last_sec = p->last_sec;
 
   for (size_t i = 0; i < b.count; ++i) {
     const uint16_t ev = b.event[i];
     if (ev == kEvFlush) {
-      out_.flushed_files.emplace(b.file_object[i], uint8_t{1});
+      out.flushed_files.emplace(b.file_object[i], uint8_t{1});
     }
     const uint32_t flags = b.irp_flags[i];
     if ((flags & kIrpPagingIo) != 0) {
       // Cc/Mm-originated transfer: the cache mix only.
       const uint32_t len = b.length[i];
       if (ev == kEvRead) {
-        ++out_.paging_reads;
-        out_.paging_read_bytes += len;
+        ++out.paging_reads;
+        out.paging_read_bytes += len;
         if ((flags & kIrpReadAhead) != 0) {
-          ++out_.readahead_records;
-          out_.readahead_bytes += len;
+          ++out.readahead_records;
+          out.readahead_bytes += len;
         }
       } else if (ev == kEvWrite) {
-        ++out_.paging_writes;
-        out_.paging_write_bytes += len;
+        ++out.paging_writes;
+        out.paging_write_bytes += len;
         if ((flags & kIrpLazyWrite) != 0) {
-          ++out_.lazywrite_records;
-          out_.lazywrite_bytes += len;
+          ++out.lazywrite_records;
+          out.lazywrite_bytes += len;
         }
       }
       continue;
@@ -134,15 +262,15 @@ void ScanAccumulator::Consume(const ColumnBatch& b) {
         static_cast<uint64_t>(b.complete_ticks[i] / SimDuration::kTicksPerSecond);
     const uint32_t sys = b.system_id[i];
     if (sys < kDenseSystems) {
-      if (sys >= last_sec_.size()) {
-        last_sec_.resize(static_cast<size_t>(sys) + 1, 0);
+      if (sys >= last_sec.size()) {
+        last_sec.resize(static_cast<size_t>(sys) + 1, 0);
       }
-      if (last_sec_[sys] != second + 1) {
-        last_sec_[sys] = second + 1;
-        active_seconds_.emplace((static_cast<uint64_t>(sys) << 32) | second, uint8_t{1});
+      if (last_sec[sys] != second + 1) {
+        last_sec[sys] = second + 1;
+        p->active_seconds.emplace((static_cast<uint64_t>(sys) << 32) | second, uint8_t{1});
       }
     } else {
-      active_seconds_.emplace((static_cast<uint64_t>(sys) << 32) | second, uint8_t{1});
+      p->active_seconds.emplace((static_cast<uint64_t>(sys) << 32) | second, uint8_t{1});
     }
 
     // Section 7 attribution, via the per-pid classification memo.
@@ -154,18 +282,18 @@ void ScanAccumulator::Consume(const ColumnBatch& b) {
       const auto it = pid_class_.find(pid);
       cls = it == pid_class_.end() ? uint8_t{0} : it->second;
     }
-    out_.attributed += cls != 0 ? 1 : 0;
-    out_.non_interactive += cls == 2 ? 1 : 0;
+    out.attributed += cls != 0 ? 1 : 0;
+    out.non_interactive += cls == 2 ? 1 : 0;
 
     // One increment replaces the row switch; the named counters fold out of
     // the table in Finish(). The two argument predicates count here.
-    ++tally_[TallyIndex(ev, b.status[i])];
+    ++p->tally[TallyIndex(ev, b.status[i])];
     if ((ev == kEvFsctl || ev == kEvDevctl) &&
         b.fsctl[i] == static_cast<uint8_t>(FsctlCode::kIsVolumeMounted)) {
-      ++out_.volume_mounted_checks;
+      ++out.volume_mounted_checks;
     }
     if (ev == kEvSetInfo && b.info_class[i] == static_cast<uint8_t>(FileInfoClass::kEndOfFile)) {
-      ++out_.seteof_ops;
+      ++out.seteof_ops;
     }
 
     // Transfers: run-chain state, size buckets, size/latency CDF appends.
@@ -175,33 +303,21 @@ void ScanAccumulator::Consume(const ColumnBatch& b) {
       continue;
     }
     const uint32_t len = b.length[i];
-    const uint64_t off = b.offset[i];
-    RunState& s = runs_[b.file_object[i]];
+    FileRuns& runs = p->runs[b.file_object[i]];
+    ExtendRuns(is_write ? runs.write : runs.read, is_write, b.offset[i], len, &out);
     const double size = static_cast<double>(len);
     const double latency_us = SimDuration(b.complete_ticks[i] - b.start_ticks[i]).ToMicrosF();
     const size_t mech = (ev >= kEvFastRead ? 2u : 0u) | (is_write ? 1u : 0u);
     if (is_write) {
-      if (s.write_ops > 0 && off != s.write_end) {
-        EmitWrite(s);
-      }
-      ++s.write_ops;
-      s.write_bytes += len;
-      s.write_end = off + len;
-      out_.write_sizes.Add(size);
+      out.write_sizes.Add(size);
     } else {
-      if (s.read_ops > 0 && off != s.read_end) {
-        EmitRead(s);
-      }
-      ++s.read_ops;
-      s.read_bytes += len;
-      s.read_end = off + len;
-      out_.read_sizes.Add(size);
+      out.read_sizes.Add(size);
       if (len == 512 || len == 4096) {
-        ++out_.reads_512_or_4096;
+        ++out.reads_512_or_4096;
       } else if (len >= 2 && len <= 8) {
-        ++out_.reads_small;
+        ++out.reads_small;
       } else if (len >= 48 * 1024) {
-        ++out_.reads_48k_plus;
+        ++out.reads_48k_plus;
       }
     }
     lat_cdf[mech]->Add(latency_us);
@@ -209,7 +325,52 @@ void ScanAccumulator::Consume(const ColumnBatch& b) {
   }
 }
 
-TraceScan ScanAccumulator::Finish() {
+void ScanAccumulator::Stitch(const ChunkRuns& r, bool write, Chain* c) {
+  if (!r.any) {
+    return;
+  }
+  const bool joins = c->open && r.first_offset == c->end;
+  if (c->open && !joins) {
+    EmitRun(write, c->bytes, &out_);
+  }
+  const uint64_t head = joins ? c->bytes : 0;
+  if (r.first_closed) {
+    EmitRun(write, head + r.first_bytes, &out_);
+    c->bytes = r.last_bytes;
+  } else {
+    c->bytes = head + r.last_bytes;
+  }
+  c->end = r.last_end;
+  c->open = true;
+}
+
+void ScanAccumulator::Absorb(const Partial& p) {
+  const TraceScan& in = p.scan;
+#define NTRACE_X(f) out_.f += in.f;
+  NTRACE_SCAN_SUMS(NTRACE_X)
+#undef NTRACE_X
+  const auto into = Cdfs(out_);
+  const auto from = Cdfs(in);
+  for (size_t i = 0; i < into.size(); ++i) {
+    into[i]->Append(*from[i]);
+  }
+  for (const auto& [file_object, tag] : in.flushed_files) {
+    out_.flushed_files.emplace(file_object, tag);
+  }
+  for (size_t i = 0; i < tally_.size(); ++i) {
+    tally_[i] += p.tally[i];
+  }
+  for (const auto& [key, tag] : p.active_seconds) {
+    active_seconds_.emplace(key, tag);
+  }
+  for (const auto& [file_object, chunk] : p.runs) {
+    OpenRuns& open = runs_[file_object];
+    Stitch(chunk.read, false, &open.read);
+    Stitch(chunk.write, true, &open.write);
+  }
+}
+
+TraceScan ScanAccumulator::Finish(int workers) {
   // Fold the (event, status) tally into the named counters with exactly
   // the row switch's predicates. NtError == "not a success-class status";
   // clamped codes (>= 63) stay errors and match no special status.
@@ -275,34 +436,58 @@ TraceScan ScanAccumulator::Finish() {
   out_.read_fallbacks = sum_all(row(TraceEvent::kFastIoReadNotPossible));
   out_.write_fallbacks = sum_all(row(TraceEvent::kFastIoWriteNotPossible));
 
-  // Close the still-open run chains. Emission order differs from the row
-  // path's FlatMap walk, but WeightedCdf sorts on Finalize and run samples
-  // carry value-determined weights, so the distributions are identical.
-  for (auto& [file_object, s] : runs_) {
-    EmitRead(s);
-    EmitWrite(s);
+  // Close the still-open run chains. Emission order follows the FlatMap
+  // walk, but WeightedCdf sorts on Finalize and run samples carry
+  // value-determined weights, so the distributions are identical.
+  for (const auto& [file_object, open] : runs_) {
+    if (open.read.open) {
+      EmitRun(false, open.read.bytes, &out_);
+    }
+    if (open.write.open) {
+      EmitRun(true, open.write.bytes, &out_);
+    }
   }
 
   out_.active_seconds = active_seconds_.size();
 
-  out_.read_sizes.Finalize();
-  out_.write_sizes.Finalize();
-  out_.fastio_read_latency_us.Finalize();
-  out_.fastio_write_latency_us.Finalize();
-  out_.irp_read_latency_us.Finalize();
-  out_.irp_write_latency_us.Finalize();
-  out_.fastio_read_size.Finalize();
-  out_.fastio_write_size.Finalize();
-  out_.irp_read_size.Finalize();
-  out_.irp_write_size.Finalize();
-  out_.read_runs_by_count.Finalize();
-  out_.read_runs_by_bytes.Finalize();
-  out_.write_runs_by_count.Finalize();
-  out_.write_runs_by_bytes.Finalize();
+  const auto cdfs = Cdfs(out_);
+  const int n = static_cast<int>(cdfs.size());
+  RunItems(n, WorkerCount(workers, n),
+           [&cdfs](int i, int) { cdfs[static_cast<size_t>(i)]->Finalize(); });
   return std::move(out_);
 }
 
-TraceScan TraceScan::Run(const ColumnarTraceSet& trace) {
+TraceScan TraceScan::Run(const TraceSet& trace, int workers) {
+  ScanAccumulator acc;
+  for (const auto& [pid, name] : trace.process_names) {
+    acc.AddProcessName(pid, name);
+  }
+  // Row chunks the size of a store extent. A worker transposes its chunk
+  // kTransposeRows rows at a time, folding each piece into the chunk's
+  // partial, so the column buffers stay in cache and a slot holds 221 KB
+  // of them, not a whole chunk's 3.5 MB.
+  constexpr size_t kChunk = kDefaultExtentRecords;
+  constexpr size_t kTransposeRows = 4096;
+  const size_t records = trace.records.size();
+  const int chunks = static_cast<int>((records + kChunk - 1) / kChunk);
+  const int width = WorkerCount(workers, chunks);
+  std::vector<ScanSlot> slots(static_cast<size_t>(width));
+  for (int first = 0; first < chunks; first += width) {
+    FoldWindow(acc, slots, std::min(width, chunks - first), [&](int i, ScanSlot& slot) {
+      const size_t begin = static_cast<size_t>(first + i) * kChunk;
+      const size_t end = std::min(begin + kChunk, records);
+      for (size_t piece = begin; piece < end; piece += kTransposeRows) {
+        TransposeScanColumns(trace.records.data() + piece, std::min(kTransposeRows, end - piece),
+                             &slot.columns);
+        acc.Fold(ColumnBatch::Of(slot.columns), &slot.partial);
+      }
+      return true;
+    });
+  }
+  return acc.Finish(workers);
+}
+
+TraceScan TraceScan::Run(const ColumnarTraceSet& trace, int workers) {
   ScanAccumulator acc;
   // Out-of-core scan: the store streams extent by extent, so the CDF samples
   // are what's left of peak RSS -- spill them beside the store (pid-suffixed
@@ -311,8 +496,37 @@ TraceScan TraceScan::Run(const ColumnarTraceSet& trace) {
   for (const auto& [pid, name] : trace.process_names) {
     acc.AddProcessName(pid, name);
   }
-  trace.ForEachBatch([&acc](const ColumnBatch& b) { acc.Consume(b); }, kScanColumnMask);
-  TraceScan out = acc.Finish();
+  // The calling thread reads and CRC-checks frames and copies each payload
+  // into a slot; a full window decodes and folds on the pool. An extent
+  // whose payload does not decode ends the scan there, as NextExtent's
+  // Reject ends the reader's stream.
+  const uint64_t extents = trace.read_stats().extents_recovered;
+  const int width = WorkerCount(workers, static_cast<int>(std::min<uint64_t>(extents, 1u << 20)));
+  std::vector<ScanSlot> slots(static_cast<size_t>(width));
+  const auto decode = [&acc](int, ScanSlot& slot) {
+    if (!DecodeExtentPayload(slot.payload.data(), slot.payload.size(), kScanColumnMask,
+                             &slot.columns)) {
+      return false;
+    }
+    acc.Fold(ColumnBatch::Of(slot.columns), &slot.partial);
+    return true;
+  };
+  ExtentStreamReader reader;
+  SpoolFrameView frame;
+  int filled = 0;
+  bool intact = reader.Open(trace.spill_path());
+  while (intact && reader.NextExtentFrame(&frame)) {
+    slots[static_cast<size_t>(filled)].payload.assign(frame.payload,
+                                                      frame.payload + frame.payload_size);
+    if (++filled == width) {
+      intact = FoldWindow(acc, slots, filled, decode);
+      filled = 0;
+    }
+  }
+  if (intact && filled > 0) {
+    FoldWindow(acc, slots, filled, decode);
+  }
+  TraceScan out = acc.Finish(workers);
   // Salvage accounting rides with the store (DESIGN.md §16): what the reader
   // knows was lost is what the figures above do not cover.
   out.records_lost_known = trace.read_stats().KnownLost();

@@ -16,11 +16,11 @@
 //   * sequential run lengths -- maximal same-direction contiguous transfer
 //     chains per file object, computed streaming (figures 1-2 cross-check).
 //
-// The analyzers consume a shared, memoized TraceScan (Study::Scan()); their
-// results are identical to the former per-analyzer sweeps because the scan
-// visits records in the same order and applies the same per-record logic.
-// Each trace form has exactly one scan: the row sweep for a TraceSet, the
-// batch accumulator (scan_kernels.h) for a ColumnarTraceSet.
+// The analyzers consume a shared, memoized TraceScan (Study::Scan()). One
+// accumulator (scan_kernels.h) scans both trace forms, as an ordered fold
+// of extent-sized chunks on the worker pool: a store's extents, or a row
+// trace's 64K-record chunks transposed to their scan columns. Its result
+// equals one record-at-a-time sweep in trace order at every worker count.
 
 #ifndef SRC_ANALYSIS_TRACE_SCAN_H_
 #define SRC_ANALYSIS_TRACE_SCAN_H_
@@ -123,16 +123,20 @@ struct TraceScan {
   WeightedCdf write_runs_by_count;
   WeightedCdf write_runs_by_bytes;
 
-  // The row sweep: one pass over the row-major records with the per-record
-  // switch. The trace's name index and process-name table are only read,
-  // never mutated.
-  static TraceScan Run(const TraceSet& trace);
+  // Both scans run the accumulator's chunks on `workers` pool threads
+  // (<= 0: all cores), with the same result at every count.
+  //
+  // A row trace scans in chunks of kDefaultExtentRecords records, each
+  // transposed to its 12 scan columns on its worker. The trace's name
+  // index and process-name table are only read, never mutated.
+  static TraceScan Run(const TraceSet& trace, int workers = 0);
 
-  // The columnar scan (src/analysis/scan_kernels.h): streams a columnar
-  // trace (resident or disk-backed) batch by batch on a memory budget of
-  // O(one extent). Separate code from the row sweep on purpose: each is the
-  // other's oracle (tests/scan_parity_test.cc pins them equal).
-  static TraceScan Run(const ColumnarTraceSet& trace);
+  // A store streams on the calling thread, which reads and CRC-checks its
+  // frames; the workers decode and fold a window of up to `workers`
+  // extents at a time, so memory stays O(workers x one extent). The CDF
+  // samples spill beside the store. An extent whose payload does not
+  // decode ends the scan there.
+  static TraceScan Run(const ColumnarTraceSet& trace, int workers = 0);
 };
 
 }  // namespace ntrace

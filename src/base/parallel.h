@@ -1,5 +1,6 @@
 // The library's one work pool (DESIGN.md §7): RunFleet runs its systems on
-// it, TraceReplayer its (run, system) units and Study its per-system folds.
+// it, TraceReplayer its (run, system) units, Study its per-system folds and
+// TraceScan its chunk folds.
 // Workers claim item indexes in order from one atomic counter, so a caller
 // that wants its longest units started first lists them first. One worker
 // is a one-thread pool: every worker count runs the same code.

@@ -184,6 +184,26 @@ WeightedCdf& WeightedCdf::operator=(const WeightedCdf& other) {
   return *this;
 }
 
+void WeightedCdf::Append(const WeightedCdf& other) {
+  assert(!other.finalized_ || other.count_ == 0);
+  samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
+  total_weight_ += other.total_weight_;
+  count_ += other.count_;
+  finalized_ = false;
+  if (spill_ != nullptr && samples_.size() >= spill_chunk_) {
+    SpillChunk();
+  }
+}
+
+void WeightedCdf::Clear() {
+  assert(spill_ == nullptr);
+  samples_.clear();
+  cum_.clear();
+  total_weight_ = 0.0;
+  count_ = 0;
+  finalized_ = false;
+}
+
 void WeightedCdf::SpillTo(std::string path, size_t chunk_samples) {
   spill_ = std::make_unique<Spill>();
   spill_->path = std::move(path);

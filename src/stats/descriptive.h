@@ -90,6 +90,17 @@ class WeightedCdf {
     }
   }
 
+  // Adds every resident sample of unfinalized `other`, as Add() would: a
+  // scan folds chunks into small CDFs and appends them here in chunk order.
+  // The finalized result equals adding the samples one by one because
+  // Finalize coalesces by value and every scan weight is 1 or an integer
+  // byte count below 2^53, so each weight sum is exact in any grouping.
+  void Append(const WeightedCdf& other);
+
+  // Drops every sample, keeping the sample buffer's capacity (a chunk's
+  // CDFs are reused from chunk to chunk). Not for a CDF that spills.
+  void Clear();
+
   // Enables bounded-memory accumulation: every chunk_samples appends, the
   // resident samples sort, coalesce and overflow to `path` as one run (the
   // file is created lazily; if it cannot be, accumulation silently stays

@@ -9,23 +9,23 @@
 namespace ntrace {
 namespace {
 
-// Largest-first sort.
-void SortDescending(std::vector<double>& v) { std::sort(v.begin(), v.end(), std::greater<>()); }
-
-double HillAlphaFromSorted(const std::vector<double>& desc, size_t k) {
-  if (k == 0 || k + 1 > desc.size()) {
+// alpha_hat from the top k order statistics of an ascending sample.
+double HillAlphaTop(const std::vector<double>& ascending, size_t k) {
+  const size_t n = ascending.size();
+  if (k == 0 || k + 1 > n) {
     return 0.0;
   }
-  const double xk1 = desc[k];  // x_(k+1), 0-indexed.
+  const double xk1 = ascending[n - 1 - k];  // x_(k+1).
   if (xk1 <= 0.0) {
     return 0.0;
   }
   double acc = 0.0;
   for (size_t i = 0; i < k; ++i) {
-    if (desc[i] <= 0.0) {
+    const double x = ascending[n - 1 - i];  // x_(i+1), largest first.
+    if (x <= 0.0) {
       return 0.0;
     }
-    acc += std::log(desc[i] / xk1);
+    acc += std::log(x / xk1);
   }
   const double h = acc / static_cast<double>(k);
   return h > 0.0 ? 1.0 / h : 0.0;
@@ -37,14 +37,24 @@ double HillEstimator::Estimate(std::vector<double> sample, size_t k) {
   if (sample.size() < 2 || k == 0 || k >= sample.size()) {
     return 0.0;
   }
-  SortDescending(sample);
-  return HillAlphaFromSorted(sample, k);
+  std::sort(sample.begin(), sample.end());
+  return HillAlphaTop(sample, k);
 }
 
 double HillEstimator::EstimateWithTailFraction(const std::vector<double>& sample,
                                                double tail_fraction) {
-  const size_t k = static_cast<size_t>(static_cast<double>(sample.size()) * tail_fraction);
-  return Estimate(sample, std::max<size_t>(k, 1));
+  std::vector<double> ascending = sample;
+  std::sort(ascending.begin(), ascending.end());
+  return HillAlphaSorted(ascending, tail_fraction);
+}
+
+double HillAlphaSorted(const std::vector<double>& ascending, double tail_fraction) {
+  const size_t k = std::max<size_t>(
+      static_cast<size_t>(static_cast<double>(ascending.size()) * tail_fraction), 1);
+  if (ascending.size() < 2 || k >= ascending.size()) {
+    return 0.0;
+  }
+  return HillAlphaTop(ascending, k);
 }
 
 std::vector<std::pair<size_t, double>> HillEstimator::HillPlot(std::vector<double> sample,
@@ -54,23 +64,28 @@ std::vector<std::pair<size_t, double>> HillEstimator::HillPlot(std::vector<doubl
   if (sample.size() < 2 || step == 0) {
     return out;
   }
-  SortDescending(sample);
+  std::sort(sample.begin(), sample.end());
   k_max = std::min(k_max, sample.size() - 1);
   for (size_t k = k_min; k <= k_max; k += step) {
-    out.emplace_back(k, HillAlphaFromSorted(sample, k));
+    out.emplace_back(k, HillAlphaTop(sample, k));
   }
   return out;
 }
 
 LlcdSeries BuildLlcd(std::vector<double> sample, double tail_fraction, size_t max_points) {
-  LlcdSeries series;
   // Keep only positive values; LLCD needs logs on both axes.
   sample.erase(std::remove_if(sample.begin(), sample.end(), [](double v) { return v <= 0.0; }),
                sample.end());
+  std::sort(sample.begin(), sample.end());
+  return BuildLlcdSorted(sample, tail_fraction, max_points);
+}
+
+LlcdSeries BuildLlcdSorted(const std::vector<double>& sample, double tail_fraction,
+                           size_t max_points) {
+  LlcdSeries series;
   if (sample.size() < 4) {
     return series;
   }
-  std::sort(sample.begin(), sample.end());
   const size_t n = sample.size();
   // Decimate to at most max_points, always including the extreme tail.
   const size_t stride = std::max<size_t>(1, n / max_points);
@@ -102,15 +117,15 @@ LlcdSeries BuildLlcd(std::vector<double> sample, double tail_fraction, size_t ma
 
 namespace {
 
-// Shared QQ machinery: pair sample quantiles at evenly spaced probabilities
-// with reference quantiles produced by `ref_quantile(p)`.
+// Shared QQ machinery: pair the quantiles of an ascending sample at evenly
+// spaced probabilities with reference quantiles produced by
+// `ref_quantile(p)`.
 template <typename F>
-QqSeries BuildQq(std::vector<double> sample, size_t max_points, F ref_quantile) {
+QqSeries BuildQq(const std::vector<double>& sample, size_t max_points, F ref_quantile) {
   QqSeries qq;
   if (sample.size() < 4) {
     return qq;
   }
-  std::sort(sample.begin(), sample.end());
   const size_t n = sample.size();
   const size_t points = std::min(max_points, n);
   qq.sample_q.reserve(points);
@@ -137,6 +152,20 @@ QqSeries BuildQq(std::vector<double> sample, size_t max_points, F ref_quantile) 
   return qq;
 }
 
+// The Pareto reference: xm the smallest positive value, alpha the Hill
+// estimate over the top tenth (1 when undefined).
+QqSeries ParetoQq(const std::vector<double>& ascending, double xm, double alpha,
+                  size_t max_points) {
+  if (xm <= 0.0) {
+    return {};
+  }
+  if (alpha <= 0.0) {
+    alpha = 1.0;
+  }
+  return BuildQq(ascending, max_points,
+                 [xm, alpha](double p) { return xm / std::pow(1.0 - p, 1.0 / alpha); });
+}
+
 }  // namespace
 
 QqSeries QqAgainstNormal(std::vector<double> sample, size_t max_points) {
@@ -144,9 +173,13 @@ QqSeries QqAgainstNormal(std::vector<double> sample, size_t max_points) {
   for (double v : sample) {
     s.Add(v);
   }
-  const double mean = s.mean();
-  const double sd = s.stddev();
-  return BuildQq(std::move(sample), max_points,
+  std::sort(sample.begin(), sample.end());
+  return QqAgainstNormalSorted(sample, s.mean(), s.stddev(), max_points);
+}
+
+QqSeries QqAgainstNormalSorted(const std::vector<double>& ascending, double mean, double sd,
+                               size_t max_points) {
+  return BuildQq(ascending, max_points,
                  [mean, sd](double p) { return mean + sd * NormalQuantile(p); });
 }
 
@@ -161,13 +194,14 @@ QqSeries QqAgainstPareto(std::vector<double> sample, size_t max_points) {
   if (xm <= 0.0) {
     return {};
   }
-  double alpha = HillEstimator::EstimateWithTailFraction(sample, 0.1);
-  if (alpha <= 0.0) {
-    alpha = 1.0;
-  }
-  return BuildQq(std::move(sample), max_points, [xm, alpha](double p) {
-    return xm / std::pow(1.0 - p, 1.0 / alpha);
-  });
+  const double alpha = HillEstimator::EstimateWithTailFraction(sample, 0.1);
+  std::sort(sample.begin(), sample.end());
+  return ParetoQq(sample, xm, alpha, max_points);
+}
+
+QqSeries QqAgainstParetoSorted(const std::vector<double>& ascending, size_t max_points) {
+  const double xm = ascending.empty() ? 0.0 : ascending.front();
+  return ParetoQq(ascending, xm, HillAlphaSorted(ascending, 0.1), max_points);
 }
 
 double NormalQuantile(double p) {

@@ -71,6 +71,21 @@ QqSeries QqAgainstNormal(std::vector<double> sample, size_t max_points = 256);
 // (xm = sample minimum clamped positive, alpha from the Hill estimator).
 QqSeries QqAgainstPareto(std::vector<double> sample, size_t max_points = 256);
 
+// The same diagnostics over a sample already sorted ascending, every value
+// positive: a caller that runs several sorts the sample once and feeds it to
+// each (BurstinessAnalyzer::Diagnose). Each returns what its unsorted twin
+// returns for that sample.
+//
+// HillEstimator::EstimateWithTailFraction, reading the top of the sample.
+double HillAlphaSorted(const std::vector<double>& ascending, double tail_fraction);
+LlcdSeries BuildLlcdSorted(const std::vector<double>& ascending, double tail_fraction = 0.1,
+                           size_t max_points = 512);
+// `mean` and `sd` as QqAgainstNormal computes them, over the sample in its
+// original order (StreamingStats is order-sensitive).
+QqSeries QqAgainstNormalSorted(const std::vector<double>& ascending, double mean, double sd,
+                               size_t max_points = 256);
+QqSeries QqAgainstParetoSorted(const std::vector<double>& ascending, size_t max_points = 256);
+
 // Inverse standard normal CDF (Acklam's rational approximation).
 double NormalQuantile(double p);
 

@@ -70,7 +70,7 @@ const std::vector<uint32_t>& Study::failed_system_ids() const {
 
 const TraceScan& Study::Scan() {
   if (!scan_.has_value()) {
-    scan_ = TraceScan::Run(trace());
+    scan_ = TraceScan::Run(trace(), config_.fleet.threads);
     // Loss-aware coverage (DESIGN.md §16): what the collection pipeline
     // knows never reached the server is invisible to the scan, so every
     // figure below is a share of a known fraction of the emitted records.

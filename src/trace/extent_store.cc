@@ -30,7 +30,7 @@ struct ExtentMetrics {
           r.GetCounter("ntrace_extent_bytes_written_total",
                        "Bytes appended to extent-store files (headers included)"),
           r.GetCounter("ntrace_extent_extents_recovered_total",
-                       "Valid column extents decoded by the extent stream reader"),
+                       "Valid column extents decoded from extent-store frames"),
           r.GetCounter("ntrace_extent_records_recovered_total",
                        "Trace records recovered from extent-store files"),
           r.GetCounter("ntrace_extent_frames_damaged_total",
@@ -633,10 +633,11 @@ bool ExtentStreamReader::Open(const std::string& path) {
   return opened;
 }
 
-bool ExtentStreamReader::DecodeExtent(const SpoolFrameView& view, uint32_t mask,
-                                      ColumnarExtent* out) {
-  const uint8_t* payload = view.payload;
-  const size_t size = view.payload_size;
+bool DecodeExtentPayload(const uint8_t* payload, size_t size, uint32_t column_mask,
+                         ColumnarExtent* out) {
+  // The event column carries the extent's row count for every consumer
+  // (ColumnarExtent::size() is event.size()); no projection drops it.
+  const uint32_t mask = column_mask | (1u << kExtentCol_event);
   size_t pos = 0;
   uint32_t count = 0;
   bool decoded = GetScalar(payload, size, &pos, &count) && count <= kMaxExtentRecords &&
@@ -649,15 +650,12 @@ bool ExtentStreamReader::DecodeExtent(const SpoolFrameView& view, uint32_t mask,
                                        (mask & (1u << kExtentCol_##name)) != 0);
   NTRACE_EXTENT_COLUMNS(NTRACE_X)
 #undef NTRACE_X
-  if (!decoded) {
-    return false;
+  if (decoded) {
+    ExtentMetrics& m = ExtentMetrics::Get();
+    m.extents_recovered.Inc();
+    m.records_recovered.Inc(count);
   }
-  ++stats_.extents_recovered;
-  stats_.records_recovered += count;
-  ExtentMetrics& m = ExtentMetrics::Get();
-  m.extents_recovered.Inc();
-  m.records_recovered.Inc(count);
-  return true;
+  return decoded;
 }
 
 bool ExtentStreamReader::DecodeTail(const SpoolFrameView& view) {
@@ -740,32 +738,52 @@ bool ExtentStreamReader::DecodeTail(const SpoolFrameView& view) {
   }
 }
 
-bool ExtentStreamReader::NextExtent(ColumnarExtent* out, uint32_t column_mask,
-                                    SpoolFrameView* frame) {
-  // The event column carries the extent's row count for every consumer
-  // (ColumnarExtent::size() is event.size()); no projection drops it.
-  const uint32_t mask = column_mask | (1u << kExtentCol_event);
+bool ExtentStreamReader::NextExtentFrame(SpoolFrameView* frame) {
   bool got_extent = false;
-  SpoolFrameView view;
-  while (!got_extent && file_.Next(&view)) {
-    const auto type = static_cast<ExtentFrameType>(view.type);
+  while (!got_extent && file_.Next(frame)) {
+    const auto type = static_cast<ExtentFrameType>(frame->type);
     got_extent = type == ExtentFrameType::kExtent;
-    if (!(got_extent ? DecodeExtent(view, mask, out) : DecodeTail(view))) {
-      got_extent = false;
+    if (got_extent) {
+      break;
+    }
+    if (!DecodeTail(*frame)) {
       file_.Reject();
     } else if (type == ExtentFrameType::kSeal) {
       file_.Seal();
     }
   }
-  if (got_extent && frame != nullptr) {
-    *frame = view;
-  }
+  SyncSalvage();
+  return got_extent;
+}
+
+void ExtentStreamReader::Reject() {
+  file_.Reject();
+  SyncSalvage();
+}
+
+void ExtentStreamReader::SyncSalvage() {
   const bool was_damaged = stats_.frames_damaged > 0;
   static_cast<FrameSalvage&>(stats_) = file_.salvage();
   if (!was_damaged && stats_.frames_damaged > 0) {
     ExtentMetrics::Get().frames_damaged.Inc();
   }
-  return got_extent;
+}
+
+bool ExtentStreamReader::NextExtent(ColumnarExtent* out, uint32_t column_mask,
+                                    SpoolFrameView* frame) {
+  SpoolFrameView view;
+  while (NextExtentFrame(&view)) {
+    if (DecodeExtentPayload(view.payload, view.payload_size, column_mask, out)) {
+      ++stats_.extents_recovered;
+      stats_.records_recovered += out->size();
+      if (frame != nullptr) {
+        *frame = view;
+      }
+      return true;
+    }
+    Reject();
+  }
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -797,8 +815,8 @@ ColumnarTraceSet ColumnarTraceSet::FromFile(const std::string& path) {
     while (reader.NextExtent(&extent, 1u << kExtentCol_event)) {
       records += extent.size();
     }
-    out.names = reader.names();
-    out.process_names = reader.process_names();
+    out.names = reader.TakeNames();
+    out.process_names = reader.TakeProcessNames();
   }
   out.spill_path_ = path;
   out.record_count_ = records;

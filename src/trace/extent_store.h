@@ -66,6 +66,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/trace/frame_file.h"
@@ -275,6 +276,17 @@ class ExtentStoreWriter {
   std::vector<uint8_t> payload_;  // Reused frame-payload staging buffer.
 };
 
+// Decodes one kExtent frame payload into *out (replacing its contents).
+// column_mask projects the decode: columns whose bit is clear are skipped
+// over (their per-column length field makes the skip O(1)) and left empty
+// in *out. The event column is always decoded -- it is the extent spine.
+// A function of the payload bytes alone (it only counts the extent in the
+// process-wide metrics), so any thread may call it: the scan decodes
+// extents on its workers. False when the payload does not decode: damage
+// under valid CRCs, i.e. a broken writer.
+bool DecodeExtentPayload(const uint8_t* payload, size_t size, uint32_t column_mask,
+                         ColumnarExtent* out);
+
 // Streams extents out of a store file one frame at a time on a memory
 // budget of O(one extent). Salvage semantics: the first torn, corrupt or
 // truncated frame ends the stream; stats() reports what was recovered and
@@ -283,28 +295,34 @@ class ExtentStreamReader {
  public:
   bool Open(const std::string& path);
 
-  // Decodes the next kExtent frame into *out (replacing its contents).
-  // Returns false at end of stream -- seal, tail tables, damage or EOF;
-  // stats() distinguishes which. Tail tables (dict/names/procs) encountered
-  // while scanning are decoded and retained for names()/process_names().
-  // column_mask projects the decode: columns whose bit is clear are skipped
-  // over (their per-column length field makes the skip O(1)) and left empty
-  // in *out. The event column is always decoded -- it is the extent spine.
-  // A non-null `frame` receives the extent's encoded frame, borrowed until
+  // The one frame loop of every store read: advances to the next kExtent
+  // frame and hands it over undecoded in *frame, borrowed until the next
+  // call. Returns false at end of stream -- seal, damage or EOF; stats()
+  // distinguishes which. Tail tables (dict/names/procs) met on the way are
+  // decoded and retained for TakeNames()/TakeProcessNames(). The store
+  // scan (TraceScan::Run) reads through it and decodes on its workers.
+  bool NextExtentFrame(SpoolFrameView* frame);
+
+  // NextExtentFrame, then DecodeExtentPayload into *out. A frame that does
+  // not decode ends the stream as damage, its CRCs notwithstanding. A
+  // non-null `frame` receives the extent's encoded frame, borrowed until
   // the next call.
   bool NextExtent(ColumnarExtent* out, uint32_t column_mask = kExtentColumnMaskAll,
                   SpoolFrameView* frame = nullptr);
 
-  // Valid once NextExtent returned false: decoded name/process tables.
-  const std::vector<NameRecord>& names() const { return names_; }
-  const std::vector<std::pair<uint32_t, std::string>>& process_names() const {
-    return process_names_;
+  // Once the stream ended: the decoded name/process tables, moved out.
+  std::vector<NameRecord> TakeNames() { return std::move(names_); }
+  std::vector<std::pair<uint32_t, std::string>> TakeProcessNames() {
+    return std::move(process_names_);
   }
   const ExtentReadStats& stats() const { return stats_; }
 
  private:
-  bool DecodeExtent(const SpoolFrameView& view, uint32_t mask, ColumnarExtent* out);
   bool DecodeTail(const SpoolFrameView& view);
+  // Ends the stream at the current frame, as damage.
+  void Reject();
+  // Copies the container's salvage into stats(), counting the first damage.
+  void SyncSalvage();
 
   FrameFileReader file_;
   ExtentReadStats stats_;
@@ -331,8 +349,9 @@ class ColumnarTraceSet {
   const ExtentReadStats& read_stats() const { return read_stats_; }
 
   // Invokes fn over every record batch in stream order, decoding one extent
-  // at a time. column_mask projects the decode (see NextExtent): batches
-  // expose valid pointers only for the selected columns plus `event`.
+  // at a time. column_mask projects the decode (see DecodeExtentPayload):
+  // batches expose valid pointers only for the selected columns plus
+  // `event`.
   void ForEachBatch(const std::function<void(const ColumnBatch&)>& fn,
                     uint32_t column_mask = kExtentColumnMaskAll) const;
 

@@ -1,10 +1,19 @@
-#include "src/analysis/trace_scan.h"
+// The scan's reference: a record-at-a-time sweep over a row trace, kept in
+// the test tree as the oracle that tests/scan_parity_test.cc holds the
+// production scan (src/analysis/scan_kernels.h) against, for both trace
+// forms at every worker count. It is separate code on purpose: it shares
+// nothing with the chunk fold but the TraceScan struct and the process
+// classifier.
 
+#ifndef TESTS_REFERENCE_SCAN_H_
+#define TESTS_REFERENCE_SCAN_H_
+
+#include "src/analysis/trace_scan.h"
 #include "src/tracedb/dimensions.h"
 
 namespace ntrace {
 
-namespace {
+namespace reference_scan {
 
 // Streaming run state for one file object: the pending read and write chains.
 struct RunState {
@@ -16,7 +25,7 @@ struct RunState {
   uint64_t write_bytes = 0;
 };
 
-void EmitRead(TraceScan& out, RunState& s) {
+inline void EmitRead(TraceScan& out, RunState& s) {
   if (s.read_ops > 0) {
     const double bytes = static_cast<double>(s.read_bytes);
     out.read_runs_by_count.Add(bytes, 1.0);
@@ -26,7 +35,7 @@ void EmitRead(TraceScan& out, RunState& s) {
   }
 }
 
-void EmitWrite(TraceScan& out, RunState& s) {
+inline void EmitWrite(TraceScan& out, RunState& s) {
   if (s.write_ops > 0) {
     const double bytes = static_cast<double>(s.write_bytes);
     out.write_runs_by_count.Add(bytes, 1.0);
@@ -36,9 +45,14 @@ void EmitWrite(TraceScan& out, RunState& s) {
   }
 }
 
-}  // namespace
+}  // namespace reference_scan
 
-TraceScan TraceScan::Run(const TraceSet& trace) {
+// The record-at-a-time sweep: one pass over the row-major records with the
+// per-record event switch, emitting each run as it closes.
+inline TraceScan ReferenceScan(const TraceSet& trace) {
+  using reference_scan::EmitRead;
+  using reference_scan::EmitWrite;
+  using reference_scan::RunState;
   TraceScan out;
   out.records_scanned = trace.records.size();
 
@@ -247,3 +261,5 @@ TraceScan TraceScan::Run(const TraceSet& trace) {
 }
 
 }  // namespace ntrace
+
+#endif  // TESTS_REFERENCE_SCAN_H_

@@ -1,13 +1,16 @@
-// Row/columnar scan parity (DESIGN.md §12): the columnar scan
-// (TraceScan::Run over a ColumnarTraceSet, the batch accumulator) must
-// reproduce the row sweep (TraceScan::Run over a TraceSet) field for field
-// and sample for sample -- the two are separate code, each the other's
-// oracle --
+// Scan parity (DESIGN.md §12): the production scan -- one ordered chunk
+// fold (src/analysis/scan_kernels.h) for both trace forms, on the worker
+// pool -- must reproduce the record-at-a-time reference sweep
+// (tests/reference_scan.h) field for field and sample for sample
 //  - over seeded fleet traces, clean and fault-injected;
 //  - over the fleet's out-of-core columnar mode at threads {1, 2, 8};
 //  - over compressed and uncompressed stores scanned from disk;
 //  - over adversarial random records (wild pids / system ids beyond the
-//    dense-table caps, unknown event codes, out-of-order timestamps).
+//    dense-table caps, unknown event codes, out-of-order timestamps);
+//  - at 1, 2 and 4 scan workers, with extents of 333, 1,024 and 64K
+//    records, so run chains cross many chunk seams;
+//  - over chains built to cross, break at and skip seams (the stitch rule);
+//  - up to, and not past, an extent whose payload does not decode.
 // tests/CMakeLists.txt additionally re-runs this whole binary with
 // NTRACE_NO_SIMD=1, which puts every store it writes and reads through the
 // portable CRC-32C codec.
@@ -21,8 +24,10 @@
 
 #include "src/analysis/trace_scan.h"
 #include "src/base/rng.h"
+#include "src/metrics/metrics.h"
 #include "src/trace/extent_store.h"
 #include "src/workload/fleet.h"
+#include "tests/reference_scan.h"
 #include "tests/test_util.h"
 
 namespace ntrace {
@@ -125,7 +130,7 @@ TEST(ScanParity, BatchEqualsRowsOnSeededFleets) {
   for (const uint64_t seed : {7u, 1999u}) {
     const FleetResult result = RunFleet(SmallConfig(seed));
     ASSERT_GT(result.trace.records.size(), 1000u) << "seed=" << seed;
-    const TraceScan oracle = TraceScan::Run(result.trace);
+    const TraceScan oracle = ReferenceScan(result.trace);
     const std::string path = ScratchPath("scan_parity_seeded.ntx");
     ExpectScanEqual(TraceScan::Run(WriteColumnarStore(result.trace, path)), oracle);
     // Small extents (many batch seams).
@@ -137,7 +142,7 @@ TEST(ScanParity, BatchEqualsRowsOnSeededFleets) {
 TEST(ScanParity, BatchEqualsRowsOnFaultInjectedFleet) {
   const FleetResult result = RunFleet(FaultyConfig(7));
   ASSERT_GT(result.trace.records.size(), 100u);
-  const TraceScan oracle = TraceScan::Run(result.trace);
+  const TraceScan oracle = ReferenceScan(result.trace);
   const std::string path = ScratchPath("scan_parity_faulted.ntx");
   ExpectScanEqual(TraceScan::Run(WriteColumnarStore(result.trace, path)), oracle);
   std::remove(path.c_str());
@@ -150,7 +155,7 @@ TEST(ScanParity, ColumnarFleetModeMatchesRowModeAcrossThreads) {
   for (const bool faulty : {false, true}) {
     FleetConfig row_config = faulty ? FaultyConfig(7) : SmallConfig(7);
     const FleetResult row_result = RunFleet(row_config);
-    const TraceScan oracle = TraceScan::Run(row_result.trace);
+    const TraceScan oracle = ReferenceScan(row_result.trace);
 
     for (const int threads : {1, 2, 8}) {
       FleetConfig config = faulty ? FaultyConfig(7) : SmallConfig(7);
@@ -182,7 +187,7 @@ TEST(ScanParity, CompressedStoreScanMatchesUncompressedStore) {
   for (const bool faulty : {false, true}) {
     const FleetConfig config = faulty ? FaultyConfig(11) : SmallConfig(11);
     const FleetResult row_result = RunFleet(config);
-    const TraceScan oracle = TraceScan::Run(row_result.trace);
+    const TraceScan oracle = ReferenceScan(row_result.trace);
 
     auto write_store = [&](const std::string& path, bool compress) {
       ExtentStoreWriter writer;
@@ -224,7 +229,7 @@ TEST(ScanParity, CompressedStoreScanMatchesUncompressedStore) {
 // system ids beyond the dense-table caps (hash fallbacks), unknown event
 // and status codes (tally clamping), timestamps that jump backwards
 // (last-second bypass must stay exact), and every irp-flag combination.
-TEST(ScanParity, RandomizedAdversarialRecords) {
+TraceSet AdversarialTrace() {
   Rng rng(0xD15EA5E);
   TraceSet trace;
   const std::vector<std::string> names = {"explorer.exe", "ntbackup.exe", "services.exe",
@@ -282,13 +287,201 @@ TEST(ScanParity, RandomizedAdversarialRecords) {
                       : (1u << 20) + static_cast<uint32_t>(rng.UniformInt(0, 3));
     trace.records.push_back(r);
   }
+  return trace;
+}
 
-  const TraceScan oracle = TraceScan::Run(trace);
+TEST(ScanParity, RandomizedAdversarialRecords) {
+  const TraceSet trace = AdversarialTrace();
+  const TraceScan oracle = ReferenceScan(trace);
   const std::string path = ScratchPath("scan_parity_random.ntx");
   ExpectScanEqual(TraceScan::Run(WriteColumnarStore(trace, path)), oracle);
   // Batch-boundary independence: a 333-record extent chops every run chain
   // and tally differently from one big batch; results must not move.
   ExpectScanEqual(TraceScan::Run(WriteColumnarStore(trace, path, 333)), oracle);
+  std::remove(path.c_str());
+}
+
+// Thread invariance: both forms, at 1, 2 and 4 workers, equal the reference
+// over the seeded, faulted and adversarial traces. Stores of 333-, 1,024-
+// and 64K-record extents cut run chains at many seams; the row form cuts
+// its chunks at 64K records.
+TEST(ScanParity, BothFormsEqualTheReferenceAtEveryWorkerCount) {
+  const std::vector<std::pair<const char*, TraceSet>> traces = [] {
+    std::vector<std::pair<const char*, TraceSet>> t;
+    t.emplace_back("seeded", RunFleet(SmallConfig(7)).trace);
+    t.emplace_back("faulted", RunFleet(FaultyConfig(7)).trace);
+    t.emplace_back("adversarial", AdversarialTrace());
+    return t;
+  }();
+  for (const auto& [what, trace] : traces) {
+    SCOPED_TRACE(what);
+    ASSERT_GT(trace.records.size(), 1000u);
+    const TraceScan oracle = ReferenceScan(trace);
+    for (const int workers : {1, 2, 4}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers));
+      const TraceScan rows = TraceScan::Run(trace, workers);
+      EXPECT_EQ(rows.records_scanned, trace.records.size());
+      ExpectScanEqual(rows, oracle);
+    }
+    const std::string path = ScratchPath("scan_parity_workers.ntx");
+    for (const uint32_t extent : {333u, 1024u, kDefaultExtentRecords}) {
+      const ColumnarTraceSet store = WriteColumnarStore(trace, path, extent);
+      for (const int workers : {1, 2, 4}) {
+        SCOPED_TRACE("extent=" + std::to_string(extent) + " workers=" + std::to_string(workers));
+        const TraceScan scan = TraceScan::Run(store, workers);
+        EXPECT_EQ(scan.records_scanned, trace.records.size());
+        ExpectScanEqual(scan, oracle);
+      }
+    }
+    std::remove(path.c_str());
+  }
+}
+
+// Four chunks of `chunk` records each, holding run chains placed against
+// the chunk seams; every other record is a query on an unrelated file.
+//   0xA  reads sequentially across chunks 0, 1 and 2: one run, two seams.
+//   0xB  breaks exactly at the 0|1 seam, then runs on: two runs.
+//   0xC  is read only in chunks 1 and 3, contiguously: one run.
+//   0xD  writes from chunk 0 into 1, seeks inside 1 and runs on into 2.
+//   0xE  three runs inside chunk 2: the first closes in the chunk, the
+//        middle one strictly inside it, the last stays open to the end.
+//   0xF  a read chain across the 0|1 seam with a write between.
+// Read runs: 4096 x4, 8192 x2, 12288, 24576. Write runs: 4096, 8192, 12288.
+TraceSet StitchTrace(size_t chunk) {
+  TraceSet trace;
+  trace.process_names.emplace(1, "explorer.exe");
+  trace.records.resize(4 * chunk);
+  for (size_t i = 0; i < trace.records.size(); ++i) {
+    TraceRecord& r = trace.records[i];
+    r.file_object = 0x99;
+    r.event = static_cast<uint16_t>(TraceEvent::kIrpQueryInformation);
+    r.process_id = 1;
+    r.start_ticks = static_cast<int64_t>(i) * 1000;
+    r.complete_ticks = r.start_ticks + 500;
+  }
+  const size_t mid = chunk / 2;
+  const size_t last = chunk - 1;
+  const auto put = [&](size_t c, size_t at, uint64_t file_object, TraceEvent event,
+                       uint64_t offset) {
+    TraceRecord& r = trace.records[c * chunk + at];
+    r.file_object = file_object;
+    r.event = static_cast<uint16_t>(event);
+    r.offset = offset;
+    r.length = 4096;
+    r.returned = 4096;
+  };
+  constexpr TraceEvent kRead = TraceEvent::kIrpRead;
+  constexpr TraceEvent kWrite = TraceEvent::kIrpWrite;
+  put(0, last - 1, 0xA, kRead, 0);
+  put(0, last, 0xA, kRead, 4096);
+  put(1, 2, 0xA, kRead, 8192);
+  put(1, mid, 0xA, kRead, 12288);
+  put(2, 0, 0xA, kRead, 16384);
+  put(2, last, 0xA, kRead, 20480);
+
+  put(0, last - 2, 0xB, kRead, 0);
+  put(1, 0, 0xB, kRead, 100000);
+  put(1, 1, 0xB, kRead, 104096);
+
+  put(1, mid + 1, 0xC, kRead, 0);
+  put(1, mid + 2, 0xC, kRead, 4096);
+  put(3, mid, 0xC, kRead, 8192);
+
+  put(0, mid, 0xD, kWrite, 0);
+  put(1, 3, 0xD, kWrite, 4096);
+  put(1, mid + 3, 0xD, kWrite, 50000);
+  put(1, last, 0xD, kWrite, 54096);
+  put(2, 1, 0xD, kWrite, 58192);
+
+  put(2, 2, 0xE, kRead, 0);
+  put(2, mid, 0xE, kRead, 100);
+  put(2, mid + 1, 0xE, kRead, 5000);
+
+  put(0, last - 3, 0xF, kRead, 0);
+  put(1, 4, 0xF, kWrite, 0);
+  put(1, 5, 0xF, kRead, 4096);
+  return trace;
+}
+
+void ExpectStitchedRuns(const TraceScan& scan) {
+  using Samples = std::vector<std::pair<double, double>>;
+  EXPECT_EQ(scan.read_runs_by_count.samples(),
+            (Samples{{4096, 4}, {8192, 2}, {12288, 1}, {24576, 1}}));
+  EXPECT_EQ(scan.write_runs_by_count.samples(), (Samples{{4096, 1}, {8192, 1}, {12288, 1}}));
+}
+
+// The stitch rule: a chunk's first run joins the chain before it iff it
+// starts where that chain ended, whatever lies between.
+TEST(ScanParity, RunChainsStitchAcrossChunkSeams) {
+  const TraceSet rows = StitchTrace(kDefaultExtentRecords);
+  ExpectStitchedRuns(ReferenceScan(rows));
+  const TraceSet small = StitchTrace(16);
+  const std::string path = ScratchPath("scan_parity_stitch.ntx");
+  const ColumnarTraceSet store = WriteColumnarStore(small, path, 16);
+  for (const int workers : {1, 2, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const TraceScan from_rows = TraceScan::Run(rows, workers);
+    ExpectStitchedRuns(from_rows);
+    ExpectScanEqual(from_rows, ReferenceScan(rows));
+    const TraceScan from_store = TraceScan::Run(store, workers);
+    ExpectStitchedRuns(from_store);
+    ExpectScanEqual(from_store, ReferenceScan(small));
+  }
+  std::remove(path.c_str());
+}
+
+// Salvage: a middle extent whose CRCs hold but whose file_object column
+// carries an unknown encoding. The store opens whole (its prescan decodes
+// only the event spine), and the scan covers exactly the extents before the
+// bad one at every worker count, as the stream reader's Reject does.
+TEST(ScanParity, ScanStopsAtAnExtentThatDoesNotDecode) {
+  const TraceSet trace = RunFleet(SmallConfig(7)).trace;
+  constexpr uint32_t kExtent = 1024;
+  constexpr size_t kBad = 5;  // Mid-window at 2 and 4 workers.
+  ASSERT_GT(trace.records.size(), (kBad + 2) * kExtent);
+  const std::string src_path = ScratchPath("scan_parity_salvage_src.ntx");
+  const std::string path = ScratchPath("scan_parity_salvage.ntx");
+  WriteColumnarStore(trace, src_path, kExtent);
+  {
+    const std::vector<uint8_t> bytes = ReadFileBytes(src_path);
+    Counter& counter = MetricsRegistry::Global().GetCounter("ntrace_scan_test_salvage_bytes_total",
+                                                            "Test bytes");
+    FrameFileWriter file;
+    ASSERT_TRUE(file.Open(path, {kExtentStoreMagic, kExtentStoreVersion, kExtent, 0}, &counter));
+    size_t begin = kExtentStoreHeaderSize;
+    size_t extents = 0;
+    while (begin < bytes.size()) {
+      SpoolFrameView view;
+      size_t consumed = 0;
+      ASSERT_EQ(SpoolParseFrame(bytes.data() + begin, bytes.size() - begin, &view, &consumed),
+                SpoolFrameStatus::kOk);
+      std::vector<uint8_t> payload(view.payload, view.payload + view.payload_size);
+      if (static_cast<ExtentFrameType>(view.type) == ExtentFrameType::kExtent &&
+          extents++ == kBad) {
+        // u32 record count and four i64 tick bounds, then the first
+        // column (file_object): u8 encoding | u32 encoded_bytes.
+        payload[sizeof(uint32_t) + 4 * sizeof(int64_t)] = 0xEE;
+      }
+      ASSERT_TRUE(file.Append(view.type, payload.data(), payload.size(), nullptr, 0, false));
+      begin += consumed;
+    }
+    file.Close();
+  }
+  const ColumnarTraceSet store = ColumnarTraceSet::FromFile(path);
+  ASSERT_EQ(store.record_count(), trace.records.size());
+  ASSERT_EQ(store.read_stats().frames_damaged, 0u);
+
+  TraceSet before = trace;
+  before.records.resize(kBad * kExtent);
+  const TraceScan oracle = ReferenceScan(before);
+  EXPECT_EQ(store.ToRows().records.size(), before.records.size());
+  for (const int workers : {1, 2, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const TraceScan scan = TraceScan::Run(store, workers);
+    EXPECT_EQ(scan.records_scanned, before.records.size());
+    ExpectScanEqual(scan, oracle);
+  }
+  std::remove(src_path.c_str());
   std::remove(path.c_str());
 }
 
